@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -161,8 +162,31 @@ def _observable_dict(obs: ObservableSpec) -> dict:
     return {"protocol": obs.protocol.value, "m": obs.m, "outcome": obs.outcome.value}
 
 
-def _observable_from_dict(data: dict) -> ObservableSpec:
-    return ObservableSpec(Protocol(data["protocol"]), Outcome(data["outcome"]), int(data["m"]))
+def _observable_from_dict(data, where: str) -> ObservableSpec:
+    try:
+        m = data["m"]
+        if isinstance(m, int) and not isinstance(m, bool):
+            return ObservableSpec(Protocol(data["protocol"]), Outcome(data["outcome"]), m)
+    except (KeyError, TypeError, ValueError):
+        pass
+    raise ConfigError(f"{where} must be an object with a protocol, an outcome and m in 0..2")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _numbers(value, shape: tuple[int, ...], where: str) -> np.ndarray:
+    """Nested lists of finite numbers with the given shape, as a float array."""
+
+    def fits_shape(v, dims) -> bool:
+        if not dims:
+            return _is_number(v)
+        return isinstance(v, list) and len(v) == dims[0] and all(fits_shape(x, dims[1:]) for x in v)
+
+    if not fits_shape(value, shape):
+        raise ConfigError(f"{where} must be {' x '.join(map(str, shape))} finite numbers")
+    return np.array(value, dtype=float)
 
 
 def cmd_fit(data_path, out_path) -> int:
@@ -197,20 +221,39 @@ def _load_fits(path) -> tuple[list[FitResult], float]:
         raise ConfigError(f"cannot read fits: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"fits document is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("fits document must be a JSON object")
     if raw.get("schema") != FITS_SCHEMA:
         raise ConfigError(f"fits document must declare schema '{FITS_SCHEMA}'")
+    eta = raw.get("eta")
+    if not _is_number(eta) or eta < 0:
+        raise ConfigError("key 'eta' must be a nonnegative number")
+    items = raw.get("fits")
+    if not isinstance(items, list):
+        raise ConfigError("key 'fits' must be a list")
     fits = []
-    for item in raw["fits"]:
+    for n, item in enumerate(items):
+        where = f"fits[{n}]"
+        if not isinstance(item, dict):
+            raise ConfigError(f"{where} must be an object")
+        chi_square = item.get("chi_square")
+        if not _is_number(chi_square) or chi_square < 0:
+            raise ConfigError(f"{where}.chi_square must be a nonnegative number")
+        dof = item.get("degrees_of_freedom")
+        if not isinstance(dof, int) or isinstance(dof, bool) or dof < 1:
+            raise ConfigError(f"{where}.degrees_of_freedom must be a positive integer")
         fits.append(
             FitResult(
-                observable=_observable_from_dict(item["observable"]),
-                coefficients=AffineCoefficients(*item["coefficients"]),
-                covariance=np.array(item["covariance"]),
-                chi_square=float(item["chi_square"]),
-                degrees_of_freedom=int(item["degrees_of_freedom"]),
+                observable=_observable_from_dict(item.get("observable"), f"{where}.observable"),
+                coefficients=AffineCoefficients(
+                    *_numbers(item.get("coefficients"), (4,), f"{where}.coefficients")
+                ),
+                covariance=_numbers(item.get("covariance"), (4, 4), f"{where}.covariance"),
+                chi_square=float(chi_square),
+                degrees_of_freedom=dof,
             )
         )
-    return fits, float(raw["eta"])
+    return fits, float(eta)
 
 
 def _recovery_report(fits, eta, constraints, residual_threshold):

@@ -23,6 +23,7 @@ from .linearize import (
 
 WEIGHT_CLAMP = 1e-6
 RANK_RTOL = 1e-10
+NULLSPACE_SKIP_TOL = 1e-8
 
 
 class RankDeficientFit(ValueError):
@@ -64,7 +65,9 @@ class RecoveryResult:
     """Minimum-norm recovery of the 16 parameters with identifiability data.
 
     ``row_space_basis`` (rank x 16, orthonormal) spans the identifiable
-    parameter combinations; ``nullspace_basis`` spans the rest.
+    parameter combinations; ``nullspace_basis`` spans the rest, in the basis
+    obtained by Gram-Schmidt on e_1, e_2, ... projected onto it, so that it
+    depends on the nullspace only and not on the SVD's choice of vectors.
     ``residual_norm`` is reported on the probability-deviation scale (the
     scaled-system residual multiplied back by eta) so it can be compared
     with statistical noise and truncation error.  ``chi_square`` is the
@@ -173,6 +176,27 @@ def goodness_of_fit(
     return GoodnessOfFit(per_fit, chi_square, dof, threshold, compatible)
 
 
+def _canonical_basis(basis: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the span of ``basis`` (orthonormal rows) fixed by the span alone.
+
+    The unit vectors e_1, e_2, ... are projected onto the span in order and
+    Gram-Schmidt orthogonalized (twice, for rounding); projections whose
+    residual is below NULLSPACE_SKIP_TOL are skipped.  An SVD returns an
+    arbitrary rotation of a subspace with equal singular values; this basis
+    moves only as much as the subspace does.  It is complete: a unit vector
+    of the span orthogonal to the result would have every component below
+    the skip tolerance.
+    """
+    out = np.zeros((0, basis.shape[1]))
+    for v in basis.T @ basis:  # row i is the projection of e_i
+        for _ in range(2):
+            v = v - out.T @ (out @ v)
+        norm = float(np.linalg.norm(v))
+        if norm > NULLSPACE_SKIP_TOL:
+            out = np.vstack([out, v / norm])
+    return out
+
+
 def recover_parameters(
     fits,
     system: LinearSystem,
@@ -185,7 +209,8 @@ def recover_parameters(
     Fitted coefficients are divided by eta (recovered parameters come out
     O(1)); constraint rows keep rhs 0.  The solve is a rank-revealing SVD:
     singular values below 1e-10 of the largest are treated as zero, the
-    returned solution is minimum-norm and the nullspace basis orthonormal.
+    returned solution is minimum-norm and the nullspace basis orthonormal and
+    canonical.
 
     Raises InconsistentSystem when ``max_residual`` is given and the
     residual (probability-deviation scale) exceeds it.
@@ -217,7 +242,7 @@ def recover_parameters(
     residual_vec = matrix @ solution - rhs
     residual_norm = float(np.linalg.norm(residual_vec)) * scale
 
-    nullspace = vt[rank:]
+    nullspace = _canonical_basis(vt[rank:])
     row_space = vt[:rank]
 
     covariance = None

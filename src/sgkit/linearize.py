@@ -1,18 +1,22 @@
 """Small-non-ideality model and the linear identification system.
 
 The perturbed filter is alpha = 1/2 + eta*a, beta = +-e_z/2 + eta*b per
-branch, 16 real parameters in all.  First-order responses are extracted by
-exact polynomial interpolation in eta (the model probabilities are
-polynomials of degree <= 2 for single measurements and <= 4 for successive
-ones), so there is no truncation error and the extraction is self-checking:
-the result must not depend on the interpolation nodes.
+branch, 16 real parameters in all.  The first-order response of tr(rho F) is
+affine in the probe direction, and its coefficients are the Pauli
+coefficients of the eta-derivative of the Heisenberg-picture effect F: B B^dag
+for a single measurement with branch B, sum_n A_n B B^dag A_n^dag for a
+non-selective pass followed by B.  The module derives these 4x16 blocks in
+closed form, once, at import.  Exact polynomial interpolation in eta
+(``linear_response``; the probabilities are polynomials of degree <= 2 for
+single measurements and <= 4 for successive ones) stays as the independent
+oracle the tests and ``sgkit verify`` compare the closed form against.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 
 import numpy as np
 
@@ -27,12 +31,9 @@ from .instrument import (
     ideal_instrument,
     raw_successive_probability,
     rotate_instrument,
+    rotate_kraus,
 )
-from .pauli import PauliCoefficients, adjoint, pauli_add, pauli_mul
-
-
-class NonAffineResponse(RuntimeError):
-    """The extracted first-order response failed the affine consistency check."""
+from .pauli import PauliCoefficients, adjoint, pauli_add, pauli_mul, pauli_mul_array
 
 
 class Protocol(Enum):
@@ -239,33 +240,9 @@ def linear_response(
     return float(coeffs[1])
 
 
-# Generic probe set for the affine extraction: three polar rings, twelve
-# directions, design rank 4 with redundancy left over for the consistency check.
-_FIT_DIRECTIONS = tuple(
-    Direction(theta, phi)
-    for theta in (math.pi / 4.0, math.pi / 2.0, 3.0 * math.pi / 4.0)
-    for phi in (0.0, 2.0 * math.pi / 5.0, 4.0 * math.pi / 5.0, 6.0 * math.pi / 5.0)
-)
-
-_AFFINE_CHECK_TOL = 1e-12
-
-
 def affine_coefficients(params: PerturbationParams, obs: ObservableSpec) -> AffineCoefficients:
-    """First-order response as an affine function of the probe direction.
-
-    The response is affine exactly; a residual above 1e-12 in the internal
-    overdetermined fit signals an implementation bug (NonAffineResponse).
-    """
-    kmat = np.array([d.unit_vector() for d in _FIT_DIRECTIONS])
-    design = np.column_stack([np.ones(len(_FIT_DIRECTIONS)), kmat])
-    values = np.array([linear_response(params, obs, d) for d in _FIT_DIRECTIONS])
-    coeffs, *_ = np.linalg.lstsq(design, values, rcond=None)
-    residual = float(np.max(np.abs(design @ coeffs - values)))
-    if residual > _AFFINE_CHECK_TOL:
-        raise NonAffineResponse(
-            f"response of {obs.label()} is not affine in k (residual {residual:.3e})"
-        )
-    return AffineCoefficients(*coeffs)
+    """First-order response as an affine function of the probe direction."""
+    return AffineCoefficients(*(_RESPONSE_BLOCKS[obs] @ params.to_vector()))
 
 
 def default_observables(protocols=(Protocol.SINGLE, Protocol.SUCCESSIVE)) -> tuple[ObservableSpec, ...]:
@@ -281,26 +258,92 @@ def default_observables(protocols=(Protocol.SINGLE, Protocol.SUCCESSIVE)) -> tup
     return tuple(out)
 
 
-# responses of the 16 unit perturbations are pure functions of the observable
-_ROWS_CACHE: dict[ObservableSpec, np.ndarray] = {}
+# --- closed-form first-order responses -----------------------------------------
+# Operators below are (..., 4) complex arrays of Pauli coefficients; a leading
+# axis of 16 holds the derivatives with respect to the 16 parameters.
 
 
-def _observable_rows(obs: ObservableSpec) -> np.ndarray:
-    """4x16 block of d(coefficient_j)/d(parameter_i) for one observable."""
-    if obs not in _ROWS_CACHE:
-        block = np.empty((4, 16))
-        for i in range(16):
-            block[:, i] = affine_coefficients(PerturbationParams.unit(i), obs).as_array()
-        block.setflags(write=False)
-        _ROWS_CACHE[obs] = block
-    return _ROWS_CACHE[obs]
+def _unit_perturbations() -> np.ndarray:
+    """d(alpha, beta)/d(parameter_i) of the up and the down branch, shape (2, 16, 4)."""
+    units = [PerturbationParams.unit(i) for i in range(16)]
+    return np.array(
+        [[[p.a_up, *p.b_up] for p in units], [[p.a_down, *p.b_down] for p in units]]
+    )
+
+
+def _rotation_matrix(m: int) -> np.ndarray:
+    """The real 3x3 matrix that ``rotate_kraus`` applies to beta for ``cyclic_rotation(m)``."""
+    rot = cyclic_rotation(m)
+    return np.array([rotate_kraus(KrausOperator(0.0, e), rot).beta.real for e in np.eye(3)]).T
+
+
+def _rotated(ops: np.ndarray, rotation: np.ndarray) -> np.ndarray:
+    """(..., 4) Kraus operators with beta rotated and alpha untouched."""
+    # einsum rather than a matmul: a matmul here would start the BLAS library
+    # at import, which raised the peak RSS of an `sgkit roundtrip` by 0.4 MB.
+    beta = np.einsum("...j,kj->...k", ops[..., 1:], rotation)
+    return np.concatenate([ops[..., :1], beta], axis=-1)
+
+
+def _effect_derivative(b0: np.ndarray, db: np.ndarray) -> np.ndarray:
+    """d(B B^dag) = dB B0^dag + B0 dB^dag."""
+    return pauli_mul_array(db, b0.conj()) + pauli_mul_array(b0, db.conj())
+
+
+def _response_block(
+    obs: ObservableSpec, ideal: np.ndarray, units: np.ndarray, rotation: np.ndarray
+) -> np.ndarray:
+    """4x16 block of d(coefficient_j)/d(parameter_i) for one observable.
+
+    ``ideal`` (2, 4) holds the unrotated ideal branches, ``units`` (2, 16, 4)
+    their unit perturbations, ``rotation`` is ``_rotation_matrix(obs.m)``.
+
+    tr(rho H) = h0 + h . k for rho = (1 + k . sigma)/2 and Hermitian H, so the
+    affine coefficients are the Pauli coefficients of the effect's derivative.
+    For the successive protocol H = sum_n A_n F A_n^dag, with the unrotated
+    first stage A_n and the effect F of the rotated second-stage branch B:
+    dH = sum_n (dA_n F0 A_n0^dag + A_n0 dF A_n0^dag + A_n0 F0 dA_n^dag).
+    """
+    branch = 0 if obs.outcome is Outcome.UP else 1
+    b0 = _rotated(ideal[branch], rotation)
+    d_effect = _effect_derivative(b0, _rotated(units[branch], rotation))
+    if obs.protocol is Protocol.SUCCESSIVE:
+        f0 = pauli_mul_array(b0, b0.conj())
+        d_effect = sum(
+            pauli_mul_array(pauli_mul_array(da, f0), a0.conj())
+            + pauli_mul_array(pauli_mul_array(a0, d_effect), a0.conj())
+            + pauli_mul_array(pauli_mul_array(a0, f0), da.conj())
+            for a0, da in zip(ideal, units)
+        )
+    block = np.ascontiguousarray(d_effect.real.T)
+    block.setflags(write=False)
+    return block
+
+
+def _response_blocks() -> MappingProxyType:
+    """Read-only blocks of every observable: 2 protocols x 2 outcomes x 3 rotations."""
+    ideal = np.array([[k.alpha, *k.beta] for k in ideal_instrument().branches])
+    units = _unit_perturbations()
+    rotations = [_rotation_matrix(m) for m in range(3)]
+    observables = (
+        ObservableSpec(protocol, outcome, m)
+        for protocol in Protocol
+        for outcome in Outcome
+        for m in range(3)
+    )
+    return MappingProxyType(
+        {obs: _response_block(obs, ideal, units, rotations[obs.m]) for obs in observables}
+    )
+
+
+_RESPONSE_BLOCKS = _response_blocks()
 
 
 def design_matrix(observables) -> LinearSystem:
     """Linear system relating the 16 parameters to observable coefficients.
 
-    One row per (observable, coefficient) pair, built from the responses of
-    the 16 unit perturbations, followed by the first-order completeness
+    One row per (observable, coefficient) pair, read from the closed-form
+    response blocks, followed by the first-order completeness
     constraints (the four affine parts of f_up + f_down - 1 per rotation,
     rhs 0).  Constraint rows are consequences of the single-protocol rows, so
     they are generated from those same blocks.
@@ -309,14 +352,14 @@ def design_matrix(observables) -> LinearSystem:
     labels: list[str] = []
     keys: list[tuple[ObservableSpec, int, float] | None] = []
     for obs in observables:
-        block = _observable_rows(obs)
+        block = _RESPONSE_BLOCKS[obs]
         for j in range(4):
             rows.append(block[j])
             labels.append(f"{obs.label()}:{COEFF_LABELS[j]}")
             keys.append((obs, j, 1.0))
     for m in range(3):
-        up = _observable_rows(ObservableSpec(Protocol.SINGLE, Outcome.UP, m))
-        down = _observable_rows(ObservableSpec(Protocol.SINGLE, Outcome.DOWN, m))
+        up = _RESPONSE_BLOCKS[ObservableSpec(Protocol.SINGLE, Outcome.UP, m)]
+        down = _RESPONSE_BLOCKS[ObservableSpec(Protocol.SINGLE, Outcome.DOWN, m)]
         for j in range(4):
             rows.append(up[j] + down[j])
             labels.append(f"norm/m{m}:{COEFF_LABELS[j]}")

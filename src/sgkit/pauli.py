@@ -63,6 +63,15 @@ def pauli_mul(a: PauliCoefficients, b: PauliCoefficients) -> PauliCoefficients:
     return PauliCoefficients(scalar, vector)
 
 
+def pauli_mul_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``pauli_mul`` on broadcastable (..., 4) arrays [scalar, x, y, z], unvalidated."""
+    s, v = a[..., :1], a[..., 1:]
+    t, w = b[..., :1], b[..., 1:]
+    scalar = s * t + np.sum(v * w, axis=-1, keepdims=True)
+    cross = v[..., _NEXT] * w[..., _PREV] - v[..., _PREV] * w[..., _NEXT]
+    return np.concatenate([scalar, s * w + t * v + 1j * cross], axis=-1)
+
+
 def pauli_add(a: PauliCoefficients, b: PauliCoefficients) -> PauliCoefficients:
     return PauliCoefficients(a.scalar + b.scalar, a.vector + b.vector)
 

@@ -27,6 +27,7 @@ from .linearize import (
     Outcome,
     PerturbationParams,
     Protocol,
+    affine_coefficients,
     build_perturbed,
     design_matrix,
     default_observables,
@@ -209,7 +210,8 @@ def check_linearization_ratio(n: int = 10) -> None:
 
 
 def check_node_independence() -> None:
-    """The eta^1 coefficient does not depend on the interpolation nodes."""
+    """The eta^1 coefficient does not depend on the interpolation nodes, and
+    the closed-form response of every observable equals the interpolated one."""
     rng = np.random.default_rng(20)
     params = PerturbationParams.from_vector(rng.uniform(-1.0, 1.0, size=16), 0.0)
     cases = [
@@ -221,6 +223,14 @@ def check_node_independence() -> None:
         k /= np.linalg.norm(k)
         values = [linear_response(params, obs, k, nodes=nodes) for nodes in node_sets]
         assert max(values) - min(values) < 1e-12
+    for protocol in Protocol:
+        for outcome in Outcome:
+            for m in range(3):
+                obs = ObservableSpec(protocol, outcome, m)
+                k = rng.normal(size=3)
+                k /= np.linalg.norm(k)
+                closed = affine_coefficients(params, obs).as_array() @ np.array([1.0, *k])
+                assert abs(closed - linear_response(params, obs, k)) < 1e-12, obs.label()
 
 
 ALL_CHECKS = (

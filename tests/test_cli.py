@@ -149,6 +149,44 @@ def test_recover_incompatible_large_eta(tmp_path):
     assert document["compatible"] is False
 
 
+def _malformed_fits(tmp_path, edit):
+    data, fits = tmp_path / "d.csv", tmp_path / "f.json"
+    main(["simulate", "--config", str(EXACT_CONFIG), "--out", str(data)])
+    main(["fit", "--data", str(data), "--out", str(fits)])
+    fits.write_text(json.dumps(edit(json.loads(fits.read_text()))))
+    return fits
+
+
+def _recover_exit(fits, tmp_path, capsys):
+    status = main(["recover", "--fits", str(fits), "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return status, err
+
+
+def test_recover_fits_without_fits_key_exit_2(tmp_path, capsys):
+    def drop_fits(document):
+        del document["fits"]
+        return document
+
+    status, err = _recover_exit(_malformed_fits(tmp_path, drop_fits), tmp_path, capsys)
+    assert status == 2 and "'fits'" in err
+
+
+def test_recover_fits_top_level_list_exit_2(tmp_path, capsys):
+    status, err = _recover_exit(_malformed_fits(tmp_path, lambda d: [d]), tmp_path, capsys)
+    assert status == 2 and "JSON object" in err
+
+
+def test_recover_fits_short_coefficients_exit_2(tmp_path, capsys):
+    def truncate(document):
+        document["fits"][0]["coefficients"] = document["fits"][0]["coefficients"][:3]
+        return document
+
+    status, err = _recover_exit(_malformed_fits(tmp_path, truncate), tmp_path, capsys)
+    assert status == 2 and "fits[0].coefficients" in err
+
+
 def test_recover_paper_constraints(tmp_path):
     data, fits, report = tmp_path / "d.csv", tmp_path / "f.json", tmp_path / "r.json"
     main(["simulate", "--config", str(EXACT_CONFIG), "--out", str(data)])

@@ -238,6 +238,24 @@ def test_recover_nullspace_orthonormal(rng):
     assert result.rank + null.shape[0] == 16
 
 
+def test_recover_nullspace_basis_is_canonical(rng):
+    """A rounding-level change of the rows barely moves the reported nullspace.
+
+    The four nullspace singular values are all zero, so an SVD may return any
+    rotation of the nullspace; the reported basis must not follow it.
+    """
+    truth = project_to_constraints(rng.uniform(-0.08, 0.08, size=16))
+    fits, result = _roundtrip(truth, 1e-3, 0, 1)
+    system = design_matrix([fit.observable for fit in fits])
+    nudged = LinearSystem(
+        system.rows + 1e-14 * rng.normal(size=system.rows.shape),
+        system.rhs, system.row_labels, system.column_labels, system.rhs_keys,
+    )
+    moved = recover_parameters(fits, nudged, eta=1e-3)
+    assert moved.rank == result.rank == 12
+    assert np.max(np.abs(moved.nullspace_basis - result.nullspace_basis)) < 1e-10
+
+
 def test_recover_sampled_within_standard_errors(rng):
     truth = project_to_constraints(rng.uniform(-0.08, 0.08, size=16))
     _, result = _roundtrip(truth, 1e-3, 10**6, 20260810)

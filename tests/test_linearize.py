@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -24,6 +29,7 @@ from sgkit.linearize import (
 
 from conftest import random_unit
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 SINGLE_UP0 = ObservableSpec(Protocol.SINGLE, Outcome.UP, 0)
 ALL_OBSERVABLES = default_observables()
 
@@ -170,6 +176,44 @@ def test_affine_unit_a_r_up():
     params = PerturbationParams.unit(PARAM_LABELS.index("a_r_up"))
     coeffs = affine_coefficients(params, SINGLE_UP0)
     assert np.allclose(coeffs.as_array(), [1.0, 0.0, 0.0, 1.0], atol=1e-12)
+
+
+def test_closed_form_matches_interpolation_oracle(rng):
+    """Every observable's closed-form block equals the interpolated response."""
+    for protocol in Protocol:
+        for outcome in Outcome:
+            for m in range(3):
+                obs = ObservableSpec(protocol, outcome, m)
+                for _ in range(2):
+                    k = random_unit(rng)
+                    basis = np.array([1.0, *k])
+                    for i in range(16):
+                        unit = PerturbationParams.unit(i)
+                        closed = affine_coefficients(unit, obs).as_array() @ basis
+                        assert abs(closed - linear_response(unit, obs, k)) < 1e-12, (obs, i)
+
+
+def test_design_matrix_needs_no_probability_evaluation():
+    """With probability evaluation patched to raise, the design system still builds.
+
+    Runs in a fresh interpreter, so nothing an earlier test computed can
+    stand in for the build.
+    """
+    code = (
+        "import sgkit.linearize as lin\n"
+        "def forbidden(*args, **kwargs):\n"
+        "    raise AssertionError('the design system evaluated a model probability')\n"
+        "lin.model_probability = lin.linear_response = forbidden\n"
+        "rows = lin.design_matrix(lin.default_observables()).rows\n"
+        "assert rows.shape == (48, 16), rows.shape\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, stdin=subprocess.DEVNULL, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.strip()
 
 
 # --- design matrix ----------------------------------------------------------------

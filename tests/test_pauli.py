@@ -8,6 +8,7 @@ from sgkit.pauli import (
     from_matrix,
     hermitian_eigenvalues,
     pauli_mul,
+    pauli_mul_array,
     to_matrix,
     trace,
 )
@@ -60,6 +61,19 @@ def test_mul_bit_identical_to_np_cross_formula(rng):
         a, b = random_coeff(rng), random_coeff(rng)
         expected = a.scalar * b.vector + b.scalar * a.vector + 1j * np.cross(a.vector, b.vector)
         assert pauli_mul(a, b).vector.tobytes() == expected.tobytes()
+
+
+def test_mul_array_matches_mul_with_broadcasting(rng):
+    pairs = [(random_coeff(rng), random_coeff(rng)) for _ in range(20)]
+    left = np.array([[a.scalar, *a.vector] for a, _ in pairs])
+    right = np.array([[b.scalar, *b.vector] for _, b in pairs])
+    batched = pauli_mul_array(left, right)
+    broadcast = pauli_mul_array(left, right[0])
+    for i, (a, b) in enumerate(pairs):
+        for out, other in ((batched[i], b), (broadcast[i], pairs[0][1])):
+            expected = pauli_mul(a, other)
+            assert abs(out[0] - expected.scalar) < 1e-14
+            assert np.max(np.abs(out[1:] - expected.vector)) < 1e-14
 
 
 def test_mul_associative(rng):
