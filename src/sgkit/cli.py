@@ -55,17 +55,36 @@ class ConfigError(ValueError):
     pass
 
 
+def _is_number(value) -> bool:
+    """A finite int or float; bools and ints beyond float range are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _require(config: dict, key: str, kind, what: str):
+    """``config[key]`` of the given kind; ``float`` accepts only finite numbers."""
     if key not in config:
         raise ConfigError(f"missing key '{key}'")
     value = config[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+    if kind is float:
+        if not _is_number(value):
+            raise ConfigError(f"key '{key}' must be {what}")
+        return float(value)
     if kind is int and isinstance(value, bool):
         raise ConfigError(f"key '{key}' must be {what}")
     if not isinstance(value, kind):
         raise ConfigError(f"key '{key}' must be {what}")
     return value
+
+
+def _residual_threshold(value, where: str) -> float:
+    if not _is_number(value) or value <= 0:
+        raise ConfigError(f"{where} must be a positive finite number")
+    return float(value)
 
 
 def load_config(path) -> tuple[ExperimentConfig, dict]:
@@ -75,7 +94,7 @@ def load_config(path) -> tuple[ExperimentConfig, dict]:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, int digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -90,14 +109,12 @@ def load_config(path) -> tuple[ExperimentConfig, dict]:
 
     if _require(raw, "schema", str, "a string") != CONFIG_SCHEMA:
         raise ConfigError(f"key 'schema' must equal '{CONFIG_SCHEMA}'")
-    eta = _require(raw, "eta", float, "a number")
+    eta = _require(raw, "eta", float, "a finite number")
     if eta < 0:
         raise ConfigError("key 'eta' must be nonnegative")
-    perturbation = _require(raw, "perturbation", list, "a list of 16 numbers")
-    if len(perturbation) != 16 or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in perturbation
-    ):
-        raise ConfigError("key 'perturbation' must be a list of 16 numbers")
+    perturbation = _require(raw, "perturbation", list, "a list of 16 finite numbers")
+    if len(perturbation) != 16 or not all(_is_number(x) for x in perturbation):
+        raise ConfigError("key 'perturbation' must be a list of 16 finite numbers")
     grid = _require(raw, "grid", dict, "an object")
     for key in grid:
         if key not in ("n_theta", "n_phi"):
@@ -127,9 +144,9 @@ def load_config(path) -> tuple[ExperimentConfig, dict]:
     constraints = raw.get("constraints", "derived")
     if constraints not in ("derived", "paper"):
         raise ConfigError("key 'constraints' must be 'derived' or 'paper'")
-    threshold = raw.get("residual_threshold", DEFAULT_RESIDUAL_THRESHOLD)
-    if not isinstance(threshold, (int, float)) or isinstance(threshold, bool) or threshold <= 0:
-        raise ConfigError("key 'residual_threshold' must be a positive number")
+    threshold = _residual_threshold(
+        raw.get("residual_threshold", DEFAULT_RESIDUAL_THRESHOLD), "key 'residual_threshold'"
+    )
 
     config = ExperimentConfig(
         perturbation=PerturbationParams.from_vector(perturbation, eta),
@@ -140,7 +157,7 @@ def load_config(path) -> tuple[ExperimentConfig, dict]:
         seed=seed,
         strict_normalization=strict,
     )
-    modes = {"constraints": constraints, "residual_threshold": float(threshold)}
+    modes = {"constraints": constraints, "residual_threshold": threshold}
     return config, modes
 
 
@@ -170,10 +187,6 @@ def _observable_from_dict(data, where: str) -> ObservableSpec:
     except (KeyError, TypeError, ValueError):
         pass
     raise ConfigError(f"{where} must be an object with a protocol, an outcome and m in 0..2")
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _numbers(value, shape: tuple[int, ...], where: str) -> np.ndarray:
@@ -219,7 +232,7 @@ def _load_fits(path) -> tuple[list[FitResult], float]:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read fits: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, int digit limit
         raise ConfigError(f"fits document is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("fits document must be a JSON object")
@@ -325,6 +338,7 @@ def _report_text(document, result, quality, comparison) -> str:
 
 
 def cmd_recover(fits_path, out_path, constraints="derived", residual_threshold=DEFAULT_RESIDUAL_THRESHOLD) -> int:
+    residual_threshold = _residual_threshold(residual_threshold, "option '--residual-threshold'")
     fits, eta = _load_fits(fits_path)
     document, result, quality, comparison, compatible = _recovery_report(
         fits, eta, constraints, residual_threshold

@@ -110,14 +110,34 @@ class Dataset:
     records: list = field(default_factory=list)
 
 
+def _grid_theta(i: int, n_theta: int) -> float:
+    return math.pi * (i + 0.5) / n_theta
+
+
+def _grid_phi(j: int, n_phi: int) -> float:
+    return 2.0 * math.pi * j / n_phi
+
+
 def make_grid(n_theta: int, n_phi: int) -> tuple[Direction, ...]:
     """Midpoint-theta by uniform-phi grid; never touches the poles."""
     if n_theta < 2 or n_phi < 3:
         raise InvalidGrid("grid needs n_theta >= 2 and n_phi >= 3")
     return tuple(
-        Direction(math.pi * (i + 0.5) / n_theta, 2.0 * math.pi * j / n_phi)
+        Direction(_grid_theta(i, n_theta), _grid_phi(j, n_phi))
         for i in range(n_theta)
         for j in range(n_phi)
+    )
+
+
+def _on_grid(direction: Direction, n_theta: int, n_phi: int) -> bool:
+    """Whether ``direction`` is, bit for bit, a node of ``make_grid(n_theta, n_phi)``."""
+    i = round(direction.theta * n_theta / math.pi - 0.5)
+    j = round(direction.phi_az * n_phi / (2.0 * math.pi))
+    return (
+        0 <= i < n_theta
+        and 0 <= j < n_phi
+        and _grid_theta(i, n_theta) == direction.theta
+        and _grid_phi(j, n_phi) == direction.phi_az
     )
 
 
@@ -155,14 +175,20 @@ def _meta(config: ExperimentConfig) -> DatasetMeta:
     )
 
 
+def _clamped_probability(inst, setting: MeasurementSetting) -> float:
+    """Model probability clamped to [0, 1]; a non-finite one is an error, never clamped."""
+    p = model_probability(inst, setting.observable, setting.direction)
+    if not math.isfinite(p):
+        raise ValueError(f"model probability of {setting.observable.label()} is not finite")
+    return min(1.0, max(0.0, p))
+
+
 def exact_dataset(config: ExperimentConfig) -> Dataset:
     """Records with the exact model probabilities (shots = 0 sentinel)."""
     inst = _config_instrument(config)
     records = []
     for setting in plan_settings(config):
-        p = model_probability(inst, setting.observable, setting.direction)
-        p = min(1.0, max(0.0, p))
-        records.append(MeasurementRecord(setting, 0, 0, p))
+        records.append(MeasurementRecord(setting, 0, 0, _clamped_probability(inst, setting)))
     return Dataset(_meta(config), records)
 
 
@@ -173,8 +199,7 @@ def sampled_dataset(config: ExperimentConfig) -> Dataset:
     inst = _config_instrument(config)
     records = []
     for index, setting in enumerate(plan_settings(config)):
-        p = model_probability(inst, setting.observable, setting.direction)
-        p = min(1.0, max(0.0, p))
+        p = _clamped_probability(inst, setting)
         rng = np.random.default_rng([config.seed, index])
         successes = int(rng.binomial(config.shots, p))
         records.append(MeasurementRecord(setting, config.shots, successes, None))
@@ -214,7 +239,7 @@ def write_dataset(dataset: Dataset, path) -> None:
 def _parse_meta(raw: dict[str, str]) -> DatasetMeta:
     try:
         grid = raw["grid"].split(",")
-        return DatasetMeta(
+        meta = DatasetMeta(
             eta=float(raw["eta"]),
             strict_normalization=raw["strict_normalization"] == "true",
             seed=int(raw["seed"]),
@@ -223,10 +248,18 @@ def _parse_meta(raw: dict[str, str]) -> DatasetMeta:
         )
     except (KeyError, IndexError, ValueError) as exc:
         raise FormatError(f"bad or missing metadata: {exc}") from exc
+    # Beyond 2**53 grid indices are no longer exact floats, so nodes stop being distinct.
+    if not (2 <= meta.n_theta <= 2 ** 53 and 3 <= meta.n_phi <= 2 ** 53):
+        raise FormatError("bad metadata: grid needs 2 <= n_theta <= 2**53 and 3 <= n_phi <= 2**53")
+    return meta
 
 
 def read_dataset(path) -> Dataset:
-    """Parse a dataset file; FormatError names the offending line."""
+    """Parse a dataset file; FormatError names the offending line.
+
+    Every record must sit on the metadata's ``grid=`` nodes, and no setting
+    (observable and direction) may appear twice.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     meta_raw: dict[str, str] = {}
@@ -248,6 +281,7 @@ def read_dataset(path) -> Dataset:
         raise FormatError("header mismatch", line=(body_start or 0) + 1)
     meta = _parse_meta(meta_raw)
     records = []
+    first_line: dict[MeasurementSetting, int] = {}
     for lineno, line in enumerate(lines[body_start + 1 :], start=body_start + 2):
         if not line.strip():
             continue
@@ -270,5 +304,13 @@ def read_dataset(path) -> Dataset:
             )
         except ValueError as exc:
             raise FormatError(str(exc), line=lineno) from exc
+        if not _on_grid(direction, meta.n_theta, meta.n_phi):
+            raise FormatError(
+                f"direction is not on the grid={meta.n_theta},{meta.n_phi} metadata grid",
+                line=lineno,
+            )
+        seen = first_line.setdefault(record.setting, lineno)
+        if seen != lineno:
+            raise FormatError(f"duplicate setting, first on line {seen}", line=lineno)
         records.append(record)
     return Dataset(meta, records)

@@ -10,6 +10,7 @@ are always computed by operator conjugation through the Pauli algebra; the
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -37,7 +38,7 @@ class SingularNormalization(ValueError):
 
 def _real3(values) -> np.ndarray:
     vec = np.array(values, dtype=float).reshape(3)
-    if not np.all(np.isfinite(vec)):
+    if not np.isfinite(vec).all():
         raise ValueError("vector components must be finite")
     vec.setflags(write=False)
     return vec
@@ -51,11 +52,14 @@ class KrausOperator:
     beta: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", complex(self.alpha))
+        alpha = complex(self.alpha)
+        if not cmath.isfinite(alpha):
+            raise ValueError("alpha must be finite")
         vec = np.array(self.beta, dtype=complex).reshape(3)
-        if not np.all(np.isfinite(vec.real)) or not np.all(np.isfinite(vec.imag)):
+        if not np.isfinite(vec).all():
             raise ValueError("beta components must be finite")
         vec.setflags(write=False)
+        object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", vec)
 
     def coefficients(self) -> PauliCoefficients:
@@ -124,8 +128,11 @@ class RotationSpec:
         axis = _real3(self.axis)
         if abs(float(np.linalg.norm(axis)) - 1.0) > 1e-12:
             raise ValueError("rotation axis must be a unit vector")
+        angle = float(self.angle)
+        if not math.isfinite(angle):
+            raise ValueError("rotation angle must be finite")
         object.__setattr__(self, "axis", axis)
-        object.__setattr__(self, "angle", float(self.angle))
+        object.__setattr__(self, "angle", angle)
 
 
 @dataclass(frozen=True)

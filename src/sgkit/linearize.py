@@ -14,6 +14,8 @@ oracle the tests and ``sgkit verify`` compare the closed form against.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
@@ -89,13 +91,20 @@ class PerturbationParams:
     eta: float
 
     def __post_init__(self):
-        object.__setattr__(self, "a_up", complex(self.a_up))
-        object.__setattr__(self, "a_down", complex(self.a_down))
+        for name in ("a_up", "a_down"):
+            value = complex(getattr(self, name))
+            if not cmath.isfinite(value):
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, value)
         for name in ("b_up", "b_down"):
             vec = np.array(getattr(self, name), dtype=complex).reshape(3)
+            if not np.isfinite(vec).all():
+                raise ValueError(f"{name} components must be finite")
             vec.setflags(write=False)
             object.__setattr__(self, name, vec)
         eta = float(self.eta)
+        if not math.isfinite(eta):
+            raise ValueError("eta must be finite")
         if eta < 0.0:
             raise ValueError("eta must be nonnegative")
         object.__setattr__(self, "eta", eta)

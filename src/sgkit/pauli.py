@@ -3,6 +3,14 @@
 An operator is stored as ``scalar * 1 + vector . sigma`` with a complex
 scalar and a complex 3-vector.  All products below are bilinear: nothing
 conjugates implicitly, conjugation is always explicit through ``adjoint``.
+
+Operands are finite.  This module coerces types and shapes but never checks
+finiteness, neither of its inputs nor of the results of its products.  Values
+are checked once, where they enter the program: the constructors of
+``KrausOperator``, ``BlochState``, ``Effect``, ``RotationSpec`` and
+``Direction`` (``sgkit.instrument``) and of ``PerturbationParams``
+(``sgkit.linearize``), and the config, dataset and fits parsers of
+``sgkit.cli`` and ``sgkit.experiment``.
 """
 
 from __future__ import annotations
@@ -28,25 +36,16 @@ class NonHermitianInput(ValueError):
     """An operation that needs a Hermitian operator got a non-Hermitian one."""
 
 
-def _c3(values) -> np.ndarray:
-    vec = np.array(values, dtype=complex).reshape(3)
-    if not np.all(np.isfinite(vec.real)) or not np.all(np.isfinite(vec.imag)):
-        raise ValueError("vector components must be finite")
-    vec.setflags(write=False)
-    return vec
-
-
 @dataclass(frozen=True)
 class PauliCoefficients:
     scalar: complex
     vector: np.ndarray
 
     def __post_init__(self):
-        scalar = complex(self.scalar)
-        if not (np.isfinite(scalar.real) and np.isfinite(scalar.imag)):
-            raise ValueError("scalar must be finite")
-        object.__setattr__(self, "scalar", scalar)
-        object.__setattr__(self, "vector", _c3(self.vector))
+        vector = np.array(self.vector, dtype=complex).reshape(3)
+        vector.setflags(write=False)
+        object.__setattr__(self, "scalar", complex(self.scalar))
+        object.__setattr__(self, "vector", vector)
 
     def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
         return (

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sgkit.cli import main
+from sgkit.cli import ConfigError, load_config, main
 
 REPO = Path(__file__).resolve().parent.parent
 EXACT_CONFIG = REPO / "configs" / "exact.json"
@@ -50,6 +52,88 @@ def test_simulate_bad_value(tmp_path, capsys):
     config = write_config(tmp_path / "bad.json", eta=-1.0)
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 2
     assert "eta" in capsys.readouterr().err
+
+
+def one_error_line(capsys) -> str:
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return lines[0]
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("eta", float("nan")),
+        ("eta", float("inf")),
+        ("perturbation", [0.0] * 15 + [float("nan")]),
+        ("perturbation", [float("-inf")] + [0.0] * 15),
+        ("residual_threshold", float("nan")),
+        ("residual_threshold", float("inf")),
+    ],
+)
+def test_non_finite_config_value_exit_2(tmp_path, capsys, key, value):
+    config = write_config(tmp_path / "bad.json", **{key: value})  # json writes NaN/Infinity
+    assert main(["roundtrip", "--config", str(config), "--out", str(tmp_path / "r.json")]) == 2
+    assert f"'{key}'" in one_error_line(capsys)
+
+
+@pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+def test_overflowing_model_probability_exit_2(tmp_path, capsys):
+    """Finite inputs whose probabilities overflow are an error, not a clamp to [0, 1]."""
+    config = write_config(tmp_path / "huge.json", eta=1e100)
+    assert main(["roundtrip", "--config", str(config), "--out", str(tmp_path / "r.json")]) == 2
+    assert "not finite" in one_error_line(capsys)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=8,
+)
+# Edge numbers are drawn as often as any other number or JSON value.
+EDGE_NUMBERS = st.sampled_from([float("nan"), float("inf"), float("-inf"), 10 ** 400, -1, 0, 1.5])
+REPLACEMENTS = st.one_of(EDGE_NUMBERS, st.floats(), st.integers(), JSON_VALUES)
+# Paths a mutation can hit, numeric ones first because hypothesis favours early
+# choices; ("perturbation", None) is an entry at a drawn index.
+CONFIG_PATHS = (
+    ("eta",), ("perturbation", None), ("residual_threshold",), ("grid", "n_theta"), ("grid", "n_phi"),
+    ("shots",), ("seed",), ("perturbation",), ("grid",), ("protocols",), ("strict_normalization",),
+    ("constraints",), ("schema",), ("unknown",), ("grid", "n_r"),
+)
+
+
+@st.composite
+def mutated_configs(draw):
+    """A bundled config with one to three values replaced or removed."""
+    config = json.loads(draw(st.sampled_from([EXACT_CONFIG, SAMPLED_CONFIG])).read_text())
+    for _ in range(draw(st.integers(1, 3))):
+        *parents, key = draw(st.sampled_from(CONFIG_PATHS))
+        container = config.get(parents[0]) if parents else config
+        if key is None:
+            if not (isinstance(container, list) and container):
+                continue
+            key = draw(st.integers(0, len(container) - 1))
+        elif not isinstance(container, dict):
+            continue
+        if not draw(st.booleans()):
+            container[key] = draw(REPLACEMENTS)
+        elif isinstance(container, dict):
+            container.pop(key, None)
+    return config
+
+
+@settings(deadline=None, max_examples=150)
+@given(mutated_configs())
+def test_property_load_config_accepts_or_raises_config_error(tmp_path_factory, config):
+    path = tmp_path_factory.getbasetemp() / "mutated_config.json"
+    path.write_text(json.dumps(config))  # NaN and Infinity are written as JSON extensions
+    try:
+        parsed, modes = load_config(path)
+    except ConfigError:
+        return
+    assert np.isfinite(parsed.perturbation.to_vector()).all()
+    assert np.isfinite(parsed.perturbation.eta)
+    assert np.isfinite(modes["residual_threshold"]) and modes["residual_threshold"] > 0
 
 
 def test_fit_zero_eta_gives_zero_coefficients(tmp_path):
@@ -162,6 +246,15 @@ def _recover_exit(fits, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     return status, err
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1e-4"])
+def test_recover_bad_residual_threshold_exit_2(tmp_path, capsys, threshold):
+    fits = _malformed_fits(tmp_path, lambda document: document)
+    capsys.readouterr()
+    args = ["recover", "--fits", str(fits), "--out", str(tmp_path / "r.json")]
+    assert main([*args, f"--residual-threshold={threshold}"]) == 2
+    assert "--residual-threshold" in one_error_line(capsys)
 
 
 def test_recover_fits_without_fits_key_exit_2(tmp_path, capsys):

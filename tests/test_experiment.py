@@ -240,6 +240,36 @@ def test_read_rejects_excess_successes(tmp_path):
     assert "line 7" in str(err.value)
 
 
+def write_edited(path, dataset, edit):
+    write_dataset(dataset, path)
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    return lines
+
+
+def test_read_rejects_duplicate_setting(tmp_path):
+    dataset = exact_dataset(config_of(ZERO, 0.0, n_theta=2, n_phi=3))
+    path = tmp_path / "data.csv"
+    lines = write_edited(path, dataset, lambda lines: lines.append(lines[7]))
+    with pytest.raises(FormatError, match=f"^line {len(lines)}: duplicate setting, first on line 8$"):
+        read_dataset(path)
+
+
+def test_read_rejects_record_off_the_metadata_grid(tmp_path):
+    dataset = exact_dataset(config_of(ZERO, 0.0, n_theta=2, n_phi=3))
+    path = tmp_path / "data.csv"
+
+    def claim_four_phi_nodes(lines):
+        assert lines[4] == "# grid=2,3"
+        lines[4] = "# grid=2,4"
+
+    write_edited(path, dataset, claim_four_phi_nodes)
+    # line 7 has phi = 0, a node of both grids; line 8 has phi = 2pi/3, not one of 0, pi/2, pi, 3pi/2
+    with pytest.raises(FormatError, match="^line 8: direction is not on the grid=2,4 metadata grid$"):
+        read_dataset(path)
+
+
 def test_record_validation():
     setting = plan_settings(config_of(ZERO, 0.0, n_theta=2, n_phi=3))[0]
     with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import pytest
 from sgkit.instrument import (
     BlochState,
     DegenerateKraus,
+    Effect,
     Instrument,
     KrausOperator,
     RotationSpec,
@@ -41,6 +42,40 @@ from conftest import (
 E_X = np.array([1.0, 0.0, 0.0])
 E_Y = np.array([0.0, 1.0, 0.0])
 E_Z = np.array([0.0, 0.0, 1.0])
+
+
+# --- finiteness at the constructors ---------------------------------------------
+# The Pauli kernel never checks finiteness; these constructors are where it is checked.
+
+NAN = float("nan")
+INF = float("inf")
+
+
+@pytest.mark.parametrize("alpha", [NAN, INF, -INF, complex(0.5, NAN), complex(INF, 0.0)])
+def test_kraus_rejects_non_finite_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        KrausOperator(alpha, np.zeros(3))
+
+
+@pytest.mark.parametrize("beta", [(NAN, 0.0, 0.0), (0.0, INF, 0.0), (0.0, 0.0, complex(0.0, NAN))])
+def test_kraus_rejects_non_finite_beta(beta):
+    with pytest.raises(ValueError, match="beta components must be finite"):
+        KrausOperator(0.5, beta)
+
+
+@pytest.mark.parametrize("angle", [NAN, INF, -INF])
+def test_rotation_spec_rejects_non_finite_angle(angle):
+    with pytest.raises(ValueError, match="angle must be finite"):
+        RotationSpec(E_Z, angle)
+
+
+def test_real_vector_constructors_reject_non_finite():
+    with pytest.raises(ValueError, match="finite"):
+        BlochState((NAN, 0.0, 0.0))
+    with pytest.raises(ValueError, match="finite"):
+        Effect(0.5, (0.0, INF, 0.0))
+    with pytest.raises(ValueError, match="finite"):
+        RotationSpec((NAN, 0.0, 1.0), 0.0)
 
 
 # --- effects and normalization ------------------------------------------------

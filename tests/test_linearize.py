@@ -63,6 +63,18 @@ def test_build_perturbed_residual_is_first_order(rng):
         assert normalization_residual(inst) <= 10 * 1e-3
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_perturbation_params_rejects_non_finite(bad):
+    for index in range(16):
+        vec = np.zeros(16)
+        vec[index] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            PerturbationParams.from_vector(vec, 0.1)
+    with pytest.raises(ValueError, match="eta must be finite"):
+        PerturbationParams.zero(bad)
+
+
 # --- first-order response extraction --------------------------------------------
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgkit.pauli import (
     NonHermitianInput,
@@ -170,8 +172,47 @@ def test_hermitian_eigenvalues_rejects_non_hermitian():
         hermitian_eigenvalues(PauliCoefficients(0.0, np.array([0.0, 1e-6j, 0.0])))
 
 
-def test_rejects_non_finite():
-    with pytest.raises(ValueError):
-        PauliCoefficients(float("nan"), np.zeros(3))
-    with pytest.raises(ValueError):
-        PauliCoefficients(0.0, np.array([np.inf, 0.0, 0.0]))
+# --- properties on bounded finite operands -------------------------------------
+# The kernel does not check its results, so these properties pin it down on the
+# operands it is contracted for: finite, here with components of magnitude <= 1e3.
+# Tolerances are relative to the operand sizes; the absolute 1e-300 covers
+# products that underflow.
+
+PART = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False, allow_subnormal=False)
+COMPONENT = st.builds(complex, PART, PART)
+OPERANDS = st.builds(
+    lambda s, x, y, z: PauliCoefficients(s, (x, y, z)), COMPONENT, COMPONENT, COMPONENT, COMPONENT
+)
+PROPERTY = settings(deadline=None, max_examples=100)
+
+
+def size(a: PauliCoefficients) -> float:
+    return abs(a.scalar) + float(np.sum(np.abs(a.vector)))
+
+
+def assert_close(a: PauliCoefficients, b: PauliCoefficients, scale: float):
+    tol = 1e-13 * scale + 1e-300
+    assert abs(a.scalar - b.scalar) <= tol
+    assert np.max(np.abs(a.vector - b.vector)) <= tol
+
+
+@PROPERTY
+@given(OPERANDS, OPERANDS, OPERANDS)
+def test_property_mul_associative(a, b, c):
+    left = pauli_mul(pauli_mul(a, b), c)
+    right = pauli_mul(a, pauli_mul(b, c))
+    assert_close(left, right, size(a) * size(b) * size(c))
+
+
+@PROPERTY
+@given(OPERANDS, OPERANDS)
+def test_property_adjoint_antihomomorphism(a, b):
+    assert_close(adjoint(pauli_mul(a, b)), pauli_mul(adjoint(b), adjoint(a)), size(a) * size(b))
+
+
+@PROPERTY
+@given(OPERANDS, OPERANDS)
+def test_property_mul_matches_matrix_oracle(a, b):
+    out = pauli_mul(a, b)
+    expected = mat(a.scalar, a.vector) @ mat(b.scalar, b.vector)
+    assert np.max(np.abs(mat(out.scalar, out.vector) - expected)) <= 1e-13 * size(a) * size(b) + 1e-300
