@@ -49,6 +49,9 @@ RECOVERY_SCHEMA = "sgkit-recovery-v1"
 
 DEFAULT_RESIDUAL_THRESHOLD = 1e-4
 FIT_CHI2_THRESHOLD = 3.0
+# Fits covariances may miss symmetry and semidefiniteness by rounding, relative
+# to their largest entry: `sgkit fit` output is asymmetric by about 1e-17.
+COVARIANCE_RTOL = 1e-9
 
 
 class ConfigError(ValueError):
@@ -245,6 +248,7 @@ def _load_fits(path) -> tuple[list[FitResult], float]:
     if not isinstance(items, list):
         raise ConfigError("key 'fits' must be a list")
     fits = []
+    first_index = {}
     for n, item in enumerate(items):
         where = f"fits[{n}]"
         if not isinstance(item, dict):
@@ -255,18 +259,36 @@ def _load_fits(path) -> tuple[list[FitResult], float]:
         dof = item.get("degrees_of_freedom")
         if not isinstance(dof, int) or isinstance(dof, bool) or dof < 1:
             raise ConfigError(f"{where}.degrees_of_freedom must be a positive integer")
+        observable = _observable_from_dict(item.get("observable"), f"{where}.observable")
+        if observable in first_index:
+            raise ConfigError(
+                f"{where}.observable {observable.label()} repeats fits[{first_index[observable]}]"
+            )
+        first_index[observable] = n
         fits.append(
             FitResult(
-                observable=_observable_from_dict(item.get("observable"), f"{where}.observable"),
+                observable=observable,
                 coefficients=AffineCoefficients(
                     *_numbers(item.get("coefficients"), (4,), f"{where}.coefficients")
                 ),
-                covariance=_numbers(item.get("covariance"), (4, 4), f"{where}.covariance"),
+                covariance=_covariance(item.get("covariance"), f"{where}.covariance"),
                 chi_square=float(chi_square),
                 degrees_of_freedom=dof,
             )
         )
     return fits, float(eta)
+
+
+def _covariance(value, where: str) -> np.ndarray:
+    """A 4 x 4 symmetric positive semidefinite matrix, to COVARIANCE_RTOL of its largest entry."""
+    covariance = _numbers(value, (4, 4), where)
+    largest = float(np.max(np.abs(covariance)))
+    unit = covariance / largest if largest > 0.0 else covariance
+    if np.max(np.abs(unit - unit.T)) > COVARIANCE_RTOL:
+        raise ConfigError(f"{where} must be symmetric")
+    if np.linalg.eigvalsh(0.5 * (unit + unit.T))[0] < -COVARIANCE_RTOL:
+        raise ConfigError(f"{where} must be positive semidefinite")
+    return covariance
 
 
 def _recovery_report(fits, eta, constraints, residual_threshold):

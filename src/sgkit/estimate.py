@@ -221,15 +221,19 @@ def recover_parameters(
 
     rhs = np.array(system.rhs, dtype=float)
     row_variance = np.zeros(len(rhs))
-    for i, key in enumerate(system.rhs_keys):
-        if key is None:
-            continue
-        obs, j, factor = key
-        fit = by_observable.get(obs)
-        if fit is None:
-            raise ValueError(f"no fit supplied for {obs.label()}")
-        rhs[i] = factor * fit.coefficients.as_array()[j] / scale
-        row_variance[i] = factor ** 2 * fit.covariance[j, j] / scale ** 2
+    # (factor / scale) ** 2, never factor ** 2 / scale ** 2: a huge eta must not
+    # overflow the divisor.  A tiny one overflows the variance itself, which
+    # then counts as unavailable below, like a zero one.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, key in enumerate(system.rhs_keys):
+            if key is None:
+                continue
+            obs, j, factor = key
+            fit = by_observable.get(obs)
+            if fit is None:
+                raise ValueError(f"no fit supplied for {obs.label()}")
+            rhs[i] = factor * fit.coefficients.as_array()[j] / scale
+            row_variance[i] = np.square(factor / scale) * fit.covariance[j, j]
 
     matrix = system.rows
     u, s, vt = np.linalg.svd(matrix, full_matrices=True)
@@ -249,7 +253,8 @@ def recover_parameters(
     chi_square = None
     dof = None
     data_rows = np.array([key is not None for key in system.rhs_keys])
-    if np.all(row_variance[data_rows] > 0.0):
+    variances = row_variance[data_rows]
+    if np.all((variances > 0.0) & (variances < np.inf)):
         cov_rhs = np.zeros((len(rhs), len(rhs)))
         # full 4x4 covariance blocks for rows sharing a fit
         for i, key_i in enumerate(system.rhs_keys):
@@ -260,9 +265,10 @@ def recover_parameters(
                 if key_k is None or key_k[0] != obs_i:
                     continue
                 _, j_k, f_k = key_k
-                cov_rhs[i, k] = f_i * f_k * by_observable[obs_i].covariance[j_i, j_k] / scale ** 2
+                covariance_ik = by_observable[obs_i].covariance[j_i, j_k]
+                cov_rhs[i, k] = (f_i / scale) * (f_k / scale) * covariance_ik
         covariance = pseudo @ cov_rhs @ pseudo.T
-        chi_square = float(np.sum(residual_vec[data_rows] ** 2 / row_variance[data_rows]))
+        chi_square = float(np.sum(residual_vec[data_rows] ** 2 / variances))
         dof = int(np.sum(data_rows)) - rank
 
     if max_residual is not None and residual_norm > max_residual:

@@ -176,7 +176,13 @@ def _meta(config: ExperimentConfig) -> DatasetMeta:
 
 
 def _clamped_probability(inst, setting: MeasurementSetting) -> float:
-    """Model probability clamped to [0, 1]; a non-finite one is an error, never clamped."""
+    """Model probability clamped to [0, 1]; a non-finite one is an error, never clamped.
+
+    Callers build the instrument and evaluate it with numpy's overflow and
+    invalid-value warnings off: either ends in this error, or in the
+    finiteness and positive-definiteness checks of the strict-normalization
+    instrument, and never in a warning.
+    """
     p = model_probability(inst, setting.observable, setting.direction)
     if not math.isfinite(p):
         raise ValueError(f"model probability of {setting.observable.label()} is not finite")
@@ -185,10 +191,11 @@ def _clamped_probability(inst, setting: MeasurementSetting) -> float:
 
 def exact_dataset(config: ExperimentConfig) -> Dataset:
     """Records with the exact model probabilities (shots = 0 sentinel)."""
-    inst = _config_instrument(config)
     records = []
-    for setting in plan_settings(config):
-        records.append(MeasurementRecord(setting, 0, 0, _clamped_probability(inst, setting)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        inst = _config_instrument(config)
+        for setting in plan_settings(config):
+            records.append(MeasurementRecord(setting, 0, 0, _clamped_probability(inst, setting)))
     return Dataset(_meta(config), records)
 
 
@@ -196,13 +203,14 @@ def sampled_dataset(config: ExperimentConfig) -> Dataset:
     """Binomial counts at the exact probabilities, reproducible per setting."""
     if config.shots < 1:
         raise ValueError("sampled datasets need shots >= 1")
-    inst = _config_instrument(config)
     records = []
-    for index, setting in enumerate(plan_settings(config)):
-        p = _clamped_probability(inst, setting)
-        rng = np.random.default_rng([config.seed, index])
-        successes = int(rng.binomial(config.shots, p))
-        records.append(MeasurementRecord(setting, config.shots, successes, None))
+    with np.errstate(over="ignore", invalid="ignore"):
+        inst = _config_instrument(config)
+        for index, setting in enumerate(plan_settings(config)):
+            p = _clamped_probability(inst, setting)
+            rng = np.random.default_rng([config.seed, index])
+            successes = int(rng.binomial(config.shots, p))
+            records.append(MeasurementRecord(setting, config.shots, successes, None))
     return Dataset(_meta(config), records)
 
 

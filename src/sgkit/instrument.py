@@ -5,7 +5,19 @@ A selective measurement maps ``rho -> A^dag rho A`` (normalized by its trace),
 so the effect whose expectation gives the outcome probability is ``A A^dag``
 and the completeness condition is ``sum_m A_m A_m^dag = 1``.  State updates
 are always computed by operator conjugation through the Pauli algebra; the
-2x2 matrix representation exists only as an independent oracle in the tests.
+2x2 matrix representation exists only as an independent oracle in the tests
+and in ``sgkit verify``.
+
+Every formula is written once, as an array form on stacked Pauli coefficients
+built on ``pauli.pauli_mul_array``: a branch is a ``(..., 4)`` complex array
+``[alpha, beta_x, beta_y, beta_z]``, an instrument a ``(..., 2, 4)`` array
+(up, down), a state its ``(..., 3)`` real Bloch vector, a rotation a unit
+``(..., 3)`` axis with a ``(...)`` angle; leading axes broadcast.  The array
+forms are unvalidated: operands are finite, states have ``|r| <= 1`` and
+axes unit length, as the constructors below check.  The object functions
+(``probability``, ``selective_apply``, ``exact_normalize``, ...) validate at
+the boundary, raise this module's exceptions and return ``None`` post-states,
+and otherwise are thin calls into the array forms.
 """
 
 from __future__ import annotations
@@ -16,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliCoefficients, adjoint, pauli_add, pauli_mul
+from .pauli import PauliCoefficients, cross_array, dot_array, pauli_mul_array
 
 NORMALIZATION_TOL = 1e-9
 ZERO_PROBABILITY = 1e-12
@@ -55,15 +67,22 @@ class KrausOperator:
         alpha = complex(self.alpha)
         if not cmath.isfinite(alpha):
             raise ValueError("alpha must be finite")
-        vec = np.array(self.beta, dtype=complex).reshape(3)
-        if not np.isfinite(vec).all():
+        coefficients = np.empty(4, dtype=complex)
+        coefficients[0] = alpha
+        coefficients[1:] = np.asarray(self.beta, dtype=complex).reshape(3)
+        if not np.isfinite(coefficients).all():
             raise ValueError("beta components must be finite")
-        vec.setflags(write=False)
+        coefficients.setflags(write=False)
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", vec)
+        object.__setattr__(self, "beta", coefficients[1:])
+        object.__setattr__(self, "_array", coefficients)
 
     def coefficients(self) -> PauliCoefficients:
         return PauliCoefficients(self.alpha, self.beta)
+
+    def as_array(self) -> np.ndarray:
+        """The read-only (4,) complex array [alpha, beta_x, beta_y, beta_z]."""
+        return self._array
 
 
 @dataclass(frozen=True)
@@ -74,6 +93,18 @@ class Instrument:
     @property
     def branches(self) -> tuple[KrausOperator, KrausOperator]:
         return (self.up, self.down)
+
+    def as_array(self) -> np.ndarray:
+        """The (2, 4) complex array of the up and down branches."""
+        return np.stack((self.up.as_array(), self.down.as_array()))
+
+    @classmethod
+    def from_array(cls, branches: np.ndarray) -> Instrument:
+        """The instrument of a (2, 4) array, validated like any other."""
+        return cls(
+            KrausOperator(branches[0, 0], branches[0, 1:]),
+            KrausOperator(branches[1, 0], branches[1, 1:]),
+        )
 
 
 @dataclass(frozen=True)
@@ -159,33 +190,129 @@ class Direction:
         )
 
 
-def _effect_coefficients(k: KrausOperator) -> PauliCoefficients:
-    a = k.coefficients()
-    return pauli_mul(a, adjoint(a))
+# --- array forms ------------------------------------------------------------
+
+
+def effect_array(a: np.ndarray) -> np.ndarray:
+    """Effects A A^dag of (..., 4) branches, as (..., 4) coefficients."""
+    return pauli_mul_array(a, a.conj())
+
+
+def expectation_array(a: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """tr(rho A A^dag) of (..., 4) branches at (..., 3) Bloch vectors, unclamped."""
+    f = effect_array(a).real
+    return f[..., 0] + dot_array(f[..., 1:], r)
+
+
+def _conjugated(a: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """A^dag rho A for rho = (1 + r . sigma) / 2."""
+    rho = np.concatenate([np.full(r.shape[:-1] + (1,), 0.5), 0.5 * r], axis=-1)
+    return pauli_mul_array(pauli_mul_array(a.conj(), rho), a)
+
+
+def selective_array(a: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities and post-measurement Bloch vectors of A^dag rho A / tr(...).
+
+    Probabilities are clamped to [0, 1].  A post vector is NaN exactly where
+    its probability is below ZERO_PROBABILITY; those entries are never divided.
+    """
+    conj = _conjugated(a, r).real
+    prob = 2.0 * conj[..., :1]
+    post = np.full(conj[..., 1:].shape, np.nan)
+    np.divide(conj[..., 1:], conj[..., :1], out=post, where=prob >= ZERO_PROBABILITY)
+    return np.minimum(1.0, np.maximum(0.0, prob[..., 0])), post
+
+
+def _conjugation_sum(inst: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Unnormalized sum_m A_m^dag rho A_m of (..., 2, 4) instruments, as (..., 4)."""
+    conj = _conjugated(inst, r[..., None, :])
+    return conj[..., 0, :] + conj[..., 1, :]
+
+
+def nonselective_array(inst: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Outcome-averaged Bloch vectors; the instruments must be normalized."""
+    total = _conjugation_sum(inst, r).real
+    return total[..., 1:] / total[..., :1]
+
+
+def successive_array(inst: np.ndarray, second: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """tr((sum_m A_m^dag rho A_m) B B^dag) with no intermediate renormalization."""
+    rho1 = _conjugation_sum(inst, r)
+    f2 = effect_array(second)
+    return 2.0 * (rho1[..., 0] * f2[..., 0] + dot_array(rho1[..., 1:], f2[..., 1:])).real
+
+
+def _effect_sum(inst: np.ndarray) -> np.ndarray:
+    f = effect_array(inst)
+    return f[..., 0, :] + f[..., 1, :]
+
+
+def residual_array(inst: np.ndarray) -> np.ndarray:
+    """Max deviation over the four component equations of sum_m A_m A_m^dag = 1."""
+    total = _effect_sum(inst)
+    return np.maximum(np.abs(total[..., 0] - 1.0), np.abs(total[..., 1:]).max(axis=-1))
+
+
+def _inverse_sqrt(s: np.ndarray) -> np.ndarray:
+    """S^(-1/2) = p * 1 + q * v/|v| . sigma of real (..., 4) coefficients S = s0 + v . sigma.
+
+    Raises SingularNormalization when any S has an eigenvalue below 1e-12.
+    """
+    s0, v = s[..., :1], s[..., 1:]
+    vnorm = np.sqrt(dot_array(v, v))[..., None]
+    lam_hi = s0 + vnorm
+    lam_lo = s0 - vnorm
+    if not np.all(lam_lo >= 1e-12):
+        raise SingularNormalization("branch sum is not positive definite")
+    p = 0.5 * (lam_hi ** -0.5 + lam_lo ** -0.5)
+    q = 0.5 * (lam_hi ** -0.5 - lam_lo ** -0.5)
+    unit = np.zeros_like(v)
+    np.divide(v, vnorm, out=unit, where=vnorm > 0.0)
+    return np.concatenate([p, q * unit], axis=-1)
+
+
+def exact_normalize_array(inst: np.ndarray) -> np.ndarray:
+    """Left-multiply both branches of (..., 2, 4) instruments by S^(-1/2),
+    S = sum_m A_m A_m^dag; raises SingularNormalization as ``_inverse_sqrt``."""
+    return pauli_mul_array(_inverse_sqrt(_effect_sum(inst).real)[..., None, :], inst)
+
+
+def rotate_array(a: np.ndarray, axis: np.ndarray, angle) -> np.ndarray:
+    """Device rotation U^dag A U of (..., 4) branches in closed form; alpha is untouched.
+
+    beta -> cos(phi) beta + sin(phi) n x beta + 2 sin^2(phi/2) (n . beta) n, for
+    unit (..., 3) axes n and (...) angles phi.
+    """
+    phi = np.asarray(angle)[..., None]
+    beta = a[..., 1:]
+    rotated = (
+        np.cos(phi) * beta
+        + np.sin(phi) * cross_array(axis, beta)
+        + 2.0 * np.sin(0.5 * phi) ** 2 * dot_array(axis, beta)[..., None] * axis
+    )
+    return np.concatenate([a[..., :1], rotated], axis=-1)
+
+
+# --- object API ---------------------------------------------------------------
 
 
 def effect_of(k: KrausOperator) -> Effect:
     """Effect A A^dag of a branch, factored as weight * (1 + xi . sigma)."""
-    f = _effect_coefficients(k)
-    weight = f.scalar.real
+    f = effect_array(k.as_array()).real
+    weight = f[0]
     if weight < 1e-14:
         raise DegenerateKraus("effect weight is numerically zero")
-    return Effect(weight, f.vector.real / weight)
+    return Effect(weight, f[1:] / weight)
 
 
 def normalization_residual(inst: Instrument) -> float:
     """Max deviation over the four component equations of sum_m A_m A_m^dag = 1."""
-    total = pauli_add(_effect_coefficients(inst.up), _effect_coefficients(inst.down))
-    return max(
-        abs(total.scalar - 1.0),
-        float(np.max(np.abs(total.vector))),
-    )
+    return float(residual_array(inst.as_array()))
 
 
 def effect_expectation(k: KrausOperator, state: BlochState) -> float:
     """tr(rho A A^dag), unclamped."""
-    f = _effect_coefficients(k)
-    return float(f.scalar.real + np.dot(f.vector.real, state.r))
+    return float(expectation_array(k.as_array(), state.r))
 
 
 def probability(k: KrausOperator, state: BlochState) -> float:
@@ -198,31 +325,18 @@ def selective_apply(k: KrausOperator, state: BlochState) -> tuple[float, BlochSt
 
     The post state is None when the branch probability vanishes.
     """
-    a = k.coefficients()
-    conj = pauli_mul(pauli_mul(adjoint(a), state.coefficients()), a)
-    prob = 2.0 * conj.scalar.real
-    if prob < ZERO_PROBABILITY:
-        return (max(0.0, prob), None)
-    post = BlochState(conj.vector.real / conj.scalar.real)
-    return (min(1.0, prob), post)
-
-
-def conjugation_sum(inst: Instrument, state: BlochState) -> PauliCoefficients:
-    """Unnormalized sum_m A_m^dag rho A_m as Pauli coefficients."""
-    rho = state.coefficients()
-    out = PauliCoefficients(0.0, np.zeros(3))
-    for branch in inst.branches:
-        a = branch.coefficients()
-        out = pauli_add(out, pauli_mul(pauli_mul(adjoint(a), rho), a))
-    return out
+    prob, post = selective_array(k.as_array(), state.r)
+    if np.isnan(post[0]):
+        return (float(prob), None)
+    return (float(prob), BlochState(post))
 
 
 def nonselective_apply(inst: Instrument, state: BlochState) -> BlochState:
     """Outcome-averaged state update; requires a normalized instrument."""
-    if normalization_residual(inst) > NORMALIZATION_TOL:
+    branches = inst.as_array()
+    if residual_array(branches) > NORMALIZATION_TOL:
         raise UnnormalizedInstrument("instrument violates sum_m A_m A_m^dag = 1")
-    total = conjugation_sum(inst, state)
-    return BlochState(total.vector.real / total.scalar.real)
+    return BlochState(nonselective_array(branches, state.r))
 
 
 def raw_successive_probability(inst: Instrument, second: KrausOperator, state: BlochState) -> float:
@@ -233,9 +347,7 @@ def raw_successive_probability(inst: Instrument, second: KrausOperator, state: B
     ``successive_probability``, and it stays a polynomial in any instrument
     perturbation, which the linearization machinery relies on.
     """
-    rho1 = conjugation_sum(inst, state)
-    f2 = _effect_coefficients(second)
-    return float((rho1.scalar * f2.scalar + np.dot(rho1.vector, f2.vector)).real * 2.0)
+    return float(successive_array(inst.as_array(), second.as_array(), state.r))
 
 
 def successive_probability(inst: Instrument, second: KrausOperator, state: BlochState) -> float:
@@ -255,18 +367,12 @@ def rotate_kraus(k: KrausOperator, rot: RotationSpec) -> KrausOperator:
     The closed form agrees with conjugation by ``rotation_unitary`` and that
     conjugation is the normative definition fixing the sign of the angle.
     """
-    n = rot.axis
-    phi = rot.angle
-    beta = (
-        math.cos(phi) * k.beta
-        + math.sin(phi) * np.cross(n, k.beta)
-        + 2.0 * math.sin(0.5 * phi) ** 2 * np.dot(n, k.beta) * n
-    )
-    return KrausOperator(k.alpha, beta)
+    out = rotate_array(k.as_array(), rot.axis, rot.angle)
+    return KrausOperator(out[0], out[1:])
 
 
 def rotate_instrument(inst: Instrument, rot: RotationSpec) -> Instrument:
-    return Instrument(rotate_kraus(inst.up, rot), rotate_kraus(inst.down, rot))
+    return Instrument.from_array(rotate_array(inst.as_array(), rot.axis, rot.angle))
 
 
 def cyclic_rotation(m: int) -> RotationSpec:
@@ -295,20 +401,4 @@ def exact_normalize(inst: Instrument) -> Instrument:
     Restores the completeness condition exactly (to rounding).  Raises
     SingularNormalization when S has an eigenvalue below 1e-12.
     """
-    total = pauli_add(_effect_coefficients(inst.up), _effect_coefficients(inst.down))
-    s0 = total.scalar.real
-    v = total.vector.real
-    vnorm = float(np.linalg.norm(v))
-    lam_hi = s0 + vnorm
-    lam_lo = s0 - vnorm
-    if lam_lo < 1e-12:
-        raise SingularNormalization("branch sum is not positive definite")
-    p = 0.5 * (lam_hi ** -0.5 + lam_lo ** -0.5)
-    q = 0.5 * (lam_hi ** -0.5 - lam_lo ** -0.5)
-    vec = q * v / vnorm if vnorm > 0.0 else np.zeros(3)
-    inv_sqrt = PauliCoefficients(p, vec)
-    branches = []
-    for branch in inst.branches:
-        out = pauli_mul(inv_sqrt, branch.coefficients())
-        branches.append(KrausOperator(out.scalar, out.vector))
-    return Instrument(branches[0], branches[1])
+    return Instrument.from_array(exact_normalize_array(inst.as_array()))

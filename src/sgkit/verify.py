@@ -1,4 +1,11 @@
-"""Self-checks behind ``sgkit verify``: oracle and invariant suites at fixed seeds."""
+"""Self-checks behind ``sgkit verify``: oracle and invariant suites at fixed seeds.
+
+Each randomized check draws all of its instruments, states, axes and angles
+as arrays, evaluates the array forms of ``sgkit.instrument`` on the whole
+batch in one pass and asserts every element.  The 2x2 matrix oracle is built
+from the Pauli matrix constants with einsum and matmul; it never routes
+through the Pauli product it checks.
+"""
 
 from __future__ import annotations
 
@@ -7,20 +14,15 @@ import math
 import numpy as np
 
 from .instrument import (
-    BlochState,
-    Instrument,
-    KrausOperator,
-    RotationSpec,
     cyclic_rotation,
-    effect_of,
-    exact_normalize,
+    effect_array,
+    exact_normalize_array,
+    expectation_array,
     ideal_instrument,
-    nonselective_apply,
-    normalization_residual,
-    probability,
-    rotate_kraus,
-    rotation_unitary,
-    selective_apply,
+    nonselective_array,
+    residual_array,
+    rotate_array,
+    selective_array,
 )
 from .linearize import (
     ObservableSpec,
@@ -35,146 +37,182 @@ from .linearize import (
     linear_response,
     model_probability,
 )
-from .pauli import from_matrix, to_matrix
+from .pauli import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z
+
+_BASIS = np.stack([IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 
-def _random_state(rng) -> BlochState:
-    v = rng.normal(size=3)
-    return BlochState(v / np.linalg.norm(v) * rng.uniform(0.0, 1.0))
+# --- matrix oracle ------------------------------------------------------------
 
 
-def _random_instrument(rng) -> Instrument:
-    def branch():
-        return KrausOperator(
-            complex(rng.normal(), rng.normal()) * 0.5,
-            0.5 * (rng.normal(size=3) + 1j * rng.normal(size=3)),
-        )
-
-    return exact_normalize(Instrument(branch(), branch()))
+def _matrices(c: np.ndarray) -> np.ndarray:
+    """(..., 4) Pauli coefficients to (..., 2, 2) matrices."""
+    return np.einsum("...k,kij->...ij", c, _BASIS)
 
 
-def _matrix_probability(k: KrausOperator, s: BlochState) -> float:
-    a = to_matrix(k.coefficients())
-    rho = to_matrix(s.coefficients())
-    return float(np.trace(rho @ a @ a.conj().T).real)
+def _coefficients(m: np.ndarray) -> np.ndarray:
+    """(..., 2, 2) matrices to (..., 4) Pauli coefficients, c_k = tr(sigma_k M) / 2."""
+    return 0.5 * np.einsum("kji,...ij->...k", _BASIS, m)
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return np.conj(np.swapaxes(m, -1, -2))
+
+
+def _trace(m: np.ndarray) -> np.ndarray:
+    return np.trace(m, axis1=-2, axis2=-1).real
+
+
+def _density(r: np.ndarray) -> np.ndarray:
+    """(..., 3) Bloch vectors to density matrices (1 + r . sigma) / 2."""
+    return 0.5 * _matrices(np.concatenate([np.ones(r.shape[:-1] + (1,)), r], axis=-1))
+
+
+def _bloch(rho: np.ndarray) -> np.ndarray:
+    """Bloch vectors of (..., 2, 2) matrices normalized to unit trace."""
+    return 2.0 * _coefficients(rho).real[..., 1:] / _trace(rho)[..., None]
+
+
+def _unitary(axis: np.ndarray, angle: np.ndarray) -> np.ndarray:
+    """U = cos(phi/2) * 1 + i sin(phi/2) * n . sigma, the normative rotation."""
+    half = 0.5 * angle[..., None]
+    return _matrices(np.concatenate([np.cos(half), 1j * np.sin(half) * axis], axis=-1))
+
+
+def _require(errors, tol: float, what: str) -> None:
+    """Per-element assertion: every entry of ``errors`` lies below ``tol``."""
+    errors = np.asarray(errors)
+    bad = ~(errors < tol)
+    assert not bad.any(), (
+        f"{what}: {np.count_nonzero(bad)} of {errors.size} entries at or above {tol:g} "
+        f"(worst {np.max(errors):.3e})"
+    )
+
+
+# --- random draws -------------------------------------------------------------
+
+
+def _random_units(rng, n: int) -> np.ndarray:
+    v = rng.normal(size=(n, 3))
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def _random_states(rng, n: int) -> np.ndarray:
+    return _random_units(rng, n) * rng.uniform(0.0, 1.0, size=(n, 1))
+
+
+def _random_instruments(rng, n: int) -> np.ndarray:
+    """(n, 2, 4) exactly normalized instruments."""
+    raw = 0.5 * (rng.normal(size=(n, 2, 4)) + 1j * rng.normal(size=(n, 2, 4)))
+    return exact_normalize_array(raw)
+
+
+def _random_angles(rng, n: int) -> np.ndarray:
+    return rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=n)
+
+
+def _defined(post: np.ndarray) -> np.ndarray:
+    """Where a selective update has a post-state (its vector is not NaN)."""
+    return ~np.isnan(post[..., 0])
+
+
+# --- checks -------------------------------------------------------------------
 
 
 def check_matrix_oracle(n: int = 200) -> None:
     """Coefficient-level probability/effects/post-states match 2x2 matrices."""
     rng = np.random.default_rng(11)
-    for _ in range(n):
-        inst = _random_instrument(rng)
-        state = _random_state(rng)
-        for branch in inst.branches:
-            assert abs(probability(branch, state) - _matrix_probability(branch, state)) < 1e-12
-            eff = effect_of(branch)
-            a = to_matrix(branch.coefficients())
-            f = from_matrix(a @ a.conj().T)
-            assert abs(eff.weight - f.scalar.real) < 1e-12
-            assert np.max(np.abs(eff.weight * eff.xi - f.vector.real)) < 1e-12
-            prob, post = selective_apply(branch, state)
-            if post is not None:
-                rho = to_matrix(state.coefficients())
-                mat = a.conj().T @ rho @ a
-                mat = mat / np.trace(mat).real
-                expected = 2.0 * from_matrix(mat).vector.real
-                assert np.max(np.abs(post.r - expected)) < 1e-12
+    inst = _random_instruments(rng, n)
+    r = _random_states(rng, n)[:, None, :]  # one state per instrument, both branches
+    a = _matrices(inst)
+    rho = _density(r)
+    f = a @ _dagger(a)
+    _require(np.abs(expectation_array(inst, r) - _trace(rho @ f)), 1e-12, "probability")
+    _require(np.abs(effect_array(inst).real - _coefficients(f).real), 1e-12, "effect")
+    _, post = selective_array(inst, r)
+    defined = _defined(post)
+    sel = (_dagger(a) @ rho @ a)[defined]
+    _require(np.abs(post[defined] - _bloch(sel)), 1e-12, "selective post-state")
 
 
 def check_probability_completeness(n: int = 300) -> None:
     """f_up + f_down = 1 for normalized instruments."""
     rng = np.random.default_rng(12)
-    for _ in range(n):
-        inst = _random_instrument(rng)
-        state = _random_state(rng)
-        total = probability(inst.up, state) + probability(inst.down, state)
-        assert abs(total - 1.0) < 1e-12
+    inst = _random_instruments(rng, n)
+    r = _random_states(rng, n)
+    total = expectation_array(inst, r[:, None, :]).sum(axis=-1)
+    _require(np.abs(total - 1.0), 1e-12, "f_up + f_down")
 
 
-def check_ideal_physics() -> None:
+def check_ideal_physics(n: int = 50) -> None:
     """Projective filter: f_up = (1+kz)/2, repeatability, transverse wipe-out."""
-    inst = ideal_instrument()
+    inst = ideal_instrument().as_array()
     rng = np.random.default_rng(13)
-    for _ in range(50):
-        state = _random_state(rng)
-        kz = state.r[2]
-        assert abs(probability(inst.up, state) - 0.5 * (1.0 + kz)) < 1e-14
-        post = nonselective_apply(inst, state)
-        assert np.max(np.abs(post.r - np.array([0.0, 0.0, kz]))) < 1e-14
-        prob, sel = selective_apply(inst.up, state)
-        if sel is not None:
-            assert abs(probability(inst.up, sel) - 1.0) < 1e-12
+    r = _random_states(rng, n)
+    kz = r[:, 2]
+    _require(np.abs(expectation_array(inst[0], r) - 0.5 * (1.0 + kz)), 1e-14, "f_up")
+    post = nonselective_array(inst, r)
+    _require(np.abs(post - kz[:, None] * np.array([0.0, 0.0, 1.0])), 1e-14, "non-selective state")
+    _, sel = selective_array(inst[0], r)
+    sel = sel[_defined(sel)]
+    _require(np.abs(expectation_array(inst[0], sel) - 1.0), 1e-12, "repeated f_up")
 
 
-def check_cyclic_permutation() -> None:
+def check_cyclic_permutation(n: int = 50) -> None:
     """The third-turn rotation about (1,1,1)/sqrt(3) permutes axes cyclically."""
     rng = np.random.default_rng(14)
-    for _ in range(50):
-        beta = rng.normal(size=3) + 1j * rng.normal(size=3)
-        k = KrausOperator(0.3, beta)
-        b1 = rotate_kraus(k, cyclic_rotation(1)).beta
-        assert np.max(np.abs(b1 - beta[[2, 0, 1]])) < 1e-12
-        b2 = rotate_kraus(k, cyclic_rotation(2)).beta
-        assert np.max(np.abs(b2 - beta[[1, 2, 0]])) < 1e-12
+    beta = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+    k = np.concatenate([np.full((n, 1), 0.3 + 0j), beta], axis=-1)
+    for m, order in ((1, [2, 0, 1]), (2, [1, 2, 0])):
+        rot = cyclic_rotation(m)
+        rotated = rotate_array(k, rot.axis, rot.angle)[:, 1:]
+        _require(np.abs(rotated - beta[:, order]), 1e-12, f"cyclic rotation {m}")
 
 
 def check_rotation_conjugation(n: int = 200) -> None:
     """Closed-form rotation equals U^dag A U conjugation."""
     rng = np.random.default_rng(15)
-    for _ in range(n):
-        axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
-        rot = RotationSpec(axis, rng.uniform(-2.0 * math.pi, 2.0 * math.pi))
-        k = KrausOperator(
-            complex(rng.normal(), rng.normal()),
-            rng.normal(size=3) + 1j * rng.normal(size=3),
-        )
-        closed = rotate_kraus(k, rot).coefficients()
-        u = to_matrix(rotation_unitary(rot))
-        conj = from_matrix(u.conj().T @ to_matrix(k.coefficients()) @ u)
-        assert abs(closed.scalar - conj.scalar) < 1e-12
-        assert np.max(np.abs(closed.vector - conj.vector)) < 1e-12
+    axis = _random_units(rng, n)
+    angle = _random_angles(rng, n)
+    k = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+    u = _unitary(axis, angle)
+    expected = _coefficients(_dagger(u) @ _matrices(k) @ u)
+    _require(np.abs(rotate_array(k, axis, angle) - expected), 1e-12, "rotated coefficients")
 
 
 def check_rotation_covariance(n: int = 100) -> None:
     """Rotating the device equals rotating the state, at the probability level."""
     rng = np.random.default_rng(16)
-    for _ in range(n):
-        inst = _random_instrument(rng)
-        state = _random_state(rng)
-        axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
-        rot = RotationSpec(axis, rng.uniform(-2.0 * math.pi, 2.0 * math.pi))
-        u = to_matrix(rotation_unitary(rot))
-        rho = to_matrix(state.coefficients())
-        rotated_state = BlochState(from_matrix(u @ rho @ u.conj().T).vector.real * 2.0)
-        for branch in inst.branches:
-            lhs = probability(rotate_kraus(branch, rot), state)
-            rhs = probability(branch, rotated_state)
-            assert abs(lhs - rhs) < 1e-12
+    inst = _random_instruments(rng, n)
+    r = _random_states(rng, n)
+    axis = _random_units(rng, n)
+    angle = _random_angles(rng, n)
+    u = _unitary(axis, angle)
+    rotated_state = _bloch(u @ _density(r) @ _dagger(u))
+    lhs = expectation_array(rotate_array(inst, axis[:, None, :], angle[:, None]), r[:, None, :])
+    rhs = expectation_array(inst, rotated_state[:, None, :])
+    _require(np.abs(lhs - rhs), 1e-12, "rotated device vs rotated state")
 
 
 def check_exact_normalize(n: int = 300) -> None:
     """Renormalization drives the completeness residual to rounding level."""
     rng = np.random.default_rng(17)
-    for _ in range(n):
-        inst = _random_instrument(rng)
-        assert normalization_residual(inst) < 1e-12
+    _require(residual_array(_random_instruments(rng, n)), 1e-12, "completeness residual")
 
 
 def check_gauge_invariance(n: int = 100) -> None:
     """A per-branch global phase changes no probability or post-state."""
     rng = np.random.default_rng(18)
-    for _ in range(n):
-        inst = _random_instrument(rng)
-        state = _random_state(rng)
-        phase = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-        twisted = KrausOperator(phase * inst.up.alpha, phase * inst.up.beta)
-        assert abs(probability(twisted, state) - probability(inst.up, state)) < 1e-12
-        _, post_a = selective_apply(inst.up, state)
-        _, post_b = selective_apply(twisted, state)
-        if post_a is not None and post_b is not None:
-            assert np.max(np.abs(post_a.r - post_b.r)) < 1e-12
+    up = _random_instruments(rng, n)[:, 0]
+    r = _random_states(rng, n)
+    twisted = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=(n, 1))) * up
+    _require(
+        np.abs(expectation_array(twisted, r) - expectation_array(up, r)), 1e-12, "probability"
+    )
+    _, post_a = selective_array(up, r)
+    _, post_b = selective_array(twisted, r)
+    both = _defined(post_a) & _defined(post_b)
+    _require(np.abs(post_a[both] - post_b[both]), 1e-12, "selective post-state")
 
 
 def check_gauge_nullspace() -> None:

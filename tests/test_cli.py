@@ -77,12 +77,24 @@ def test_non_finite_config_value_exit_2(tmp_path, capsys, key, value):
     assert f"'{key}'" in one_error_line(capsys)
 
 
-@pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
-def test_overflowing_model_probability_exit_2(tmp_path, capsys):
-    """Finite inputs whose probabilities overflow are an error, not a clamp to [0, 1]."""
+def run_sgkit(*args) -> subprocess.CompletedProcess:
+    """``python -m sgkit ARGS`` in a fresh interpreter, so stderr is exactly what a user sees."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "sgkit", *map(str, args)],
+        capture_output=True, text=True, env=env, stdin=subprocess.DEVNULL, timeout=120,
+    )
+
+
+def test_overflowing_model_probability_exit_2(tmp_path):
+    """Finite inputs whose probabilities overflow are an error, not a clamp to [0, 1],
+    and the error is all of stderr: no numpy warning comes before it."""
     config = write_config(tmp_path / "huge.json", eta=1e100)
-    assert main(["roundtrip", "--config", str(config), "--out", str(tmp_path / "r.json")]) == 2
-    assert "not finite" in one_error_line(capsys)
+    proc = run_sgkit("roundtrip", "--config", config, "--out", tmp_path / "r.json")
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "not finite" in lines[0], proc.stderr
 
 
 JSON_VALUES = st.recursive(
@@ -278,6 +290,44 @@ def test_recover_fits_short_coefficients_exit_2(tmp_path, capsys):
 
     status, err = _recover_exit(_malformed_fits(tmp_path, truncate), tmp_path, capsys)
     assert status == 2 and "fits[0].coefficients" in err
+
+
+def test_recover_fits_duplicate_observable_exit_2(tmp_path, capsys):
+    def repeat(document):
+        document["fits"].append(document["fits"][2])
+        return document
+
+    fits = _malformed_fits(tmp_path, repeat)
+    last = len(json.loads(fits.read_text())["fits"]) - 1
+    status, err = _recover_exit(fits, tmp_path, capsys)
+    assert status == 2 and f"fits[{last}].observable" in err and "fits[2]" in err
+
+
+@pytest.mark.parametrize(
+    "entry, problem", [((0, 0), "positive semidefinite"), ((0, 1), "symmetric")]
+)
+def test_recover_fits_bad_covariance_exit_2(tmp_path, capsys, entry, problem):
+    def edit(document):
+        row, column = entry
+        document["fits"][3]["covariance"][row][column] = -1.0
+        return document
+
+    status, err = _recover_exit(_malformed_fits(tmp_path, edit), tmp_path, capsys)
+    assert status == 2 and "fits[3].covariance" in err and f"must be {problem}" in err
+
+
+@pytest.mark.parametrize("eta", [1e160, 1e-200])
+def test_recover_extreme_fits_eta_no_traceback(tmp_path, eta):
+    """Scaling the fitted variances by 1/eta overflows neither way into an exception."""
+
+    def set_eta(document):
+        document["eta"] = eta
+        return document
+
+    fits = _malformed_fits(tmp_path, set_eta)
+    proc = run_sgkit("recover", "--fits", fits, "--out", tmp_path / "r.json")
+    assert proc.returncode in (0, 4), proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_recover_paper_constraints(tmp_path):
