@@ -1,50 +1,6 @@
-"""Two-outcome spin-1/2 filter toolkit: instrument model, simulation, recovery."""
+"""Two-outcome spin-1/2 filter toolkit: instrument model, simulation, recovery.
 
-from .instrument import (
-    BlochState,
-    Direction,
-    Effect,
-    Instrument,
-    KrausOperator,
-    RotationSpec,
-    cyclic_instruments,
-    effect_of,
-    exact_normalize,
-    ideal_instrument,
-    nonselective_apply,
-    normalization_residual,
-    probability,
-    rotate_instrument,
-    rotate_kraus,
-    selective_apply,
-    successive_probability,
-)
-from .linearize import (
-    AffineCoefficients,
-    ObservableSpec,
-    Outcome,
-    PARAM_LABELS,
-    PerturbationParams,
-    Protocol,
-    affine_coefficients,
-    build_perturbed,
-    compare_with_paper,
-    design_matrix,
-    first_order_effects,
-    linear_response,
-)
-from .estimate import FitResult, RecoveryResult, fit_affine, goodness_of_fit, recover_parameters
-from .experiment import (
-    Dataset,
-    ExperimentConfig,
-    MeasurementRecord,
-    MeasurementSetting,
-    exact_dataset,
-    make_grid,
-    plan_settings,
-    read_dataset,
-    sampled_dataset,
-    write_dataset,
-)
+Names are imported from the submodules; ``import sgkit`` loads none of them.
+"""
 
 __version__ = "0.1.0"

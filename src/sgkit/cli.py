@@ -1,7 +1,8 @@
 """Command-line harness: sgkit simulate | fit | recover | verify | roundtrip.
 
 Exit codes: 0 success, 1 I/O failure, 2 config/format errors, 3 rank-deficient
-fit, 4 model/experiment incompatibility, 5 verification failure.
+fit, 4 model/experiment incompatibility, 5 verification failure, 6 any other
+error (a defect, reported in one line that names the exception type).
 """
 
 from __future__ import annotations
@@ -15,20 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimate import (
-    FitResult,
-    RankDeficientFit,
-    fit_affine,
-    goodness_of_fit,
-    recover_parameters,
-)
-from .experiment import (
-    ExperimentConfig,
-    FormatError,
-    generate_dataset,
-    read_dataset,
-    write_dataset,
-)
+# Each command imports the sgkit modules it runs when it runs: `sgkit verify`
+# loads neither experiment nor estimate, and no other command loads verify.
+from .errors import RankDeficientFit
 from .linearize import (
     AffineCoefficients,
     ObservableSpec,
@@ -41,7 +31,6 @@ from .linearize import (
     render_combination,
     transcribed_system,
 )
-from .verify import run_all
 
 CONFIG_SCHEMA = "sgkit-config-v1"
 FITS_SCHEMA = "sgkit-fits-v1"
@@ -90,8 +79,11 @@ def _residual_threshold(value, where: str) -> float:
     return float(value)
 
 
-def load_config(path) -> tuple[ExperimentConfig, dict]:
-    """Parse and validate a run configuration; unknown keys are rejected."""
+def load_config(path) -> tuple:
+    """Parse and validate a run configuration into an ``ExperimentConfig`` and
+    the recovery modes; unknown keys are rejected."""
+    from .experiment import ExperimentConfig
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -165,6 +157,8 @@ def load_config(path) -> tuple[ExperimentConfig, dict]:
 
 
 def cmd_simulate(config_path, out_path) -> int:
+    from .experiment import generate_dataset, write_dataset
+
     config, _ = load_config(config_path)
     dataset = generate_dataset(config)
     write_dataset(dataset, out_path)
@@ -206,6 +200,9 @@ def _numbers(value, shape: tuple[int, ...], where: str) -> np.ndarray:
 
 
 def cmd_fit(data_path, out_path) -> int:
+    from .estimate import fit_affine
+    from .experiment import read_dataset
+
     dataset = read_dataset(data_path)
     fits = [fit_affine(records) for records in _group_records(dataset).values()]
     document = {
@@ -229,7 +226,10 @@ def cmd_fit(data_path, out_path) -> int:
     return 0
 
 
-def _load_fits(path) -> tuple[list[FitResult], float]:
+def _load_fits(path) -> tuple:
+    """The ``FitResult`` list and the eta of a fits document."""
+    from .estimate import FitResult
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -292,6 +292,8 @@ def _covariance(value, where: str) -> np.ndarray:
 
 
 def _recovery_report(fits, eta, constraints, residual_threshold):
+    from .estimate import goodness_of_fit, recover_parameters
+
     if constraints == "paper":
         system = transcribed_system()
     else:
@@ -374,6 +376,8 @@ def cmd_recover(fits_path, out_path, constraints="derived", residual_threshold=D
 
 
 def cmd_verify() -> int:
+    from .verify import run_all
+
     results = run_all()
     width = max(len(name) for name, _, _ in results)
     failures = []
@@ -388,6 +392,8 @@ def cmd_verify() -> int:
 
 
 def cmd_roundtrip(config_path, out_path) -> int:
+    from .experiment import generate_dataset, write_dataset
+
     config, modes = load_config(config_path)
     with tempfile.TemporaryDirectory() as workdir:
         data_path = Path(workdir) / "dataset.csv"
@@ -448,18 +454,18 @@ def main(argv=None) -> int:
         if args.command == "roundtrip":
             return cmd_roundtrip(args.config, args.out)
         raise AssertionError("unreachable")
-    except (ConfigError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except RankDeficientFit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError, FormatError and invalid model values
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # a defect, not a bad input: still one line, no traceback
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 6
 
 
 if __name__ == "__main__":

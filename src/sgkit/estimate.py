@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import RankDeficientFit
 from .linearize import (
     AffineCoefficients,
     LinearSystem,
@@ -24,10 +25,6 @@ from .linearize import (
 WEIGHT_CLAMP = 1e-6
 RANK_RTOL = 1e-10
 NULLSPACE_SKIP_TOL = 1e-8
-
-
-class RankDeficientFit(ValueError):
-    """The affine fit design is rank deficient or under-determined."""
 
 
 class InconsistentSystem(RuntimeError):
@@ -213,7 +210,8 @@ def recover_parameters(
     canonical.
 
     Raises InconsistentSystem when ``max_residual`` is given and the
-    residual (probability-deviation scale) exceeds it.
+    residual (probability-deviation scale) exceeds it, and ValueError when
+    eta is so small that a fitted coefficient divided by it overflows.
     """
     fits = list(fits)
     by_observable = {fit.observable: fit for fit in fits}
@@ -234,6 +232,8 @@ def recover_parameters(
                 raise ValueError(f"no fit supplied for {obs.label()}")
             rhs[i] = factor * fit.coefficients.as_array()[j] / scale
             row_variance[i] = np.square(factor / scale) * fit.covariance[j, j]
+    if not np.isfinite(rhs).all():
+        raise ValueError(f"fitted coefficients divided by eta = {eta:g} overflow")
 
     matrix = system.rows
     u, s, vt = np.linalg.svd(matrix, full_matrices=True)
@@ -244,7 +244,12 @@ def recover_parameters(
     solution = pseudo @ rhs
 
     residual_vec = matrix @ solution - rhs
-    residual_norm = float(np.linalg.norm(residual_vec)) * scale
+    # The norm on the probability scale, of the residual divided by a power of
+    # two: for a tiny eta the residual is about c / eta and its squares would
+    # overflow.  The division is exact, so no other value moves by a bit.
+    exponent = int(np.frexp(np.max(np.abs(residual_vec)))[1])
+    unit_norm = np.linalg.norm(np.ldexp(residual_vec, -exponent))
+    residual_norm = float(unit_norm * np.ldexp(scale, exponent))
 
     nullspace = _canonical_basis(vt[rank:])
     row_space = vt[:rank]

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sgkit.cli
 from sgkit.cli import ConfigError, load_config, main
+from sgkit.estimate import InconsistentSystem
 
 REPO = Path(__file__).resolve().parent.parent
 EXACT_CONFIG = REPO / "configs" / "exact.json"
@@ -351,10 +353,10 @@ def test_verify_passes(capsys):
 
 
 def test_verify_reports_failures(monkeypatch, capsys):
-    import sgkit.cli
+    import sgkit.verify
 
     monkeypatch.setattr(
-        sgkit.cli, "run_all", lambda: [("broken-check", False, "too big")]
+        sgkit.verify, "run_all", lambda: [("broken-check", False, "too big")]
     )
     assert main(["verify"]) == 5
     captured = capsys.readouterr()
@@ -365,6 +367,66 @@ def test_verify_reports_failures(monkeypatch, capsys):
 def test_simulate_unwritable_output_exit_1(tmp_path):
     out = tmp_path / "no_such_dir" / "data.csv"
     assert main(["simulate", "--config", str(EXACT_CONFIG), "--out", str(out)]) == 1
+
+
+@pytest.mark.parametrize("error", [KeyError("fits"), InconsistentSystem("residual too large")])
+def test_unexpected_exception_exit_6(monkeypatch, capsys, error):
+    """An exception no input check anticipated is a defect: one line naming it, exit 6."""
+
+    def broken(*args):
+        raise error
+
+    monkeypatch.setattr(sgkit.cli, "cmd_simulate", broken)
+    assert main(["simulate", "--config", str(EXACT_CONFIG), "--out", "unused.csv"]) == 6
+    assert one_error_line(capsys) == f"error: {type(error).__name__}: {error}"
+
+
+@pytest.mark.parametrize("eta", [1e-200, 1e-310])
+def test_roundtrip_tiny_eta_residual_does_not_overflow(tmp_path, capsys, eta):
+    """At a tiny eta the fitted coefficients c are sampling noise and c / eta is
+    huge, yet the residual norm on the probability scale stays finite, with no
+    warning (every warning fails the suite)."""
+    config = write_config(tmp_path / "tiny.json", eta=eta, shots=1_000_000)
+    report = tmp_path / "r.json"
+    assert main(["roundtrip", "--config", str(config), "--out", str(report)]) == 4
+    assert capsys.readouterr().err == ""
+    assert 0.0 < json.loads(report.read_text())["residual_norm"] < 1e-2
+
+
+def test_roundtrip_subnormal_eta_exit_2(tmp_path, capsys):
+    """A fitted coefficient divided by a subnormal eta overflows: one error line, exit 2."""
+    config = write_config(tmp_path / "tiny.json", eta=1e-320, shots=1_000_000)
+    assert main(["roundtrip", "--config", str(config), "--out", str(tmp_path / "r.json")]) == 2
+    assert "overflow" in one_error_line(capsys)
+
+
+def imported_sgkit_modules(*args) -> set[str]:
+    """The sgkit modules a fresh ``python -X importtime ARGS`` imports, read from its log."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *map(str, args)],
+        capture_output=True, text=True, env=env, stdin=subprocess.DEVNULL, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = {
+        line.rsplit("|", 1)[-1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    return {name for name in names if name == "sgkit" or name.startswith("sgkit.")}
+
+
+def test_each_command_imports_only_what_it_runs(tmp_path):
+    assert imported_sgkit_modules("-c", "import sgkit") == {"sgkit"}
+    verify = imported_sgkit_modules("-m", "sgkit.cli", "verify")
+    assert "sgkit.verify" in verify
+    assert not verify & {"sgkit.estimate", "sgkit.experiment"}, verify
+    roundtrip = imported_sgkit_modules(
+        "-m", "sgkit", "roundtrip", "--config", EXACT_CONFIG, "--out", tmp_path / "r.json"
+    )
+    assert {"sgkit.estimate", "sgkit.experiment"} <= roundtrip
+    assert "sgkit.verify" not in roundtrip, roundtrip
 
 
 def test_console_script_installed(tmp_path):

@@ -5,6 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sgkit.instrument import ideal_instrument, normalization_residual
 from sgkit.linearize import (
@@ -23,6 +26,7 @@ from sgkit.linearize import (
     linear_response,
     model_probability,
     normalization_rows,
+    perturbed_probabilities,
     project_to_constraints,
     transcribed_system,
 )
@@ -153,6 +157,53 @@ def test_response_node_choice_independent(rng):
     ]
     values = [linear_response(params, succ, k, nodes=n) for n in succ_sets]
     assert max(values) - min(values) < 1e-12
+
+
+# The eta sets of `sgkit verify`: its linearization ratio and its interpolation nodes.
+VERIFY_NODE_SETS = (
+    (0.0, 1e-2, 5e-3),
+    (-1.0, 0.0, 1.0),
+    (0.0, 0.5, 1.0),
+    (-2.0, -1.0, 0.0, 1.0),
+    (-2.0, -1.0, 0.0, 1.0, 2.0),
+    (-1.0, -0.5, 0.0, 0.5, 1.0),
+    (-3.0, -1.5, 0.0, 1.0, 2.0, 3.0),
+)
+EVERY_OBSERVABLE = tuple(
+    ObservableSpec(protocol, outcome, m) for protocol in Protocol for outcome in Outcome for m in range(3)
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    vector=arrays(float, 16, elements=st.floats(-1e3, 1e3)),
+    obs=st.sampled_from(EVERY_OBSERVABLE),
+    direction=arrays(float, 3, elements=st.floats(-1.0, 1.0)).filter(
+        lambda v: np.linalg.norm(v) > 1e-3
+    ),
+    etas=st.one_of(
+        st.sampled_from(VERIFY_NODE_SETS), st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=7)
+    ),
+)
+def test_property_perturbed_probabilities_equal_per_eta_calls(vector, obs, direction, etas):
+    """The stacked evaluation is the per-eta object path, bit for bit."""
+    params = PerturbationParams.from_vector(vector, 0.0)
+    k = direction / np.linalg.norm(direction)
+    stacked = perturbed_probabilities(params, obs, k, etas)
+    expected = np.array([model_probability(build_perturbed(params, eta=eta), obs, k) for eta in etas])
+    assert stacked.tobytes() == expected.tobytes()
+
+
+def test_perturbed_probabilities_raise_like_per_eta_calls():
+    """An instrument that overflows and a direction outside the Bloch ball are
+    ValueErrors on both paths (the overflow's own warning is not the subject)."""
+    huge = PerturbationParams.from_vector(np.full(16, 1e308), 0.0)
+    pole = np.array([0.0, 0.0, 1.0])
+    for params, k in ((huge, pole), (PerturbationParams.zero(), 2.0 * pole)):
+        with np.errstate(over="ignore"), pytest.raises(ValueError):
+            model_probability(build_perturbed(params, eta=10.0), SINGLE_UP0, k)
+        with np.errstate(over="ignore"), pytest.raises(ValueError):
+            perturbed_probabilities(params, SINGLE_UP0, k, (0.0, 10.0))
 
 
 def test_first_order_accuracy_halving_ratio(rng):

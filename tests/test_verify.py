@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from sgkit import instrument, verify
+from sgkit import instrument, linearize, verify
 from sgkit.instrument import (
     BlochState,
     DegenerateKraus,
@@ -38,6 +38,7 @@ from sgkit.instrument import (
     selective_array,
     successive_array,
 )
+from sgkit.linearize import ObservableSpec, Outcome, Protocol, perturbed_probabilities
 from sgkit.pauli import pauli_mul_array
 
 from conftest import random_instrument, random_pair, random_state, random_unit
@@ -80,6 +81,23 @@ def test_wrong_sign_of_q_fails_exact_normalization(monkeypatch):
 
     monkeypatch.setattr(instrument, "_inverse_sqrt", flipped)
     assert "exact-normalization" in failed_checks()
+
+
+def wrong_branch(params, obs, k, etas):
+    other = Outcome.DOWN if obs.outcome is Outcome.UP else Outcome.UP
+    return perturbed_probabilities(params, ObservableSpec(obs.protocol, other, obs.m), k, etas)
+
+
+def dropped_first_stage(params, obs, k, etas):
+    return perturbed_probabilities(params, ObservableSpec(Protocol.SINGLE, obs.outcome, obs.m), k, etas)
+
+
+@pytest.mark.parametrize("defect", [wrong_branch, dropped_first_stage])
+def test_defective_node_probabilities_fail_interpolation_checks(monkeypatch, defect):
+    for module in (linearize, verify):
+        monkeypatch.setattr(module, "perturbed_probabilities", defect)
+    failed = failed_checks()
+    assert {"interpolation-node-independence", "linearization-ratio"} <= failed.keys(), failed
 
 
 # --- object API against array forms ------------------------------------------------
