@@ -13,6 +13,7 @@ import math
 import sys
 import tempfile
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -31,6 +32,10 @@ from .linearize import (
     render_combination,
     transcribed_system,
 )
+
+if TYPE_CHECKING:
+    from .estimate import FitResult
+    from .experiment import ExperimentConfig
 
 CONFIG_SCHEMA = "sgkit-config-v1"
 FITS_SCHEMA = "sgkit-fits-v1"
@@ -79,9 +84,8 @@ def _residual_threshold(value, where: str) -> float:
     return float(value)
 
 
-def load_config(path) -> tuple:
-    """Parse and validate a run configuration into an ``ExperimentConfig`` and
-    the recovery modes; unknown keys are rejected."""
+def load_config(path) -> tuple[ExperimentConfig, dict]:
+    """Parse and validate a run configuration; unknown keys are rejected."""
     from .experiment import ExperimentConfig
 
     try:
@@ -226,8 +230,7 @@ def cmd_fit(data_path, out_path) -> int:
     return 0
 
 
-def _load_fits(path) -> tuple:
-    """The ``FitResult`` list and the eta of a fits document."""
+def _load_fits(path) -> tuple[list[FitResult], float]:
     from .estimate import FitResult
 
     try:

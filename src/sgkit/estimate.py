@@ -244,9 +244,8 @@ def recover_parameters(
     solution = pseudo @ rhs
 
     residual_vec = matrix @ solution - rhs
-    # The norm on the probability scale, of the residual divided by a power of
-    # two: for a tiny eta the residual is about c / eta and its squares would
-    # overflow.  The division is exact, so no other value moves by a bit.
+    # The norm is taken of the residual divided by a power of two, which is exact:
+    # for a tiny eta the residual is about c / eta and its squares would overflow.
     exponent = int(np.frexp(np.max(np.abs(residual_vec)))[1])
     unit_norm = np.linalg.norm(np.ldexp(residual_vec, -exponent))
     residual_norm = float(unit_norm * np.ldexp(scale, exponent))

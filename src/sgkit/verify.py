@@ -231,14 +231,15 @@ def check_linearization_ratio(n: int = 10) -> None:
         ObservableSpec(Protocol.SINGLE, Outcome.UP, 1),
         ObservableSpec(Protocol.SUCCESSIVE, Outcome.UP, 2),
     ]
+    etas = (1e-2, 5e-3)
     for i in range(n):
         params = PerturbationParams.from_vector(rng.uniform(-1.0, 1.0, size=16), 0.0)
         obs = observables[i % 2]
         k = rng.normal(size=3)
         k /= np.linalg.norm(k)
         delta = affine_coefficients(params, obs).as_array() @ np.array([1.0, *k])
-        f0, *f = perturbed_probabilities(params, obs, k, (0.0, 1e-2, 5e-3))
-        errors = [abs(fe - f0 - eta * delta) for eta, fe in zip((1e-2, 5e-3), f)]
+        f0, *f = perturbed_probabilities(params, obs, k, (0.0, *etas))
+        errors = [abs(fe - f0 - eta * delta) for eta, fe in zip(etas, f)]
         if errors[0] > 1e-13:
             ratio = errors[0] / errors[1]
             assert 3.5 <= ratio <= 4.5
