@@ -29,12 +29,9 @@ from .instrument import (
     Instrument,
     KrausOperator,
     cyclic_rotation,
-    effect_expectation,
     expectation_array,
     ideal_instrument,
-    raw_successive_probability,
     rotate_array,
-    rotate_instrument,
     rotate_kraus,
     successive_array,
 )
@@ -204,16 +201,25 @@ def _direction_vector(k) -> np.ndarray:
     return np.asarray(k, dtype=float).reshape(3)
 
 
+def _probability_array(inst: np.ndarray, rotated: np.ndarray, obs: ObservableSpec, r: np.ndarray) -> np.ndarray:
+    """The probability of ``obs`` for (..., 2, 4) instruments and their rotations
+    by ``obs.m``: the observed branch of the rotated device, alone or after a
+    non-selective pass of the unrotated one."""
+    branch = rotated[..., 0 if obs.outcome is Outcome.UP else 1, :]
+    if obs.protocol is Protocol.SINGLE:
+        return expectation_array(branch, r)
+    return successive_array(inst, branch, r)
+
+
 def model_probability(inst: Instrument, obs: ObservableSpec, k) -> float:
     """Model success frequency of an observable; unclamped and polynomial in
     any perturbation of the instrument (no intermediate renormalization)."""
     state = BlochState(_direction_vector(k))
-    rotated = rotate_instrument(inst, cyclic_rotation(obs.m))
-    if obs.protocol is Protocol.SINGLE:
-        branch = rotated.up if obs.outcome is Outcome.UP else rotated.down
-        return effect_expectation(branch, state)
-    second = rotated.up if obs.outcome is Outcome.UP else rotated.down
-    return raw_successive_probability(inst, second, state)
+    rot = cyclic_rotation(obs.m)
+    branches = inst.as_array()
+    rotated = rotate_array(branches, rot.axis, rot.angle)
+    Instrument.from_array(rotated)  # validated as rotate_instrument validates
+    return float(_probability_array(branches, rotated, obs, state.r))
 
 
 def ideal_probability(obs: ObservableSpec, k) -> float:
@@ -238,11 +244,7 @@ def perturbed_probabilities(params: PerturbationParams, obs: ObservableSpec, k, 
     inst = _finite(_IDEAL + scale * perturbation)
     rot = cyclic_rotation(obs.m)
     rotated = _finite(rotate_array(inst, rot.axis, rot.angle))
-    r = BlochState(_direction_vector(k)).r
-    branch = rotated[:, 0 if obs.outcome is Outcome.UP else 1]
-    if obs.protocol is Protocol.SINGLE:
-        return expectation_array(branch, r)
-    return successive_array(inst, branch, r)
+    return _probability_array(inst, rotated, obs, BlochState(_direction_vector(k)).r)
 
 
 _SINGLE_NODES = (-1.0, 0.0, 1.0)

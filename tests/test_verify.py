@@ -38,7 +38,7 @@ from sgkit.instrument import (
     selective_array,
     successive_array,
 )
-from sgkit.linearize import ObservableSpec, Outcome, Protocol, perturbed_probabilities
+from sgkit.linearize import ObservableSpec, Outcome, Protocol
 from sgkit.pauli import pauli_mul_array
 
 from conftest import random_instrument, random_pair, random_state, random_unit
@@ -83,19 +83,29 @@ def test_wrong_sign_of_q_fails_exact_normalization(monkeypatch):
     assert "exact-normalization" in failed_checks()
 
 
-def wrong_branch(params, obs, k, etas):
+PROBABILITY_ARRAY = linearize._probability_array
+
+
+def wrong_branch(inst, rotated, obs, r):
     other = Outcome.DOWN if obs.outcome is Outcome.UP else Outcome.UP
-    return perturbed_probabilities(params, ObservableSpec(obs.protocol, other, obs.m), k, etas)
+    return PROBABILITY_ARRAY(inst, rotated, ObservableSpec(obs.protocol, other, obs.m), r)
 
 
-def dropped_first_stage(params, obs, k, etas):
-    return perturbed_probabilities(params, ObservableSpec(Protocol.SINGLE, obs.outcome, obs.m), k, etas)
+def dropped_first_stage(inst, rotated, obs, r):
+    return PROBABILITY_ARRAY(inst, rotated, ObservableSpec(Protocol.SINGLE, obs.outcome, obs.m), r)
 
 
 @pytest.mark.parametrize("defect", [wrong_branch, dropped_first_stage])
-def test_defective_node_probabilities_fail_interpolation_checks(monkeypatch, defect):
-    for module in (linearize, verify):
-        monkeypatch.setattr(module, "perturbed_probabilities", defect)
+def test_defective_probability_fails_interpolation_checks(monkeypatch, defect):
+    """The defect is planted in the one mapping from observable to probability,
+    so it reaches ``model_probability`` (every simulated record) as well as the
+    stacked nodes the interpolation checks evaluate."""
+    inst = linearize.build_perturbed(linearize.PerturbationParams.unit(3, eta=0.1))
+    obs = ObservableSpec(Protocol.SUCCESSIVE, Outcome.UP, 1)
+    k = random_unit(np.random.default_rng(5))
+    before = linearize.model_probability(inst, obs, k)
+    monkeypatch.setattr(linearize, "_probability_array", defect)
+    assert linearize.model_probability(inst, obs, k) != before
     failed = failed_checks()
     assert {"interpolation-node-independence", "linearization-ratio"} <= failed.keys(), failed
 
