@@ -202,9 +202,8 @@ def _direction_vector(k) -> np.ndarray:
 
 
 def _probability_array(inst: np.ndarray, rotated: np.ndarray, obs: ObservableSpec, r: np.ndarray) -> np.ndarray:
-    """The probability of ``obs`` for (..., 2, 4) instruments and their rotations
-    by ``obs.m``: the observed branch of the rotated device, alone or after a
-    non-selective pass of the unrotated one."""
+    """The probability of ``obs`` for (..., 2, 4) instruments and their rotations by
+    ``obs.m``: the rotated device's branch, alone or after a pass of the unrotated one."""
     branch = rotated[..., 0 if obs.outcome is Outcome.UP else 1, :]
     if obs.protocol is Protocol.SINGLE:
         return expectation_array(branch, r)
