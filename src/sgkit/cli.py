@@ -301,7 +301,7 @@ def _recovery_report(fits, eta, constraints, residual_threshold):
         system = transcribed_system()
     else:
         system = design_matrix([fit.observable for fit in fits])
-    result = recover_parameters(fits, system, eta=eta, mode=constraints)
+    result = recover_parameters(fits, system, eta=eta)
     quality = goodness_of_fit(fits, threshold=FIT_CHI2_THRESHOLD)
     if result.chi_square is not None and result.degrees_of_freedom:
         recovery_ok = result.chi_square <= FIT_CHI2_THRESHOLD * result.degrees_of_freedom

@@ -25,6 +25,7 @@ from .linearize import (
 WEIGHT_CLAMP = 1e-6
 RANK_RTOL = 1e-10
 NULLSPACE_SKIP_TOL = 1e-8
+EXACT_CHI2_TOL = 1e-10
 
 
 class InconsistentSystem(RuntimeError):
@@ -80,18 +81,15 @@ class RecoveryResult:
     covariance: np.ndarray | None
     chi_square: float | None
     degrees_of_freedom: int | None
-    mode: str
     column_labels: tuple[str, ...] = PARAM_LABELS
 
 
-def fit_affine(records, reference=None) -> FitResult:
-    """Weighted least squares of the deviation data for one observable.
+def fit_affine(records) -> FitResult:
+    """Weighted least squares of one observable's deviations from the ideal model.
 
     Args:
         records: MeasurementRecord sequence, all for the same observable,
             at least 5 of them spanning a rank-4 direction design.
-        reference: baseline probability model, callable(observable,
-            direction) -> float; defaults to the ideal instrument.
 
     Raises RankDeficientFit when the design cannot determine 4 coefficients.
     """
@@ -105,12 +103,10 @@ def fit_affine(records, reference=None) -> FitResult:
         raise RankDeficientFit(
             f"{observable.label()}: need at least 5 records, got {len(records)}"
         )
-    if reference is None:
-        reference = ideal_probability
 
     directions = np.array([rec.setting.direction.unit_vector() for rec in records])
     design = np.column_stack([np.ones(len(records)), directions])
-    baseline = np.array([reference(observable, rec.setting.direction) for rec in records])
+    baseline = np.array([ideal_probability(observable, rec.setting.direction) for rec in records])
     values = np.array([rec.frequency() for rec in records]) - baseline
 
     weights = np.ones(len(records))
@@ -149,14 +145,12 @@ class GoodnessOfFit:
     compatible: bool
 
 
-def goodness_of_fit(
-    fits, threshold: float = 3.0, exact_tolerance: float = 1e-10
-) -> GoodnessOfFit:
+def goodness_of_fit(fits, threshold: float = 3.0) -> GoodnessOfFit:
     """Per-fit and aggregate chi-square per degree of freedom.
 
     Counted data is compatible when every fit has chi-square/dof below
     ``threshold``.  Exact records carry no noise, so their residual must
-    vanish outright (chi-square below ``exact_tolerance``).
+    vanish outright (chi-square below EXACT_CHI2_TOL).
     """
     fits = list(fits)
     per_fit = tuple(
@@ -167,7 +161,7 @@ def goodness_of_fit(
     compatible = all(
         fit.chi_square <= threshold * fit.degrees_of_freedom
         if fit.has_variance
-        else fit.chi_square <= exact_tolerance
+        else fit.chi_square <= EXACT_CHI2_TOL
         for fit in fits
     )
     return GoodnessOfFit(per_fit, chi_square, dof, threshold, compatible)
@@ -198,7 +192,6 @@ def recover_parameters(
     fits,
     system: LinearSystem,
     eta: float,
-    mode: str = "derived",
     max_residual: float | None = None,
 ) -> RecoveryResult:
     """Solve the stacked linear system for the 16 parameters.
@@ -217,7 +210,7 @@ def recover_parameters(
     by_observable = {fit.observable: fit for fit in fits}
     scale = eta if eta > 0 else 1.0
 
-    rhs = np.array(system.rhs, dtype=float)
+    rhs = np.zeros(len(system.rhs_keys))
     row_variance = np.zeros(len(rhs))
     # (factor / scale) ** 2, never factor ** 2 / scale ** 2: a huge eta must not
     # overflow the divisor.  A tiny one overflows the variance itself, which
@@ -288,5 +281,4 @@ def recover_parameters(
         covariance=covariance,
         chi_square=chi_square,
         degrees_of_freedom=dof,
-        mode=mode,
     )

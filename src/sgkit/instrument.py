@@ -144,9 +144,6 @@ class Effect:
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "xi", xi)
 
-    def coefficients(self) -> PauliCoefficients:
-        return PauliCoefficients(self.weight, self.weight * self.xi)
-
 
 @dataclass(frozen=True)
 class RotationSpec:
@@ -273,8 +270,20 @@ def _inverse_sqrt(s: np.ndarray) -> np.ndarray:
 
 def exact_normalize_array(inst: np.ndarray) -> np.ndarray:
     """Left-multiply both branches of (..., 2, 4) instruments by S^(-1/2),
-    S = sum_m A_m A_m^dag; raises SingularNormalization as ``_inverse_sqrt``."""
-    return pauli_mul_array(_inverse_sqrt(_effect_sum(inst).real)[..., None, :], inst)
+    S = sum_m A_m A_m^dag.
+
+    Raises SingularNormalization as ``_inverse_sqrt`` does, and also when S is
+    so ill-conditioned that the result misses completeness by more than
+    NORMALIZATION_TOL.
+    """
+    out = pauli_mul_array(_inverse_sqrt(_effect_sum(inst).real)[..., None, :], inst)
+    residual = residual_array(out)
+    if not np.all(residual <= NORMALIZATION_TOL):
+        raise SingularNormalization(
+            f"branch sum is too ill-conditioned to renormalize (completeness residual "
+            f"{np.max(residual):.3e} after renormalization, tolerance {NORMALIZATION_TOL:g})"
+        )
+    return out
 
 
 def rotate_array(a: np.ndarray, axis: np.ndarray, angle) -> np.ndarray:
@@ -342,30 +351,22 @@ def nonselective_apply(inst: Instrument, state: BlochState) -> BlochState:
 def raw_successive_probability(inst: Instrument, second: KrausOperator, state: BlochState) -> float:
     """tr((sum_m A_m^dag rho A_m) * B B^dag) with no intermediate renormalization.
 
-    This is the composition probability for a non-selective stage followed by
-    a selective branch B; for a normalized instrument it coincides with
-    ``successive_probability``, and it stays a polynomial in any instrument
-    perturbation, which the linearization machinery relies on.
+    Precondition for reading it as the two-stage probability: ``inst`` is
+    normalized (sum_m A_m A_m^dag = 1).  Then the post-stage state has unit
+    trace and this equals the probability of branch B after a non-selective
+    pass of ``inst`` followed by renormalization.  For any other instrument
+    it is the unrenormalized value, which stays a polynomial in any instrument
+    perturbation, as the linearization machinery relies on.
     """
     return float(successive_array(inst.as_array(), second.as_array(), state.r))
-
-
-def successive_probability(inst: Instrument, second: KrausOperator, state: BlochState) -> float:
-    """Probability of branch ``second`` after a non-selective pass of ``inst``."""
-    return probability(second, nonselective_apply(inst, state))
-
-
-def rotation_unitary(rot: RotationSpec) -> PauliCoefficients:
-    """U(phi) = cos(phi/2) * 1 + i sin(phi/2) * n . sigma."""
-    half = 0.5 * rot.angle
-    return PauliCoefficients(math.cos(half), 1j * math.sin(half) * rot.axis)
 
 
 def rotate_kraus(k: KrausOperator, rot: RotationSpec) -> KrausOperator:
     """Device rotation U^dag A U in closed form; alpha is untouched.
 
-    The closed form agrees with conjugation by ``rotation_unitary`` and that
-    conjugation is the normative definition fixing the sign of the angle.
+    The closed form agrees with conjugation by the unitary
+    U(phi) = cos(phi/2) * 1 + i sin(phi/2) * n . sigma, and that conjugation
+    is the normative definition fixing the sign of the angle.
     """
     out = rotate_array(k.as_array(), rot.axis, rot.angle)
     return KrausOperator(out[0], out[1:])
@@ -382,11 +383,6 @@ def cyclic_rotation(m: int) -> RotationSpec:
     return RotationSpec(CYCLIC_AXIS, m * 2.0 * math.pi / 3.0)
 
 
-def cyclic_instruments(inst: Instrument) -> tuple[Instrument, Instrument, Instrument]:
-    """The devices measuring along z, x, y obtained from the cyclic rotations."""
-    return (inst, rotate_instrument(inst, cyclic_rotation(1)), rotate_instrument(inst, cyclic_rotation(2)))
-
-
 def ideal_instrument() -> Instrument:
     """The projective z filter: up = (1/2, +e_z/2), down = (1/2, -e_z/2)."""
     return Instrument(
@@ -398,7 +394,8 @@ def ideal_instrument() -> Instrument:
 def exact_normalize(inst: Instrument) -> Instrument:
     """Left-multiply both branches by S^(-1/2), S = sum_m A_m A_m^dag.
 
-    Restores the completeness condition exactly (to rounding).  Raises
-    SingularNormalization when S has an eigenvalue below 1e-12.
+    Restores the completeness condition to rounding.  Raises
+    SingularNormalization when S has an eigenvalue below 1e-12 or is too
+    ill-conditioned for the result to meet NORMALIZATION_TOL.
     """
     return Instrument.from_array(exact_normalize_array(inst.as_array()))

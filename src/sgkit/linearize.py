@@ -25,7 +25,6 @@ import numpy as np
 from .instrument import (
     BlochState,
     Direction,
-    Effect,
     Instrument,
     KrausOperator,
     cyclic_rotation,
@@ -35,7 +34,7 @@ from .instrument import (
     rotate_kraus,
     successive_array,
 )
-from .pauli import PauliCoefficients, adjoint, pauli_add, pauli_mul, pauli_mul_array
+from .pauli import pauli_mul_array
 
 
 class Protocol(Enum):
@@ -156,30 +155,26 @@ class AffineCoefficients:
 class LinearSystem:
     """Rows over the 16 parameters plus labels and per-row data hooks.
 
-    ``rhs_keys[i]`` is None for a constraint row (rhs stays 0) or a tuple
-    ``(observable, coefficient_index, scale)`` telling which fitted
-    coefficient feeds the row, scaled by ``scale``.
+    ``rhs_keys[i]`` is None for a constraint row, whose right-hand side is 0,
+    or a tuple ``(observable, coefficient_index, scale)`` telling which fitted
+    coefficient, scaled by ``scale``, is the row's right-hand side.
     """
 
     rows: np.ndarray
-    rhs: np.ndarray
     row_labels: tuple[str, ...]
     column_labels: tuple[str, ...]
     rhs_keys: tuple[tuple[ObservableSpec, int, float] | None, ...]
 
     def __post_init__(self):
         rows = np.array(self.rows, dtype=float)
-        rhs = np.array(self.rhs, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != len(self.column_labels):
             raise ValueError("row width must match column labels")
-        if rows.shape[0] != len(self.row_labels) or rows.shape[0] != rhs.shape[0]:
-            raise ValueError("row count must match labels and rhs")
+        if rows.shape[0] != len(self.row_labels):
+            raise ValueError("row count must match row labels")
         if len(self.rhs_keys) != rows.shape[0]:
             raise ValueError("rhs_keys must match row count")
         rows.setflags(write=False)
-        rhs.setflags(write=False)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "row_labels", tuple(self.row_labels))
         object.__setattr__(self, "column_labels", tuple(self.column_labels))
         object.__setattr__(self, "rhs_keys", tuple(self.rhs_keys))
@@ -250,10 +245,6 @@ _SINGLE_NODES = (-1.0, 0.0, 1.0)
 _SUCCESSIVE_NODES = (-2.0, -1.0, 0.0, 1.0, 2.0)
 
 
-def response_degree(obs: ObservableSpec) -> int:
-    return 2 if obs.protocol is Protocol.SINGLE else 4
-
-
 def linear_response(
     params: PerturbationParams,
     obs: ObservableSpec,
@@ -266,13 +257,13 @@ def linear_response(
     ``perturbed_probabilities`` pass, and interpolates the polynomial; any
     node set of the right size gives the same answer up to rounding.
     """
+    fewest = _SINGLE_NODES if obs.protocol is Protocol.SINGLE else _SUCCESSIVE_NODES
     if nodes is None:
-        nodes = _SINGLE_NODES if obs.protocol is Protocol.SINGLE else _SUCCESSIVE_NODES
-    degree = len(nodes) - 1
-    if degree < response_degree(obs):
+        nodes = fewest
+    if len(nodes) < len(fewest):
         raise ValueError("not enough interpolation nodes for the polynomial degree")
     values = perturbed_probabilities(params, obs, k, nodes)
-    vander = np.vander(np.asarray(nodes, dtype=float), degree + 1, increasing=True)
+    vander = np.vander(np.asarray(nodes, dtype=float), len(nodes), increasing=True)
     coeffs = np.linalg.solve(vander, values)
     return float(coeffs[1])
 
@@ -282,17 +273,11 @@ def affine_coefficients(params: PerturbationParams, obs: ObservableSpec) -> Affi
     return AffineCoefficients(*(_RESPONSE_BLOCKS[obs] @ params.to_vector()))
 
 
-def default_observables(protocols=(Protocol.SINGLE, Protocol.SUCCESSIVE)) -> tuple[ObservableSpec, ...]:
+def default_observables() -> tuple[ObservableSpec, ...]:
     """Deterministic observable set: up/down x m for single, up x m for successive."""
-    out = []
-    if Protocol.SINGLE in protocols:
-        for m in range(3):
-            for outcome in (Outcome.UP, Outcome.DOWN):
-                out.append(ObservableSpec(Protocol.SINGLE, outcome, m))
-    if Protocol.SUCCESSIVE in protocols:
-        for m in range(3):
-            out.append(ObservableSpec(Protocol.SUCCESSIVE, Outcome.UP, m))
-    return tuple(out)
+    single = (ObservableSpec(Protocol.SINGLE, outcome, m) for m in range(3) for outcome in Outcome)
+    successive = (ObservableSpec(Protocol.SUCCESSIVE, Outcome.UP, m) for m in range(3))
+    return (*single, *successive)
 
 
 # --- closed-form first-order responses -----------------------------------------
@@ -400,26 +385,7 @@ def design_matrix(observables) -> LinearSystem:
             rows.append(up[j] + down[j])
             labels.append(f"norm/m{m}:{COEFF_LABELS[j]}")
             keys.append(None)
-    matrix = np.array(rows)
-    return LinearSystem(matrix, np.zeros(len(rows)), tuple(labels), PARAM_LABELS, tuple(keys))
-
-
-def normalization_rows(system: LinearSystem | None = None) -> np.ndarray:
-    """The constraint rows of a design system (rows whose rhs is pinned to 0)."""
-    if system is None:
-        system = design_matrix(())
-    mask = [key is None for key in system.rhs_keys]
-    return system.rows[np.array(mask)]
-
-
-def project_to_constraints(vec) -> np.ndarray:
-    """Project a 16-parameter vector onto the first-order completeness subspace."""
-    rows = normalization_rows()
-    _, s, vt = np.linalg.svd(rows)
-    rank = int(np.sum(s > 1e-10 * s[0]))
-    null = vt[rank:]
-    v = np.asarray(vec, dtype=float).reshape(16)
-    return null.T @ (null @ v)
+    return LinearSystem(np.array(rows), tuple(labels), PARAM_LABELS, tuple(keys))
 
 
 def gauge_directions() -> tuple[np.ndarray, np.ndarray]:
@@ -431,27 +397,6 @@ def gauge_directions() -> tuple[np.ndarray, np.ndarray]:
     down[PARAM_LABELS.index("a_i_down")] = 0.5
     down[PARAM_LABELS.index("b_iz_down")] = -0.5
     return up, down
-
-
-def first_order_effects(params: PerturbationParams) -> tuple[Effect, Effect]:
-    """Effects of the perturbed instrument truncated to first order in eta.
-
-    delta(A A^dag) = dA A0^dag + A0 dA^dag, computed through the algebra.
-    """
-    eta = params.eta
-    ideal = ideal_instrument()
-    out = []
-    for branch, a, b, sign in (
-        (ideal.up, params.a_up, params.b_up, 1.0),
-        (ideal.down, params.a_down, params.b_down, -1.0),
-    ):
-        base = branch.coefficients()
-        delta = PauliCoefficients(a, b)
-        d_eff = pauli_add(pauli_mul(delta, adjoint(base)), pauli_mul(base, adjoint(delta)))
-        weight = 0.5 + eta * d_eff.scalar.real
-        weighted_xi = np.array([0.0, 0.0, sign * 0.5]) + eta * d_eff.vector.real
-        out.append(Effect(weight, weighted_xi / weight))
-    return (out[0], out[1])
 
 
 # --- comparison against the hand-transcribed reference equations -------------
@@ -562,7 +507,7 @@ def transcribed_system() -> LinearSystem:
     rows = np.array([eq.lhs for eq in eqs])
     labels = tuple(eq.text for eq in eqs)
     keys = tuple(eq.rhs_key for eq in eqs)
-    return LinearSystem(rows, np.zeros(len(eqs)), labels, PARAM_LABELS, keys)
+    return LinearSystem(rows, labels, PARAM_LABELS, keys)
 
 
 def _round_clean(value: float) -> float:

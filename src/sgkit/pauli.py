@@ -2,7 +2,8 @@
 
 An operator is stored as ``scalar * 1 + vector . sigma`` with a complex
 scalar and a complex 3-vector.  All products below are bilinear: nothing
-conjugates implicitly, conjugation is always explicit through ``adjoint``.
+conjugates implicitly.  The Pauli matrices are Hermitian, so A^dag has the
+complex-conjugate coefficients of A, written ``.conj()`` where it is needed.
 
 Operands are finite.  This module coerces types and shapes but never checks
 finiteness, neither of its inputs nor of the results of its products.  Values
@@ -31,16 +32,10 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY = np.eye(2, dtype=complex)
 
-HERMITIAN_TOL = 1e-12
-
 # Cyclic index orders for the cross product: (a x b)_i = a_{i+1} b_{i+2} - a_{i+2} b_{i+1},
 # the i+1 order followed by the i+2 order, so one gather serves both.
 # Same elementwise arithmetic as numpy.cross, without its ~30 us per-call overhead.
 _CYCLIC = np.array([1, 2, 0, 2, 0, 1])
-
-
-class NonHermitianInput(ValueError):
-    """An operation that needs a Hermitian operator got a non-Hermitian one."""
 
 
 @dataclass(frozen=True)
@@ -57,12 +52,6 @@ class PauliCoefficients:
     def as_array(self) -> np.ndarray:
         """The (4,) complex array [scalar, x, y, z] the array forms take."""
         return np.concatenate(((self.scalar,), self.vector))
-
-    def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
-        return (
-            abs(self.scalar.imag) <= tol
-            and float(np.max(np.abs(self.vector.imag))) <= tol
-        )
 
 
 def dot_array(v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -96,47 +85,3 @@ def pauli_mul(a: PauliCoefficients, b: PauliCoefficients) -> PauliCoefficients:
     out = pauli_mul_array(a.as_array(), b.as_array())
     return PauliCoefficients(out[0], out[1:])
 
-
-def pauli_add(a: PauliCoefficients, b: PauliCoefficients) -> PauliCoefficients:
-    return PauliCoefficients(a.scalar + b.scalar, a.vector + b.vector)
-
-
-def adjoint(a: PauliCoefficients) -> PauliCoefficients:
-    """Conjugate transpose; Pauli matrices are Hermitian so only coefficients flip."""
-    return PauliCoefficients(np.conj(a.scalar), np.conj(a.vector))
-
-
-def trace(a: PauliCoefficients) -> complex:
-    return 2.0 * a.scalar
-
-
-def to_matrix(a: PauliCoefficients) -> np.ndarray:
-    """Explicit 2x2 matrix; used only as a brute-force oracle."""
-    return (
-        a.scalar * IDENTITY
-        + a.vector[0] * SIGMA_X
-        + a.vector[1] * SIGMA_Y
-        + a.vector[2] * SIGMA_Z
-    )
-
-
-def from_matrix(m: np.ndarray) -> PauliCoefficients:
-    """Inverse of ``to_matrix`` via the orthogonality of the Pauli basis."""
-    m = np.asarray(m, dtype=complex)
-    scalar = (m[0, 0] + m[1, 1]) / 2.0
-    vx = (m[0, 1] + m[1, 0]) / 2.0
-    vy = 1j * (m[0, 1] - m[1, 0]) / 2.0
-    vz = (m[0, 0] - m[1, 1]) / 2.0
-    return PauliCoefficients(scalar, (vx, vy, vz))
-
-
-def hermitian_eigenvalues(a: PauliCoefficients, tol: float = HERMITIAN_TOL) -> tuple[float, float]:
-    """Eigenvalues (larger, smaller) of a Hermitian operator.
-
-    Raises NonHermitianInput when the imaginary parts exceed ``tol``.
-    """
-    if not a.is_hermitian(tol):
-        raise NonHermitianInput("operator is not Hermitian within tolerance")
-    s = a.scalar.real
-    n = float(np.linalg.norm(a.vector.real))
-    return (s + n, s - n)

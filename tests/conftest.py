@@ -4,10 +4,13 @@ The oracle builds its own matrices from Pauli constants defined here, so it
 never routes through the coefficient-level code paths it is checking.
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from sgkit.instrument import BlochState, Instrument, KrausOperator, exact_normalize
+from sgkit.instrument import BlochState, Instrument, KrausOperator, RotationSpec, exact_normalize
+from sgkit.linearize import design_matrix
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -19,6 +22,36 @@ def mat(alpha, beta) -> np.ndarray:
     """Explicit matrix of alpha*1 + beta . sigma."""
     beta = np.asarray(beta, dtype=complex)
     return alpha * ID + beta[0] * SX + beta[1] * SY + beta[2] * SZ
+
+
+def from_matrix(m: np.ndarray) -> np.ndarray:
+    """Inverse of ``mat`` via the orthogonality of the Pauli basis: the (4,)
+    complex coefficients [alpha, beta_x, beta_y, beta_z]."""
+    m = np.asarray(m, dtype=complex)
+    return np.array(
+        [
+            (m[0, 0] + m[1, 1]) / 2.0,
+            (m[0, 1] + m[1, 0]) / 2.0,
+            1j * (m[0, 1] - m[1, 0]) / 2.0,
+            (m[0, 0] - m[1, 1]) / 2.0,
+        ]
+    )
+
+
+def rotation_unitary(rot: RotationSpec) -> np.ndarray:
+    """U(phi) = cos(phi/2) * 1 + i sin(phi/2) * n . sigma, the normative device
+    rotation: a rotated branch is U^dag A U."""
+    half = 0.5 * rot.angle
+    return mat(math.cos(half), 1j * math.sin(half) * rot.axis)
+
+
+def project_to_constraints(vec) -> np.ndarray:
+    """Project a 16-parameter vector onto the first-order completeness subspace,
+    the nullspace of the constraint rows (the whole design system without
+    observables)."""
+    _, s, vt = np.linalg.svd(design_matrix(()).rows)
+    null = vt[int(np.sum(s > 1e-10 * s[0])):]
+    return null.T @ (null @ np.asarray(vec, dtype=float).reshape(16))
 
 
 def kraus_mat(k: KrausOperator) -> np.ndarray:

@@ -1,0 +1,45 @@
+"""The benchmark's calls into sgkit still run.
+
+``perfbench/`` imports sgkit's public functions by name, so deleting or
+changing one of them breaks the benchmark without failing any other test.
+This runs the benchmark's per-call probes and one simulate-and-recover
+operation, with the probes cut to a single untimed pass, in a fresh
+interpreter with ``src`` and ``perfbench`` on the path.  It only reads
+``perfbench/``.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def test_benchmark_calls_into_sgkit_run(tmp_path):
+    code = textwrap.dedent(
+        f"""
+        import inputs, layers, ops
+        from spans import no_span
+
+        layers.PROBE_MIN_S = 0
+        layers.PROBE_REPEATS = 1
+        pool = inputs.config_pool(1, inputs.sweep_config, 8)
+        probes = layers.probe_metrics(pool)
+        assert all(value > 0 for value in probes.values()), probes
+        # index 4 is exact data with strict normalization on the bundled grid
+        config = ops.experiment_config(pool[4])
+        result, quality, records = ops.simulate_and_recover(config, {str(tmp_path / "data.csv")!r}, no_span)
+        assert records == 288 and result.rank == 12 and quality.compatible, (records, result.rank)
+        """
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), str(REPO / "perfbench"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, stdin=subprocess.DEVNULL, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.strip()

@@ -99,6 +99,26 @@ def test_overflowing_model_probability_exit_2(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error: ") and "not finite" in lines[0], proc.stderr
 
 
+def ill_conditioned_perturbation() -> list[float]:
+    """At eta 10 the branch sum S of this instrument is positive definite but so
+    ill-conditioned that S^(-1/2) leaves a completeness residual near 1.7e-7."""
+    vec = [0.0] * 16
+    vec[0] = vec[4] = 9.95
+    vec[8], vec[12] = -0.0499, 0.05
+    return vec
+
+
+@pytest.mark.parametrize("command", ["simulate", "roundtrip"])
+def test_strict_normalization_of_ill_conditioned_instrument_exit_2(tmp_path, capsys, command):
+    """Strict normalization that cannot meet the completeness tolerance is an error,
+    not a dataset from an instrument that is still not normalized."""
+    config = write_config(
+        tmp_path / "ill.json", eta=10.0, perturbation=ill_conditioned_perturbation(), strict_normalization=True
+    )
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert "ill-conditioned" in one_error_line(capsys)
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
     lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=8), children, max_size=3),

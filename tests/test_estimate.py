@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sgkit.estimate import (
+    FitResult,
     InconsistentSystem,
     RankDeficientFit,
     fit_affine,
@@ -17,17 +18,20 @@ from sgkit.experiment import (
     sampled_dataset,
 )
 from sgkit.linearize import (
+    AffineCoefficients,
     LinearSystem,
     ObservableSpec,
     Outcome,
     PARAM_LABELS,
     PerturbationParams,
     Protocol,
+    default_observables,
     design_matrix,
     gauge_directions,
     ideal_probability,
-    project_to_constraints,
 )
+
+from conftest import project_to_constraints
 
 SINGLE_UP0 = ObservableSpec(Protocol.SINGLE, Outcome.UP, 0)
 
@@ -170,11 +174,16 @@ def test_goodness_flags_non_affine_deviation():
 
 
 def test_recover_identity_system(rng):
+    """Row i of an identity system reads coefficient i % 4 of fit i // 4."""
     target = rng.normal(size=16)
-    system = LinearSystem(
-        np.eye(16), target, tuple(PARAM_LABELS), PARAM_LABELS, (None,) * 16
-    )
-    result = recover_parameters([], system, eta=1.0)
+    observables = default_observables()[:4]
+    fits = [
+        FitResult(obs, AffineCoefficients(*target[4 * i:4 * i + 4]), np.zeros((4, 4)), 0.0, 1)
+        for i, obs in enumerate(observables)
+    ]
+    keys = tuple((obs, j, 1.0) for obs in observables for j in range(4))
+    system = LinearSystem(np.eye(16), tuple(PARAM_LABELS), PARAM_LABELS, keys)
+    result = recover_parameters(fits, system, eta=1.0)
     assert np.max(np.abs(result.parameters - target)) < 1e-12
     assert result.rank == 16
     assert result.nullspace_basis.shape == (0, 16)
@@ -216,7 +225,7 @@ def test_recover_minimum_norm_and_optimality(rng):
     assert np.max(np.abs(result.nullspace_basis @ result.parameters)) < 1e-10
     # no nullspace-orthogonal nudge may decrease the residual
     system = design_matrix([fit.observable for fit in fits])
-    rhs = np.zeros(len(system.rhs))
+    rhs = np.zeros(len(system.rhs_keys))
     by_obs = {fit.observable: fit for fit in fits}
     for i, key in enumerate(system.rhs_keys):
         if key is not None:
@@ -249,7 +258,7 @@ def test_recover_nullspace_basis_is_canonical(rng):
     system = design_matrix([fit.observable for fit in fits])
     nudged = LinearSystem(
         system.rows + 1e-14 * rng.normal(size=system.rows.shape),
-        system.rhs, system.row_labels, system.column_labels, system.rhs_keys,
+        system.row_labels, system.column_labels, system.rhs_keys,
     )
     moved = recover_parameters(fits, nudged, eta=1e-3)
     assert moved.rank == result.rank == 12

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sgkit.instrument import ideal_instrument, normalization_residual
+from sgkit.instrument import effect_array, ideal_instrument, normalization_residual
 from sgkit.linearize import (
     ObservableSpec,
     Outcome,
@@ -21,17 +21,14 @@ from sgkit.linearize import (
     compare_with_paper,
     default_observables,
     design_matrix,
-    first_order_effects,
     gauge_directions,
     linear_response,
     model_probability,
-    normalization_rows,
     perturbed_probabilities,
-    project_to_constraints,
     transcribed_system,
 )
 
-from conftest import random_unit
+from conftest import project_to_constraints, random_unit
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SINGLE_UP0 = ObservableSpec(Protocol.SINGLE, Outcome.UP, 0)
@@ -260,13 +257,16 @@ def test_design_matrix_needs_no_probability_evaluation():
     """With probability evaluation patched to raise, the design system still builds.
 
     Runs in a fresh interpreter, so nothing an earlier test computed can
-    stand in for the build.
+    stand in for the build.  The design blocks are built while
+    ``sgkit.linearize`` is imported, so the array forms every model
+    probability goes through are stubbed before that import.
     """
     code = (
-        "import sgkit.linearize as lin\n"
+        "import sgkit.instrument as instrument\n"
         "def forbidden(*args, **kwargs):\n"
         "    raise AssertionError('the design system evaluated a model probability')\n"
-        "lin.model_probability = lin.linear_response = forbidden\n"
+        "instrument.expectation_array = instrument.successive_array = forbidden\n"
+        "import sgkit.linearize as lin\n"
         "rows = lin.design_matrix(lin.default_observables()).rows\n"
         "assert rows.shape == (48, 16), rows.shape\n"
     )
@@ -290,7 +290,7 @@ def test_design_matrix_no_observables_keeps_constraints():
 
 
 def test_constraint_rows_annihilate_gauge():
-    rows = normalization_rows()
+    rows = design_matrix(()).rows
     for g in gauge_directions():
         assert np.max(np.abs(rows @ g)) < 1e-12
 
@@ -325,36 +325,20 @@ def test_constraint_satisfying_params_normalize_quadratically(rng):
 # --- first-order effects -----------------------------------------------------------
 
 
-def test_first_order_effects_ideal_limit():
-    up, down = first_order_effects(PerturbationParams.zero())
-    assert up.weight == pytest.approx(0.5) and np.allclose(up.xi, [0, 0, 1])
-    assert down.weight == pytest.approx(0.5) and np.allclose(down.xi, [0, 0, -1])
-
-
-def test_first_order_effect_weight_shift(rng):
-    for _ in range(10):
-        params = PerturbationParams.from_vector(rng.uniform(-1, 1, 16), 1e-3)
-        up, _ = first_order_effects(params)
-        expected = 0.5 + params.eta * (params.a_up.real + params.b_up[2].real)
-        assert up.weight == pytest.approx(expected, abs=1e-15)
-
-
 def test_first_order_effects_quadratic_remainder(rng):
-    from sgkit.instrument import effect_of
-
+    """The single-protocol m = 0 blocks are the first-order terms of the effects:
+    ideal effect + eta * coefficients leaves an O(eta^2) remainder."""
+    ideal = effect_array(ideal_instrument().as_array()).real
     for _ in range(10):
         vec = rng.uniform(-1.0, 1.0, size=16)
+        params = PerturbationParams.from_vector(vec, 0.0)
+        first_order = np.array(
+            [affine_coefficients(params, ObservableSpec(Protocol.SINGLE, o, 0)).as_array() for o in Outcome]
+        )
         errs = []
         for eta in (1e-2, 5e-3):
-            params = PerturbationParams.from_vector(vec, eta)
-            truncated = first_order_effects(params)
-            inst = build_perturbed(params)
-            full = (effect_of(inst.up), effect_of(inst.down))
-            err = 0.0
-            for t, f in zip(truncated, full):
-                err = max(err, abs(t.weight - f.weight))
-                err = max(err, float(np.max(np.abs(t.weight * t.xi - f.weight * f.xi))))
-            errs.append(err)
+            full = effect_array(build_perturbed(params, eta=eta).as_array()).real
+            errs.append(float(np.max(np.abs(ideal + eta * first_order - full))))
         assert 3.5 <= errs[0] / errs[1] <= 4.5
 
 

@@ -1,21 +1,11 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgkit.pauli import (
-    NonHermitianInput,
-    PauliCoefficients,
-    adjoint,
-    from_matrix,
-    hermitian_eigenvalues,
-    pauli_mul,
-    pauli_mul_array,
-    to_matrix,
-    trace,
-)
+from sgkit.instrument import effect_array
+from sgkit.pauli import PauliCoefficients, pauli_mul, pauli_mul_array
 
-from conftest import mat
+from conftest import from_matrix, mat
 
 E_X = np.array([1.0, 0.0, 0.0])
 E_Y = np.array([0.0, 1.0, 0.0])
@@ -54,7 +44,7 @@ def test_mul_matches_matrix_product(rng):
         a, b = random_coeff(rng), random_coeff(rng)
         out = pauli_mul(a, b)
         expected = mat(a.scalar, a.vector) @ mat(b.scalar, b.vector)
-        assert np.max(np.abs(to_matrix(out) - expected)) < 1e-12
+        assert np.max(np.abs(mat(out.scalar, out.vector) - expected)) < 1e-12
 
 
 def test_mul_bit_identical_to_np_cross_formula(rng):
@@ -87,89 +77,41 @@ def test_mul_associative(rng):
         assert np.max(np.abs(left.vector - right.vector)) < 1e-12
 
 
-def test_adjoint_basics():
-    out = adjoint(PauliCoefficients(1j, np.zeros(3)))
-    assert out.scalar == -1j
-    hermitian = PauliCoefficients(0.7, np.array([0.1, 0.2, 0.3]))
-    again = adjoint(hermitian)
-    assert again.scalar == hermitian.scalar
-    assert np.allclose(again.vector, hermitian.vector)
-
-
 def test_adjoint_matches_conjugate_transpose(rng):
+    """The adjoint of an operator is the complex conjugate of its coefficients."""
     for _ in range(50):
         a = random_coeff(rng)
         expected = mat(a.scalar, a.vector).conj().T
-        assert np.max(np.abs(to_matrix(adjoint(a)) - expected)) < 1e-14
+        assert np.max(np.abs(mat(np.conj(a.scalar), a.vector.conj()) - expected)) < 1e-14
 
 
 def test_adjoint_antihomomorphism(rng):
     for _ in range(50):
-        a, b = random_coeff(rng), random_coeff(rng)
-        left = adjoint(pauli_mul(a, b))
-        right = pauli_mul(adjoint(b), adjoint(a))
-        assert abs(left.scalar - right.scalar) < 1e-12
-        assert np.max(np.abs(left.vector - right.vector)) < 1e-12
-
-
-def test_trace():
-    assert trace(PauliCoefficients(1, np.array([5.0, -2.0, 1.0]))) == 2
-    assert trace(PauliCoefficients(0, E_Z)) == 0
-
-
-def test_trace_matches_matrix(rng):
-    for _ in range(50):
-        a = random_coeff(rng)
-        assert abs(trace(a) - np.trace(mat(a.scalar, a.vector))) < 1e-13
+        a, b = random_coeff(rng).as_array(), random_coeff(rng).as_array()
+        left = pauli_mul_array(a, b).conj()
+        right = pauli_mul_array(b.conj(), a.conj())
+        assert np.max(np.abs(left - right)) < 1e-12
 
 
 def test_positivity_of_a_adag(rng):
+    """A A^dag is Hermitian with spectrum scalar +- |vector|, both nonnegative."""
     for _ in range(50):
-        a = random_coeff(rng)
-        val = trace(pauli_mul(a, adjoint(a)))
-        assert val.real >= 0.0
-        assert abs(val.imag) <= 1e-12
+        f = effect_array(random_coeff(rng).as_array())
+        assert np.max(np.abs(f.imag)) <= 1e-12
+        assert f[0].real - np.linalg.norm(f[1:].real) >= -1e-12
 
 
 def test_to_matrix_values():
-    assert np.allclose(to_matrix(PauliCoefficients(1, np.zeros(3))), np.eye(2))
-    assert np.allclose(to_matrix(PauliCoefficients(0, E_Z)), np.diag([1.0, -1.0]))
-    assert np.allclose(
-        to_matrix(PauliCoefficients(0.5, 0.5 * E_Z)), np.diag([1.0, 0.0])
-    )
+    assert np.allclose(mat(1, np.zeros(3)), np.eye(2))
+    assert np.allclose(mat(0, E_Z), np.diag([1.0, -1.0]))
+    assert np.allclose(mat(0.5, 0.5 * E_Z), np.diag([1.0, 0.0]))
 
 
 def test_matrix_round_trip(rng):
     for _ in range(50):
         a = random_coeff(rng)
-        back = from_matrix(to_matrix(a))
-        assert abs(back.scalar - a.scalar) < 1e-14
-        assert np.max(np.abs(back.vector - a.vector)) < 1e-14
-
-
-def test_hermitian_eigenvalues_examples():
-    assert hermitian_eigenvalues(PauliCoefficients(0.5, 0.5 * E_Z)) == (1.0, 0.0)
-    assert hermitian_eigenvalues(PauliCoefficients(1.0, np.zeros(3))) == (1.0, 1.0)
-
-
-def test_hermitian_eigenvalues_match_characteristic_roots(rng):
-    for _ in range(50):
-        a = PauliCoefficients(rng.normal(), rng.normal(size=3))
-        hi, lo = hermitian_eigenvalues(a)
-        m = mat(a.scalar, a.vector)
-        # roots of det(m - x I) for a 2x2 Hermitian matrix
-        tr = np.trace(m).real
-        det = np.linalg.det(m).real
-        disc = np.sqrt(tr * tr / 4.0 - det)
-        assert abs(hi - (tr / 2.0 + disc)) < 1e-12
-        assert abs(lo - (tr / 2.0 - disc)) < 1e-12
-
-
-def test_hermitian_eigenvalues_rejects_non_hermitian():
-    with pytest.raises(NonHermitianInput):
-        hermitian_eigenvalues(PauliCoefficients(1j, np.zeros(3)))
-    with pytest.raises(NonHermitianInput):
-        hermitian_eigenvalues(PauliCoefficients(0.0, np.array([0.0, 1e-6j, 0.0])))
+        back = from_matrix(mat(a.scalar, a.vector))
+        assert np.max(np.abs(back - a.as_array())) < 1e-14
 
 
 # --- properties on bounded finite operands -------------------------------------
@@ -207,7 +149,22 @@ def test_property_mul_associative(a, b, c):
 @PROPERTY
 @given(OPERANDS, OPERANDS)
 def test_property_adjoint_antihomomorphism(a, b):
-    assert_close(adjoint(pauli_mul(a, b)), pauli_mul(adjoint(b), adjoint(a)), size(a) * size(b))
+    """(ab)^dag = b^dag a^dag on the array form, with .conj() as the adjoint."""
+    tol = 1e-13 * size(a) * size(b) + 1e-300
+    a, b = a.as_array(), b.as_array()
+    left = pauli_mul_array(a, b).conj()
+    right = pauli_mul_array(b.conj(), a.conj())
+    assert np.max(np.abs(left - right)) <= tol
+
+
+@PROPERTY
+@given(OPERANDS)
+def test_property_effect_positive_semidefinite(a):
+    """A A^dag has a real scalar at least |vector|: a positive semidefinite operator."""
+    f = effect_array(a.as_array())
+    tol = 1e-13 * size(a) ** 2 + 1e-300
+    assert np.max(np.abs(f.imag)) <= tol
+    assert f[0].real - np.linalg.norm(f[1:].real) >= -tol
 
 
 @PROPERTY
