@@ -132,8 +132,8 @@ def load_config(path) -> tuple[ExperimentConfig, dict]:
     if not protocols:
         raise ConfigError("key 'protocols' must not be empty")
     shots = _require(raw, "shots", int, "an integer")
-    if shots < 0:
-        raise ConfigError("key 'shots' must be nonnegative")
+    if not 0 <= shots < 2 ** 63:  # the binomial sampler takes a C long
+        raise ConfigError("key 'shots' must be nonnegative and below 2**63")
     seed = _require(raw, "seed", int, "an integer")
     if not 0 <= seed < 2 ** 64:
         raise ConfigError("key 'seed' must fit in 64 bits")

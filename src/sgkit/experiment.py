@@ -256,6 +256,10 @@ def _parse_meta(raw: dict[str, str]) -> DatasetMeta:
         )
     except (KeyError, IndexError, ValueError) as exc:
         raise FormatError(f"bad or missing metadata: {exc}") from exc
+    if not (math.isfinite(meta.eta) and meta.eta >= 0.0):
+        raise FormatError("bad metadata: eta must be a finite nonnegative number")
+    if raw["strict_normalization"] not in ("true", "false"):
+        raise FormatError("bad metadata: strict_normalization must be true or false")
     # Beyond 2**53 grid indices are no longer exact floats, so nodes stop being distinct.
     if not (2 <= meta.n_theta <= 2 ** 53 and 3 <= meta.n_phi <= 2 ** 53):
         raise FormatError("bad metadata: grid needs 2 <= n_theta <= 2**53 and 3 <= n_phi <= 2**53")

@@ -15,9 +15,10 @@ built on ``pauli.pauli_mul_array``: a branch is a ``(..., 4)`` complex array
 ``(..., 3)`` axis with a ``(...)`` angle; leading axes broadcast.  The array
 forms are unvalidated: operands are finite, states have ``|r| <= 1`` and
 axes unit length, as the constructors below check.  The object functions
-(``probability``, ``selective_apply``, ``exact_normalize``, ...) validate at
-the boundary, raise this module's exceptions and return ``None`` post-states,
-and otherwise are thin calls into the array forms.
+(``effect_expectation``, ``selective_apply``, ``nonselective_apply``,
+``rotate_instrument``, ``exact_normalize``) validate at the boundary, raise
+this module's exceptions and return ``None`` post-states, and otherwise are
+thin calls into the array forms.
 """
 
 from __future__ import annotations
@@ -34,10 +35,6 @@ NORMALIZATION_TOL = 1e-9
 ZERO_PROBABILITY = 1e-12
 
 CYCLIC_AXIS = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
-
-
-class DegenerateKraus(ValueError):
-    """Branch with (near-)zero effect weight; the xi vector is undefined."""
 
 
 class UnnormalizedInstrument(ValueError):
@@ -121,28 +118,6 @@ class BlochState:
 
     def coefficients(self) -> PauliCoefficients:
         return PauliCoefficients(0.5, 0.5 * self.r)
-
-
-@dataclass(frozen=True)
-class Effect:
-    """Operator weight * (1 + xi . sigma).
-
-    For branches of a normalized instrument the spectrum lies in [0, 1]
-    (weight * (1 + |xi|) <= 1); effects of raw perturbed instruments may
-    exceed that bound at the size of the normalization residual, so only
-    the weight range is enforced here.
-    """
-
-    weight: float
-    xi: np.ndarray
-
-    def __post_init__(self):
-        weight = float(self.weight)
-        xi = _real3(self.xi)
-        if not (-1e-9 <= weight <= 1.0 + 1e-9):
-            raise ValueError("effect weight must lie in [0, 1]")
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "xi", xi)
 
 
 @dataclass(frozen=True)
@@ -233,7 +208,11 @@ def nonselective_array(inst: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def successive_array(inst: np.ndarray, second: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """tr((sum_m A_m^dag rho A_m) B B^dag) with no intermediate renormalization."""
+    """tr((sum_m A_m^dag rho A_m) B B^dag) with no intermediate renormalization.
+
+    For normalized instruments this is the probability of B after a non-selective
+    pass; otherwise it stays a polynomial in any perturbation, as linearization needs.
+    """
     rho1 = _conjugation_sum(inst, r)
     f2 = effect_array(second)
     return 2.0 * (rho1[..., 0] * f2[..., 0] + dot_array(rho1[..., 1:], f2[..., 1:])).real
@@ -290,7 +269,9 @@ def rotate_array(a: np.ndarray, axis: np.ndarray, angle) -> np.ndarray:
     """Device rotation U^dag A U of (..., 4) branches in closed form; alpha is untouched.
 
     beta -> cos(phi) beta + sin(phi) n x beta + 2 sin^2(phi/2) (n . beta) n, for
-    unit (..., 3) axes n and (...) angles phi.
+    unit (..., 3) axes n and (...) angles phi.  Conjugation by the unitary
+    U(phi) = cos(phi/2) * 1 + i sin(phi/2) * n . sigma is the normative
+    definition that fixes the sign of the angle.
     """
     phi = np.asarray(angle)[..., None]
     beta = a[..., 1:]
@@ -305,28 +286,9 @@ def rotate_array(a: np.ndarray, axis: np.ndarray, angle) -> np.ndarray:
 # --- object API ---------------------------------------------------------------
 
 
-def effect_of(k: KrausOperator) -> Effect:
-    """Effect A A^dag of a branch, factored as weight * (1 + xi . sigma)."""
-    f = effect_array(k.as_array()).real
-    weight = f[0]
-    if weight < 1e-14:
-        raise DegenerateKraus("effect weight is numerically zero")
-    return Effect(weight, f[1:] / weight)
-
-
-def normalization_residual(inst: Instrument) -> float:
-    """Max deviation over the four component equations of sum_m A_m A_m^dag = 1."""
-    return float(residual_array(inst.as_array()))
-
-
 def effect_expectation(k: KrausOperator, state: BlochState) -> float:
     """tr(rho A A^dag), unclamped."""
     return float(expectation_array(k.as_array(), state.r))
-
-
-def probability(k: KrausOperator, state: BlochState) -> float:
-    """Outcome probability tr(rho A A^dag), clamped to [0, 1]."""
-    return min(1.0, max(0.0, effect_expectation(k, state)))
 
 
 def selective_apply(k: KrausOperator, state: BlochState) -> tuple[float, BlochState | None]:
@@ -348,31 +310,8 @@ def nonselective_apply(inst: Instrument, state: BlochState) -> BlochState:
     return BlochState(nonselective_array(branches, state.r))
 
 
-def raw_successive_probability(inst: Instrument, second: KrausOperator, state: BlochState) -> float:
-    """tr((sum_m A_m^dag rho A_m) * B B^dag) with no intermediate renormalization.
-
-    Precondition for reading it as the two-stage probability: ``inst`` is
-    normalized (sum_m A_m A_m^dag = 1).  Then the post-stage state has unit
-    trace and this equals the probability of branch B after a non-selective
-    pass of ``inst`` followed by renormalization.  For any other instrument
-    it is the unrenormalized value, which stays a polynomial in any instrument
-    perturbation, as the linearization machinery relies on.
-    """
-    return float(successive_array(inst.as_array(), second.as_array(), state.r))
-
-
-def rotate_kraus(k: KrausOperator, rot: RotationSpec) -> KrausOperator:
-    """Device rotation U^dag A U in closed form; alpha is untouched.
-
-    The closed form agrees with conjugation by the unitary
-    U(phi) = cos(phi/2) * 1 + i sin(phi/2) * n . sigma, and that conjugation
-    is the normative definition fixing the sign of the angle.
-    """
-    out = rotate_array(k.as_array(), rot.axis, rot.angle)
-    return KrausOperator(out[0], out[1:])
-
-
 def rotate_instrument(inst: Instrument, rot: RotationSpec) -> Instrument:
+    """Device rotation U^dag A U of both branches, as ``rotate_array`` computes it."""
     return Instrument.from_array(rotate_array(inst.as_array(), rot.axis, rot.angle))
 
 

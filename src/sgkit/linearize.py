@@ -31,7 +31,6 @@ from .instrument import (
     expectation_array,
     ideal_instrument,
     rotate_array,
-    rotate_kraus,
     successive_array,
 )
 from .pauli import pauli_mul_array
@@ -294,9 +293,10 @@ def _unit_perturbations() -> np.ndarray:
 
 
 def _rotation_matrix(m: int) -> np.ndarray:
-    """The real 3x3 matrix that ``rotate_kraus`` applies to beta for ``cyclic_rotation(m)``."""
+    """The real 3x3 matrix that ``rotate_array`` applies to beta for ``cyclic_rotation(m)``."""
     rot = cyclic_rotation(m)
-    return np.array([rotate_kraus(KrausOperator(0.0, e), rot).beta.real for e in np.eye(3)]).T
+    basis = np.concatenate([np.zeros((3, 1)), np.eye(3)], axis=1)  # branches 0 + e_i . sigma
+    return rotate_array(basis, rot.axis, rot.angle)[:, 1:].T
 
 
 def _rotated(ops: np.ndarray, rotation: np.ndarray) -> np.ndarray:

@@ -8,17 +8,19 @@ complex-conjugate coefficients of A, written ``.conj()`` where it is needed.
 Operands are finite.  This module coerces types and shapes but never checks
 finiteness, neither of its inputs nor of the results of its products.  Values
 are checked once, where they enter the program: the constructors of
-``KrausOperator``, ``BlochState``, ``Effect``, ``RotationSpec`` and
-``Direction`` (``sgkit.instrument``) and of ``PerturbationParams``
+``KrausOperator``, ``BlochState``, ``RotationSpec`` and ``Direction``
+(``sgkit.instrument``) and of ``PerturbationParams``
 (``sgkit.linearize``), and the config, dataset and fits parsers of
 ``sgkit.cli`` and ``sgkit.experiment``.
 
 The array forms (``pauli_mul_array``, ``dot_array``, ``cross_array``) take
 broadcastable ``(..., 4)`` coefficient arrays ``[scalar, x, y, z]`` (or
 ``(..., 3)`` vectors) and return arrays of the broadcast shape.  They are
-unvalidated under the same contract: every operand is finite.  The object
-form ``pauli_mul`` is a thin call into ``pauli_mul_array``, so each formula
-has one implementation.
+unvalidated under the same contract: every operand is finite.  Every sgkit
+formula is built on them.  The object form ``pauli_mul`` on
+``PauliCoefficients`` is a thin call into ``pauli_mul_array``; no sgkit code
+path calls it, and it stays only as the operand of the benchmark's
+``pauli.mul_us`` probe.
 """
 
 from __future__ import annotations

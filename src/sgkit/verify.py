@@ -23,6 +23,7 @@ from .instrument import (
     residual_array,
     rotate_array,
     selective_array,
+    successive_array,
 )
 from .linearize import (
     ObservableSpec,
@@ -119,7 +120,8 @@ def _defined(post: np.ndarray) -> np.ndarray:
 
 
 def check_matrix_oracle(n: int = 200) -> None:
-    """Coefficient-level probability/effects/post-states match 2x2 matrices."""
+    """Coefficient-level probabilities, effects and selective and non-selective
+    updates match 2x2 matrices."""
     rng = np.random.default_rng(11)
     inst = _random_instruments(rng, n)
     r = _random_states(rng, n)[:, None, :]  # one state per instrument, both branches
@@ -128,10 +130,17 @@ def check_matrix_oracle(n: int = 200) -> None:
     f = a @ _dagger(a)
     _require(np.abs(expectation_array(inst, r) - _trace(rho @ f)), 1e-12, "probability")
     _require(np.abs(effect_array(inst).real - _coefficients(f).real), 1e-12, "effect")
-    _, post = selective_array(inst, r)
+    conjugated = _dagger(a) @ rho @ a
+    prob, post = selective_array(inst, r)
+    _require(np.abs(prob - _trace(rho @ f)), 1e-12, "selective probability")
     defined = _defined(post)
-    sel = (_dagger(a) @ rho @ a)[defined]
-    _require(np.abs(post[defined] - _bloch(sel)), 1e-12, "selective post-state")
+    _require(np.abs(post[defined] - _bloch(conjugated[defined])), 1e-12, "selective post-state")
+    total = conjugated.sum(axis=-3)
+    _require(np.abs(nonselective_array(inst, r[:, 0]) - _bloch(total)), 1e-12, "non-selective state")
+    # ten more probe states per instrument, each against both effects
+    probes = _random_states(rng, 10 * n).reshape(n, 10, 1, 3)
+    expected = _trace(_density(probes) @ f[:, None])
+    _require(np.abs(expectation_array(inst[:, None], probes) - expected), 1e-12, "probe probability")
 
 
 def check_probability_completeness(n: int = 300) -> None:
@@ -144,7 +153,8 @@ def check_probability_completeness(n: int = 300) -> None:
 
 
 def check_ideal_physics(n: int = 50) -> None:
-    """Projective filter: f_up = (1+kz)/2, repeatability, transverse wipe-out."""
+    """Projective filter: f_up = (1+kz)/2, also after a non-selective pass,
+    repeatability, transverse wipe-out."""
     inst = ideal_instrument().as_array()
     rng = np.random.default_rng(13)
     r = _random_states(rng, n)
@@ -152,6 +162,7 @@ def check_ideal_physics(n: int = 50) -> None:
     _require(np.abs(expectation_array(inst[0], r) - 0.5 * (1.0 + kz)), 1e-14, "f_up")
     post = nonselective_array(inst, r)
     _require(np.abs(post - kz[:, None] * np.array([0.0, 0.0, 1.0])), 1e-14, "non-selective state")
+    _require(np.abs(successive_array(inst, inst[0], r) - 0.5 * (1.0 + kz)), 1e-14, "successive f_up")
     _, sel = selective_array(inst[0], r)
     sel = sel[_defined(sel)]
     _require(np.abs(expectation_array(inst[0], sel) - 1.0), 1e-12, "repeated f_up")
@@ -200,11 +211,12 @@ def check_exact_normalize(n: int = 300) -> None:
 
 
 def check_gauge_invariance(n: int = 100) -> None:
-    """A per-branch global phase changes no probability or post-state."""
+    """A per-branch global phase changes no effect, probability or post-state."""
     rng = np.random.default_rng(18)
     up = _random_instruments(rng, n)[:, 0]
     r = _random_states(rng, n)
     twisted = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=(n, 1))) * up
+    _require(np.abs(effect_array(twisted) - effect_array(up)), 1e-12, "effect")
     _require(
         np.abs(expectation_array(twisted, r) - expectation_array(up, r)), 1e-12, "probability"
     )
@@ -225,16 +237,14 @@ def check_gauge_nullspace() -> None:
 
 def check_linearization_ratio(n: int = 10) -> None:
     """The closed-form response is the eta^1 term of the model probability:
-    the first-order error falls fourfold when eta halves."""
+    the first-order error falls fourfold when eta halves, cycling through
+    every default observable."""
     rng = np.random.default_rng(19)
-    observables = [
-        ObservableSpec(Protocol.SINGLE, Outcome.UP, 1),
-        ObservableSpec(Protocol.SUCCESSIVE, Outcome.UP, 2),
-    ]
+    observables = default_observables()
     etas = (1e-2, 5e-3)
     for i in range(n):
         params = PerturbationParams.from_vector(rng.uniform(-1.0, 1.0, size=16), 0.0)
-        obs = observables[i % 2]
+        obs = observables[i % len(observables)]
         k = rng.normal(size=3)
         k /= np.linalg.norm(k)
         delta = affine_coefficients(params, obs).as_array() @ np.array([1.0, *k])

@@ -1,58 +1,23 @@
 """Acceptance suite: one test per criterion, at the stated tolerances.
 
-Each test prints a single PASS line on success (run pytest -s to see them);
-a failed assertion fails the criterion.
+Criteria 1-6 run the batched checks of ``sgkit verify`` (``sgkit.verify``) at
+their own sample counts; 7-10 run the round trips, the reference-fidelity
+report and the CLI.  Each test prints a single PASS line on success (run
+pytest -s to see them); a failed assertion fails the criterion.
 """
 
-import math
 import time
 from pathlib import Path
 
 import numpy as np
 
+from sgkit import verify
 from sgkit.cli import main
 from sgkit.estimate import fit_affine, goodness_of_fit, recover_parameters
 from sgkit.experiment import exact_dataset, sampled_dataset, ExperimentConfig
-from sgkit.instrument import (
-    BlochState,
-    KrausOperator,
-    RotationSpec,
-    cyclic_rotation,
-    effect_of,
-    exact_normalize,
-    ideal_instrument,
-    nonselective_apply,
-    normalization_residual,
-    probability,
-    rotate_kraus,
-    selective_apply,
-)
-from sgkit.linearize import (
-    ObservableSpec,
-    Outcome,
-    PerturbationParams,
-    Protocol,
-    build_perturbed,
-    compare_with_paper,
-    default_observables,
-    design_matrix,
-    gauge_directions,
-    linear_response,
-    model_probability,
-)
+from sgkit.linearize import PerturbationParams, compare_with_paper, design_matrix
 
-from conftest import (
-    bloch_of,
-    from_matrix,
-    kraus_mat,
-    project_to_constraints,
-    random_instrument,
-    random_pair,
-    random_state,
-    random_unit,
-    rotation_unitary,
-    state_mat,
-)
+from conftest import project_to_constraints
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = [REPO / "configs" / "exact.json", REPO / "configs" / "sampled.json"]
@@ -63,138 +28,43 @@ def _passed(number, name):
 
 
 def test_criterion_1_matrix_oracle_equivalence():
+    # 1000 instruments: both effects, 2 x 11 probabilities, both selective
+    # updates and the non-selective update of each, against 2x2 matrices
     start = time.perf_counter()
-    rng = np.random.default_rng(101)
-    states = [random_state(rng) for _ in range(100)]
-    for i in range(1000):
-        inst = random_instrument(rng)
-        state = states[i % 100]
-        rho = state_mat(state)
-        for branch in inst.branches:
-            a = kraus_mat(branch)
-            eff = effect_of(branch)
-            f = a @ a.conj().T
-            assert abs(eff.weight - 0.5 * np.trace(f).real) < 1e-12
-            assert np.max(np.abs(eff.weight * eff.xi - 0.5 * bloch_of(f))) < 1e-12
-            for j in range(10):
-                probe = states[(i + 7 * j) % 100]
-                expected = np.trace(state_mat(probe) @ f).real
-                assert abs(probability(branch, probe) - expected) < 1e-12
-            prob, post = selective_apply(branch, state)
-            assert abs(prob - np.trace(rho @ f).real) < 1e-12
-            if post is not None:
-                sel = a.conj().T @ rho @ a
-                assert np.max(np.abs(post.r - bloch_of(sel / np.trace(sel).real))) < 1e-12
-        out = nonselective_apply(inst, state)
-        total = sum(kraus_mat(b).conj().T @ rho @ kraus_mat(b) for b in inst.branches)
-        assert np.max(np.abs(out.r - bloch_of(total / np.trace(total).real))) < 1e-12
+    verify.check_matrix_oracle(n=1000)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     _passed(1, "matrix-oracle equivalence")
 
 
 def test_criterion_2_ideal_instrument_physics():
-    inst = ideal_instrument()
-    rng = np.random.default_rng(102)
-    for _ in range(100):
-        state = random_state(rng)
-        kz = state.r[2]
-        assert abs(probability(inst.up, state) - 0.5 * (1.0 + kz)) <= 1e-14
-        post = nonselective_apply(inst, state)
-        assert np.max(np.abs(post.r - np.array([0.0, 0.0, kz]))) <= 1e-14
-        # successive up after the non-selective pass, then a conditional repeat
-        succ = model_probability(inst, ObservableSpec(Protocol.SUCCESSIVE, Outcome.UP, 0), state.r)
-        assert abs(succ - 0.5 * (1.0 + kz)) <= 1e-14
-        prob, sel = selective_apply(inst.up, state)
-        if sel is not None:
-            assert abs(probability(inst.up, sel) - 1.0) <= 1e-12
+    verify.check_ideal_physics(n=100)
     _passed(2, "ideal-instrument physics")
 
 
 def test_criterion_3_rotation_suite():
-    rng = np.random.default_rng(103)
-    # cyclic permutation identity
-    for _ in range(100):
-        beta = rng.normal(size=3) + 1j * rng.normal(size=3)
-        k = KrausOperator(0.4, beta)
-        assert np.max(np.abs(rotate_kraus(k, cyclic_rotation(1)).beta - beta[[2, 0, 1]])) < 1e-12
-        assert np.max(np.abs(rotate_kraus(k, cyclic_rotation(2)).beta - beta[[1, 2, 0]])) < 1e-12
-    # closed form vs conjugation on 1000 random (beta, axis, angle)
-    for _ in range(1000):
-        k = KrausOperator(
-            complex(rng.normal(), rng.normal()),
-            rng.normal(size=3) + 1j * rng.normal(size=3),
-        )
-        rot = RotationSpec(random_unit(rng), rng.uniform(-2 * math.pi, 2 * math.pi))
-        u = rotation_unitary(rot)
-        expected = from_matrix(u.conj().T @ kraus_mat(k) @ u)
-        closed = rotate_kraus(k, rot)
-        assert abs(closed.alpha - expected[0]) < 1e-12
-        assert np.max(np.abs(closed.beta - expected[1:])) < 1e-12
-    # covariance at the probability level
-    for _ in range(200):
-        inst = random_instrument(rng)
-        state = random_state(rng)
-        rot = RotationSpec(random_unit(rng), rng.uniform(-2 * math.pi, 2 * math.pi))
-        u = rotation_unitary(rot)
-        rotated = BlochState(bloch_of(u @ state_mat(state) @ u.conj().T))
-        for branch in inst.branches:
-            assert abs(
-                probability(rotate_kraus(branch, rot), state) - probability(branch, rotated)
-            ) < 1e-12
+    verify.check_cyclic_permutation(n=100)
+    verify.check_rotation_conjugation(n=1000)
+    verify.check_rotation_covariance(n=200)
     _passed(3, "rotation suite")
 
 
 def test_criterion_4_normalization():
-    rng = np.random.default_rng(104)
-    for _ in range(1000):
-        inst = exact_normalize(random_pair(rng))
-        assert normalization_residual(inst) < 1e-12
-        state = random_state(rng)
-        total = probability(inst.up, state) + probability(inst.down, state)
-        assert abs(total - 1.0) < 1e-12
+    verify.check_exact_normalize(n=1000)
+    verify.check_probability_completeness(n=1000)
     _passed(4, "normalization")
 
 
 def test_criterion_5_gauge_invariance_and_identifiability():
-    rng = np.random.default_rng(105)
-    for _ in range(200):
-        inst = random_instrument(rng)
-        state = random_state(rng)
-        phase = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-        twisted = KrausOperator(phase * inst.up.alpha, phase * inst.up.beta)
-        assert abs(probability(twisted, state) - probability(inst.up, state)) <= 1e-12
-        eff_a, eff_b = effect_of(inst.up), effect_of(twisted)
-        assert abs(eff_a.weight - eff_b.weight) <= 1e-12
-        assert np.max(np.abs(eff_a.xi - eff_b.xi)) <= 1e-12
-        _, post_a = selective_apply(inst.up, state)
-        _, post_b = selective_apply(twisted, state)
-        if post_a is not None:
-            assert np.max(np.abs(post_a.r - post_b.r)) <= 1e-12
-    system = design_matrix(default_observables())
-    sigma_max = np.linalg.svd(system.rows, compute_uv=False)[0]
-    for g in gauge_directions():
-        unit = g / np.linalg.norm(g)
-        assert np.linalg.norm(system.rows @ unit) <= 1e-10 * sigma_max
+    verify.check_gauge_invariance(n=200)
+    verify.check_gauge_nullspace()
     _passed(5, "gauge invariance and identifiability")
 
 
 def test_criterion_6_linearization_ratio():
+    # 200 random parameter sets, cycling through the 9 default observables
     start = time.perf_counter()
-    rng = np.random.default_rng(106)
-    observables = default_observables()
-    for i in range(100):
-        params = PerturbationParams.from_vector(rng.uniform(-1.0, 1.0, size=16), 0.0)
-        for obs in (observables[i % 6], observables[6 + i % 3]):  # one single, one successive
-            k = random_unit(rng)
-            delta = linear_response(params, obs, k)
-            f0 = model_probability(build_perturbed(params, eta=0.0), obs, k)
-            errs = []
-            for eta in (1e-2, 5e-3):
-                f = model_probability(build_perturbed(params, eta=eta), obs, k)
-                errs.append(abs(f - f0 - eta * delta))
-            if errs[0] > 1e-13:
-                assert 3.5 <= errs[0] / errs[1] <= 4.5
+    verify.check_linearization_ratio(n=200)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     _passed(6, "linearization ratio test")

@@ -3,11 +3,12 @@
 ``perfbench/`` imports sgkit's public functions by name, so deleting or
 changing one of them breaks the benchmark without failing any other test.
 This runs the benchmark's per-call probes and one simulate-and-recover
-operation, with the probes cut to a single untimed pass, in a fresh
-interpreter with ``src`` and ``perfbench`` on the path.  It only reads
-``perfbench/``.
+operation, with the probes cut to a single untimed pass, and the benchmark's
+traced verify suite, each in a fresh interpreter with ``src`` and
+``perfbench`` on the path.  It only reads ``perfbench/``.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -34,12 +35,25 @@ def test_benchmark_calls_into_sgkit_run(tmp_path):
         assert records == 288 and result.rank == 12 and quality.compatible, (records, result.rank)
         """
     )
+    proc = run_with_perfbench("-c", code)
+    assert proc.returncode == 0, proc.stderr.strip()
+
+
+def test_benchmark_verify_runs_every_check():
+    """``child.py verify`` calls each of ``verify.ALL_CHECKS`` with no arguments."""
+    proc = run_with_perfbench(str(REPO / "perfbench" / "child.py"), "verify")
+    assert proc.returncode == 0, proc.stderr.strip()
+    checks = json.loads(proc.stdout.splitlines()[-1])["checks"]
+    assert len(checks) == 11 and all(ok for _, ok in checks), checks
+
+
+def run_with_perfbench(*args) -> subprocess.CompletedProcess:
+    """``python ARGS`` in a fresh interpreter with ``src`` and ``perfbench`` on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(REPO / "src"), str(REPO / "perfbench"), env.get("PYTHONPATH")])
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True, text=True, env=env, stdin=subprocess.DEVNULL, timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr.strip()

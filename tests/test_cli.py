@@ -170,6 +170,56 @@ def test_property_load_config_accepts_or_raises_config_error(tmp_path_factory, c
     assert np.isfinite(modes["residual_threshold"]) and modes["residual_threshold"] > 0
 
 
+@pytest.fixture(scope="module")
+def bundled_fits(tmp_path_factory) -> dict:
+    """The fits document `sgkit fit` writes for the exact bundled config."""
+    workdir = tmp_path_factory.mktemp("bundled_fits")
+    assert main(["simulate", "--config", str(EXACT_CONFIG), "--out", str(workdir / "d.csv")]) == 0
+    assert main(["fit", "--data", str(workdir / "d.csv"), "--out", str(workdir / "f.json")]) == 0
+    return json.loads((workdir / "f.json").read_text())
+
+
+def json_paths(node, prefix=()):
+    """The path of every value inside a JSON document."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield (*prefix, key)
+        yield from json_paths(child, (*prefix, key))
+
+
+@st.composite
+def mutated_documents(draw, document):
+    """A copy of ``document`` with one to three values replaced or removed."""
+    document = json.loads(json.dumps(document))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(json_paths(document))
+        if not paths:
+            break
+        *parents, key = draw(st.sampled_from(paths))
+        container = document
+        for parent in parents:
+            container = container[parent]
+        if draw(st.booleans()):
+            container[key] = draw(REPLACEMENTS)
+        else:
+            del container[key]
+    return document
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_property_load_fits_accepts_or_raises_config_error(tmp_path_factory, bundled_fits, data):
+    path = tmp_path_factory.getbasetemp() / "mutated_fits.json"
+    path.write_text(json.dumps(data.draw(mutated_documents(bundled_fits))))
+    try:
+        fits, eta = sgkit.cli._load_fits(path)
+    except ConfigError:
+        return
+    assert np.isfinite(eta) and eta >= 0
+    for fit in fits:
+        assert np.isfinite(fit.coefficients.as_array()).all() and np.isfinite(fit.covariance).all()
+
+
 def test_fit_zero_eta_gives_zero_coefficients(tmp_path):
     config = write_config(tmp_path / "zero.json", eta=0.0, perturbation=[0.0] * 16)
     data, fits = tmp_path / "data.csv", tmp_path / "fits.json"
@@ -224,6 +274,30 @@ def test_fit_malformed_dataset_exit_2(tmp_path):
     data = tmp_path / "data.csv"
     data.write_text("not a dataset\n")
     assert main(["fit", "--data", str(data), "--out", str(tmp_path / "f.json")]) == 2
+
+
+@pytest.mark.parametrize(
+    "line", ["# eta=nan", "# eta=inf", "# eta=-0.001", "# strict_normalization=yes"]
+)
+def test_fit_bad_dataset_metadata_exit_2(tmp_path, capsys, line):
+    """Metadata that `sgkit fit` would copy into invalid JSON, or read as another
+    value than it says, is a format error."""
+    data, fits = tmp_path / "data.csv", tmp_path / "fits.json"
+    assert main(["simulate", "--config", str(EXACT_CONFIG), "--out", str(data)]) == 0
+    key = line.partition("=")[0]
+    edited = [line if old.startswith(key + "=") else old for old in data.read_text().splitlines()]
+    data.write_text("\n".join(edited) + "\n")
+    assert main(["fit", "--data", str(data), "--out", str(fits)]) == 2
+    assert key[2:] in one_error_line(capsys)
+    assert not fits.exists()
+
+
+def test_shots_beyond_the_sampler_range_exit_2(tmp_path, capsys):
+    """The binomial sampler takes a C long, so 2**63 shots is a config error."""
+    assert load_config(write_config(tmp_path / "max.json", shots=2 ** 63 - 1))[0].shots == 2 ** 63 - 1
+    config = write_config(tmp_path / "huge.json", shots=2 ** 63)
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 2
+    assert "'shots'" in one_error_line(capsys)
 
 
 def test_recover_roundtrip_exact(tmp_path):

@@ -2,21 +2,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgkit.experiment import (
+    Dataset,
+    DatasetMeta,
     ExperimentConfig,
     FormatError,
     InvalidGrid,
     MeasurementRecord,
+    MeasurementSetting,
     exact_dataset,
+    generate_dataset,
     make_grid,
     plan_settings,
     read_dataset,
     sampled_dataset,
     write_dataset,
 )
-from sgkit.instrument import exact_normalize, normalization_residual
+from sgkit.instrument import exact_normalize, residual_array
 from sgkit.linearize import (
+    ObservableSpec,
     Outcome,
     PerturbationParams,
     Protocol,
@@ -151,7 +158,7 @@ def test_strict_normalization_uses_normalized_instrument(rng):
     vec = rng.uniform(-1.0, 1.0, size=16)
     config = config_of(vec, 1e-2, strict_normalization=True, n_theta=2, n_phi=3)
     inst = exact_normalize(build_perturbed(config.perturbation))
-    assert normalization_residual(inst) <= 1e-12
+    assert residual_array(inst.as_array()) <= 1e-12
     dataset = exact_dataset(config)
     assert dataset.meta.strict_normalization
 
@@ -268,6 +275,97 @@ def test_read_rejects_record_off_the_metadata_grid(tmp_path):
     # line 7 has phi = 0, a node of both grids; line 8 has phi = 2pi/3, not one of 0, pi/2, pi, 3pi/2
     with pytest.raises(FormatError, match="^line 8: direction is not on the grid=2,4 metadata grid$"):
         read_dataset(path)
+
+
+@st.composite
+def datasets(draw):
+    """Any valid dataset: metadata, and distinct exact or sampled records on its grid."""
+    n_theta, n_phi = draw(st.integers(2, 4)), draw(st.integers(3, 5))
+    meta = DatasetMeta(
+        eta=draw(st.floats(min_value=0.0, allow_infinity=False)),
+        strict_normalization=draw(st.booleans()),
+        seed=draw(st.integers(0, 2 ** 64 - 1)),
+        n_theta=n_theta,
+        n_phi=n_phi,
+    )
+    pool = [
+        MeasurementSetting(ObservableSpec(protocol, outcome, m), direction)
+        for protocol in Protocol
+        for outcome in Outcome
+        for m in range(3)
+        for direction in make_grid(n_theta, n_phi)
+    ]
+    records = []
+    for setting in draw(st.lists(st.sampled_from(pool), unique=True, max_size=12)):
+        shots = draw(st.integers(0, 2 ** 62))
+        if shots == 0:
+            records.append(MeasurementRecord(setting, 0, 0, draw(st.floats(0.0, 1.0))))
+        else:
+            records.append(MeasurementRecord(setting, shots, draw(st.integers(0, shots)), None))
+    return Dataset(meta, records)
+
+
+@settings(deadline=None, max_examples=100)
+@given(datasets())
+def test_property_write_read_round_trip_is_lossless(tmp_path_factory, dataset):
+    path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+    write_dataset(dataset, path)
+    assert read_dataset(path) == dataset
+
+
+@pytest.fixture(scope="module")
+def bundled_lines(tmp_path_factory) -> list[list[str]]:
+    """The lines of a small exact and a small sampled dataset file."""
+    path = tmp_path_factory.mktemp("bundled") / "data.csv"
+    files = []
+    for shots in (0, 1000):
+        write_dataset(generate_dataset(config_of(ZERO + 0.1, 1e-2, n_theta=2, n_phi=3, shots=shots)), path)
+        files.append(path.read_text(encoding="utf-8").splitlines())
+    return files
+
+
+# Tokens a mutated field or metadata value takes, besides arbitrary text.
+EDGE_TOKENS = st.sampled_from([
+    "", "nan", "inf", "-inf", "-0", "-0.001", "1e400", "-1", "3", "0x10", "1_0", " 2", "9" * 40,
+    "yes", "true", "false", "up", "down", "single", "successive", "2,3", "#",
+])
+TOKENS = EDGE_TOKENS | st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+
+
+@st.composite
+def mutated_lines(draw, files):
+    """A dataset file's lines with one to three lines edited, dropped or repeated."""
+    lines = list(draw(st.sampled_from(files)))
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        action = draw(st.sampled_from(["field", "line", "drop", "repeat"]))
+        if action == "field":  # one comma-separated field, or a metadata value after '='
+            head, sep, value = lines[i].partition("=") if lines[i].startswith("#") else ("", "", lines[i])
+            fields = value.split(",")
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(TOKENS)
+            lines[i] = head + sep + ",".join(fields)
+        elif action == "line":
+            lines[i] = draw(TOKENS)
+        elif action == "drop":
+            del lines[i]
+        else:
+            lines.insert(i, lines[i])
+    return lines
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_property_read_dataset_parses_or_raises_format_error(tmp_path_factory, bundled_lines, data):
+    lines = data.draw(mutated_lines(bundled_lines))
+    path = tmp_path_factory.getbasetemp() / "mutated.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        dataset = read_dataset(path)
+    except FormatError:
+        return
+    assert math.isfinite(dataset.meta.eta) and dataset.meta.eta >= 0.0
 
 
 def test_record_validation():

@@ -5,24 +5,23 @@ import pytest
 
 from sgkit.instrument import (
     BlochState,
-    DegenerateKraus,
-    Effect,
     Instrument,
     KrausOperator,
     RotationSpec,
     SingularNormalization,
     UnnormalizedInstrument,
     cyclic_rotation,
-    effect_of,
+    effect_array,
+    effect_expectation,
     exact_normalize,
+    expectation_array,
     ideal_instrument,
     nonselective_apply,
-    normalization_residual,
-    probability,
-    raw_successive_probability,
+    residual_array,
+    rotate_array,
     rotate_instrument,
-    rotate_kraus,
     selective_apply,
+    successive_array,
 )
 
 from conftest import (
@@ -71,51 +70,48 @@ def test_real_vector_constructors_reject_non_finite():
     with pytest.raises(ValueError, match="finite"):
         BlochState((NAN, 0.0, 0.0))
     with pytest.raises(ValueError, match="finite"):
-        Effect(0.5, (0.0, INF, 0.0))
-    with pytest.raises(ValueError, match="finite"):
         RotationSpec((NAN, 0.0, 1.0), 0.0)
 
 
 # --- effects and normalization ------------------------------------------------
 
 
+PROJECTOR_UP = np.array([0.5, 0.0, 0.0, 0.5])  # (1 + sigma_z) / 2
+
+
 def test_effect_of_ideal_up_is_projector():
-    eff = effect_of(ideal_instrument().up)
-    assert eff.weight == pytest.approx(0.5, abs=1e-15)
-    assert np.allclose(eff.xi, E_Z, atol=1e-15)
+    assert np.allclose(effect_array(ideal_instrument().up.as_array()), PROJECTOR_UP, atol=1e-15)
 
 
 def test_effect_of_identity_kraus():
-    eff = effect_of(KrausOperator(1.0, np.zeros(3)))
-    assert eff.weight == pytest.approx(1.0)
-    assert np.allclose(eff.xi, 0.0)
+    assert np.allclose(effect_array(np.array([1.0, 0.0, 0.0, 0.0])), [1.0, 0.0, 0.0, 0.0])
 
 
 def test_effect_of_flip_branch():
     # A = |up><down| has beta = (1, i, 0)/2 and effect (1 + sigma_z)/2
-    eff = effect_of(KrausOperator(0.0, 0.5 * np.array([1.0, 1.0j, 0.0])))
-    assert eff.weight == pytest.approx(0.5, abs=1e-15)
-    assert np.allclose(eff.xi, E_Z, atol=1e-14)
+    flip = KrausOperator(0.0, 0.5 * np.array([1.0, 1.0j, 0.0]))
+    assert np.allclose(effect_array(flip.as_array()), PROJECTOR_UP, atol=1e-15)
 
 
 def test_effect_of_degenerate_branch():
-    with pytest.raises(DegenerateKraus):
-        effect_of(KrausOperator(0.0, np.zeros(3)))
+    """A zero branch has the zero effect; nothing divides by its weight."""
+    assert not effect_array(np.zeros(4, dtype=complex)).any()
 
 
 def test_effect_positivity_for_normalized_instruments(rng):
+    """Both eigenvalues f0 -+ |f| of a normalized instrument's effects lie in [0, 1]."""
     for _ in range(100):
         inst = random_instrument(rng)
         for branch in inst.branches:
             assert abs(branch.alpha) ** 2 + np.sum(np.abs(branch.beta) ** 2) <= 1 + 1e-9
-            eff = effect_of(branch)
-            spread = float(np.linalg.norm(eff.xi))
-            assert -1e-12 <= eff.weight * (1.0 - spread)
-            assert eff.weight * (1.0 + spread) <= 1.0 + 1e-12
+            f = effect_array(branch.as_array()).real
+            spread = float(np.linalg.norm(f[1:]))
+            assert -1e-12 <= f[0] - spread
+            assert f[0] + spread <= 1.0 + 1e-12
 
 
 def test_normalization_residual_ideal():
-    assert normalization_residual(ideal_instrument()) <= 1e-15
+    assert residual_array(ideal_instrument().as_array()) <= 1e-15
 
 
 def test_normalization_residual_scaled():
@@ -124,7 +120,7 @@ def test_normalization_residual_scaled():
         KrausOperator(1.1 * inst.up.alpha, 1.1 * inst.up.beta),
         KrausOperator(1.1 * inst.down.alpha, 1.1 * inst.down.beta),
     )
-    assert normalization_residual(scaled) == pytest.approx(0.21, abs=1e-12)
+    assert residual_array(scaled.as_array()) == pytest.approx(0.21, abs=1e-12)
 
 
 def test_normalization_residual_matches_matrix(rng):
@@ -132,7 +128,7 @@ def test_normalization_residual_matches_matrix(rng):
         inst = random_pair(rng)
         total = sum(kraus_mat(b) @ kraus_mat(b).conj().T for b in inst.branches)
         matrix_resid = np.max(np.abs(from_matrix(total - np.eye(2))))
-        assert normalization_residual(inst) == pytest.approx(matrix_resid, abs=1e-12)
+        assert residual_array(inst.as_array()) == pytest.approx(matrix_resid, abs=1e-12)
 
 
 # --- probabilities and state updates ------------------------------------------
@@ -140,8 +136,8 @@ def test_normalization_residual_matches_matrix(rng):
 
 def test_probability_ideal_examples():
     up = ideal_instrument().up
-    assert probability(up, BlochState(E_Z)) == pytest.approx(1.0, abs=1e-15)
-    assert probability(up, BlochState(E_X)) == pytest.approx(0.5, abs=1e-15)
+    assert effect_expectation(up, BlochState(E_Z)) == pytest.approx(1.0, abs=1e-15)
+    assert effect_expectation(up, BlochState(E_X)) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_probability_matches_matrix_trace(rng):
@@ -151,16 +147,15 @@ def test_probability_matches_matrix_trace(rng):
         for branch in inst.branches:
             a = kraus_mat(branch)
             expected = np.trace(state_mat(state) @ a @ a.conj().T).real
-            assert abs(probability(branch, state) - expected) < 1e-12
+            assert abs(effect_expectation(branch, state) - expected) < 1e-12
 
 
 def test_probability_completeness(rng):
     for _ in range(200):
         inst = random_instrument(rng)
         state = random_state(rng)
-        assert probability(inst.up, state) + probability(inst.down, state) == pytest.approx(
-            1.0, abs=1e-12
-        )
+        total = expectation_array(inst.as_array(), state.r).sum()
+        assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_selective_ideal_projection():
@@ -181,7 +176,7 @@ def test_selective_matches_matrix(rng):
         state = random_state(rng)
         for branch in inst.branches:
             prob, post = selective_apply(branch, state)
-            assert prob == pytest.approx(probability(branch, state), abs=1e-12)
+            assert prob == pytest.approx(effect_expectation(branch, state), abs=1e-12)
             if post is None:
                 continue
             a = kraus_mat(branch)
@@ -225,22 +220,26 @@ def test_nonselective_rejects_unnormalized(rng):
 # --- rotations ------------------------------------------------------------------
 
 
+def rotated(k, rot: RotationSpec) -> np.ndarray:
+    """The (4,) coefficients of the branch ``k`` after the device rotation ``rot``."""
+    return rotate_array(np.asarray(k, dtype=complex), rot.axis, rot.angle)
+
+
 def test_rotate_kraus_zero_angle(rng):
-    k = KrausOperator(0.3 + 0.1j, rng.normal(size=3) + 1j * rng.normal(size=3))
-    out = rotate_kraus(k, RotationSpec(E_Z, 0.0))
-    assert out.alpha == k.alpha
-    assert np.array_equal(out.beta, k.beta)
+    k = KrausOperator(0.3 + 0.1j, rng.normal(size=3) + 1j * rng.normal(size=3)).as_array()
+    assert np.array_equal(rotated(k, RotationSpec(E_Z, 0.0)), k)
 
 
 def test_rotate_kraus_cyclic_permutation():
     beta = np.array([0.1, 0.2, 0.3]) + 1j * np.array([-0.4, 0.5, 0.6])
-    out = rotate_kraus(KrausOperator(0.5, beta), cyclic_rotation(1))
-    assert np.max(np.abs(out.beta - beta[[2, 0, 1]])) < 1e-12
+    out = rotated([0.5, *beta], cyclic_rotation(1))
+    assert out[0] == 0.5
+    assert np.max(np.abs(out[1:] - beta[[2, 0, 1]])) < 1e-12
 
 
 def test_rotate_kraus_quarter_turn_about_z():
-    out = rotate_kraus(KrausOperator(0.0, E_X), RotationSpec(E_Z, math.pi / 2.0))
-    assert np.max(np.abs(out.beta - E_Y)) < 1e-12
+    out = rotated([0.0, *E_X], RotationSpec(E_Z, math.pi / 2.0))
+    assert np.max(np.abs(out[1:] - E_Y)) < 1e-12
 
 
 def test_rotate_kraus_agrees_with_conjugation(rng):
@@ -252,9 +251,7 @@ def test_rotate_kraus_agrees_with_conjugation(rng):
         rot = RotationSpec(random_unit(rng), rng.uniform(-2 * math.pi, 2 * math.pi))
         u = rotation_unitary(rot)
         expected = from_matrix(u.conj().T @ kraus_mat(k) @ u)
-        closed = rotate_kraus(k, rot)
-        assert abs(closed.alpha - expected[0]) < 1e-12
-        assert np.max(np.abs(closed.beta - expected[1:])) < 1e-12
+        assert np.max(np.abs(rotated(k.as_array(), rot) - expected)) < 1e-12
 
 
 def test_rotate_instrument_axis_aligned_symmetry(rng):
@@ -268,8 +265,8 @@ def test_rotate_instrument_preserves_residual(rng):
     for _ in range(50):
         inst = random_instrument(rng)
         rot = RotationSpec(random_unit(rng), rng.uniform(-2 * math.pi, 2 * math.pi))
-        before = normalization_residual(inst)
-        after = normalization_residual(rotate_instrument(inst, rot))
+        before = residual_array(inst.as_array())
+        after = residual_array(rotate_instrument(inst, rot).as_array())
         assert abs(before - after) < 1e-12
 
 
@@ -302,11 +299,12 @@ def test_rotation_covariance_at_probability_level(rng):
         state = random_state(rng)
         rot = RotationSpec(random_unit(rng), rng.uniform(-2 * math.pi, 2 * math.pi))
         u = rotation_unitary(rot)
-        rotated = BlochState(bloch_of(u @ state_mat(state) @ u.conj().T))
-        for branch in inst.branches:
-            assert probability(rotate_kraus(branch, rot), state) == pytest.approx(
-                probability(branch, rotated), abs=1e-12
-            )
+        counter_rotated = bloch_of(u @ state_mat(state) @ u.conj().T)
+        rotated_device = rotate_instrument(inst, rot).as_array()
+        assert np.max(np.abs(
+            expectation_array(rotated_device, state.r)
+            - expectation_array(inst.as_array(), counter_rotated)
+        )) < 1e-12
 
 
 # --- successive measurements ----------------------------------------------------
@@ -314,9 +312,8 @@ def test_rotation_covariance_at_probability_level(rng):
 
 def test_successive_ideal_repeatability():
     inst = ideal_instrument()
-    assert raw_successive_probability(inst, inst.up, BlochState(E_Z)) == pytest.approx(
-        1.0, abs=1e-15
-    )
+    branches = inst.as_array()
+    assert successive_array(branches, branches[0], E_Z) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_successive_ideal_preserves_kz(rng):
@@ -324,7 +321,7 @@ def test_successive_ideal_preserves_kz(rng):
     for _ in range(20):
         state = random_state(rng)
         expected = 0.5 * (1.0 + state.r[2])
-        assert raw_successive_probability(inst, inst.up, state) == pytest.approx(
+        assert successive_array(inst.as_array(), inst.up.as_array(), state.r) == pytest.approx(
             expected, abs=1e-14
         )
 
@@ -335,16 +332,16 @@ def test_successive_matches_matrix_pipeline(rng):
         inst = random_instrument(rng)
         state = random_state(rng)
         rot = RotationSpec(random_unit(rng), rng.uniform(0, 2 * math.pi))
-        second = rotate_kraus(inst.up, rot)
+        second = rotate_instrument(inst, rot).up
         rho1 = sum(
             kraus_mat(b).conj().T @ state_mat(state) @ kraus_mat(b) for b in inst.branches
         )
         b = kraus_mat(second)
         expected = np.trace(rho1 @ b @ b.conj().T).real / np.trace(rho1).real
-        assert raw_successive_probability(inst, second, state) == pytest.approx(
+        assert successive_array(inst.as_array(), second.as_array(), state.r) == pytest.approx(
             expected, abs=1e-12
         )
-        assert probability(second, nonselective_apply(inst, state)) == pytest.approx(
+        assert effect_expectation(second, nonselective_apply(inst, state)) == pytest.approx(
             expected, abs=1e-12
         )
 
@@ -358,7 +355,9 @@ def test_raw_successive_accepts_unnormalized(rng):
     second = inst.up
     b = kraus_mat(second)
     expected = np.trace(rho1 @ b @ b.conj().T).real
-    assert raw_successive_probability(inst, second, state) == pytest.approx(expected, abs=1e-12)
+    assert successive_array(inst.as_array(), second.as_array(), state.r) == pytest.approx(
+        expected, abs=1e-12
+    )
 
 
 # --- ideal instrument and normalization ------------------------------------------
@@ -366,11 +365,10 @@ def test_raw_successive_accepts_unnormalized(rng):
 
 def test_ideal_instrument_effects_are_projectors():
     inst = ideal_instrument()
-    up, down = effect_of(inst.up), effect_of(inst.down)
-    assert up.weight == pytest.approx(0.5) and np.allclose(up.xi, E_Z)
-    assert down.weight == pytest.approx(0.5) and np.allclose(down.xi, -E_Z)
-    assert normalization_residual(inst) == 0.0
-    assert probability(inst.up, BlochState(E_X)) == pytest.approx(0.5)
+    up, down = effect_array(inst.as_array()).real
+    assert np.allclose(up, [0.5, 0.0, 0.0, 0.5]) and np.allclose(down, [0.5, 0.0, 0.0, -0.5])
+    assert residual_array(inst.as_array()) == 0.0
+    assert effect_expectation(inst.up, BlochState(E_X)) == pytest.approx(0.5)
 
 
 def test_exact_normalize_identity_on_ideal():
@@ -393,7 +391,7 @@ def test_exact_normalize_undoes_scaling():
 def test_exact_normalize_random_pairs(rng):
     for _ in range(200):
         out = exact_normalize(random_pair(rng))
-        assert normalization_residual(out) <= 1e-12
+        assert residual_array(out.as_array()) <= 1e-12
 
 
 def test_exact_normalize_rejects_singular():
@@ -412,12 +410,11 @@ def test_gauge_phase_changes_nothing(rng):
         state = random_state(rng)
         phase = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
         twisted = KrausOperator(phase * inst.up.alpha, phase * inst.up.beta)
-        assert probability(twisted, state) == pytest.approx(
-            probability(inst.up, state), abs=1e-12
+        assert effect_expectation(twisted, state) == pytest.approx(
+            effect_expectation(inst.up, state), abs=1e-12
         )
-        eff_a, eff_b = effect_of(inst.up), effect_of(twisted)
-        assert eff_a.weight == pytest.approx(eff_b.weight, abs=1e-12)
-        assert np.max(np.abs(eff_a.xi - eff_b.xi)) < 1e-12
+        eff_a, eff_b = effect_array(inst.up.as_array()), effect_array(twisted.as_array())
+        assert np.max(np.abs(eff_a - eff_b)) < 1e-12
         _, post_a = selective_apply(inst.up, state)
         _, post_b = selective_apply(twisted, state)
         if post_a is not None:

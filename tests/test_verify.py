@@ -2,7 +2,8 @@
 
 A defect planted in an array form must fail the check that guards it, and
 every object-API function must equal its array form, evaluated one operand at
-a time or on the whole stacked batch.
+a time or on the whole stacked batch.  The checks themselves run at larger
+counts as acceptance criteria 1-6.
 """
 
 import math
@@ -13,14 +14,10 @@ import pytest
 from sgkit import instrument, linearize, verify
 from sgkit.instrument import (
     BlochState,
-    DegenerateKraus,
     Instrument,
-    KrausOperator,
     RotationSpec,
     SingularNormalization,
     UnnormalizedInstrument,
-    effect_array,
-    effect_of,
     effect_expectation,
     exact_normalize,
     exact_normalize_array,
@@ -28,15 +25,11 @@ from sgkit.instrument import (
     ideal_instrument,
     nonselective_apply,
     nonselective_array,
-    normalization_residual,
-    probability,
-    raw_successive_probability,
     residual_array,
     rotate_array,
-    rotate_kraus,
+    rotate_instrument,
     selective_apply,
     selective_array,
-    successive_array,
 )
 from sgkit.linearize import ObservableSpec, Outcome, Protocol
 from sgkit.pauli import pauli_mul_array
@@ -69,6 +62,14 @@ def test_dropped_sin_term_in_rotation_fails_conjugation_check(monkeypatch):
 
     monkeypatch.setattr(verify, "rotate_array", dropped)
     assert "rotation-closed-form-vs-conjugation" in failed_checks()
+
+
+def test_swapped_adjoint_in_nonselective_update_fails_matrix_oracle(monkeypatch):
+    """A rho A^dag instead of A^dag rho A.  The ideal instrument is Hermitian and
+    cannot tell the two apart; the oracle's random instruments can."""
+    # conjugated coefficients are those of A^dag, so this evaluates A rho A^dag
+    monkeypatch.setattr(verify, "nonselective_array", lambda inst, r: nonselective_array(inst.conj(), r))
+    assert "matrix-oracle-agreement" in failed_checks()
 
 
 def test_wrong_sign_of_q_fails_exact_normalization(monkeypatch):
@@ -127,30 +128,22 @@ def test_object_api_equals_array_forms(rng):
 
     batched = {
         "expectation": expectation_array(inst[:, 0], r),
-        "effect": effect_array(inst[:, 0]).real,
         "selective": selective_array(inst[:, 1], r),
         "nonselective": nonselective_array(inst, r),
-        "successive": successive_array(raw_arr, inst[:, 0], r),
-        "residual": residual_array(raw_arr),
         "normalized": exact_normalize_array(raw_arr),
-        "rotated": rotate_array(inst[:, 0], axes, angles),
+        "rotated": rotate_array(inst, axes[:, None], angles[:, None]),
     }
     for i in range(n):
         up, down, state = instruments[i].up, instruments[i].down, states[i]
         expected = effect_expectation(up, state)
         assert expected == expectation_array(up.as_array(), state.r) == batched["expectation"][i]
-        assert probability(up, state) == min(1.0, max(0.0, expected))
-        effect = effect_of(up)
-        assert effect.weight == batched["effect"][i, 0]
-        assert np.array_equal(effect.xi, batched["effect"][i, 1:] / batched["effect"][i, 0])
         prob, post = selective_apply(down, state)
         assert prob == batched["selective"][0][i]
         assert np.array_equal(post.r, batched["selective"][1][i])
         assert np.array_equal(nonselective_apply(instruments[i], state).r, batched["nonselective"][i])
-        assert raw_successive_probability(raw[i], up, state) == batched["successive"][i]
-        assert normalization_residual(raw[i]) == batched["residual"][i]
         assert np.array_equal(exact_normalize(raw[i]).as_array(), batched["normalized"][i])
-        assert np.array_equal(rotate_kraus(up, rotations[i]).as_array(), batched["rotated"][i])
+        rotated = rotate_instrument(instruments[i], rotations[i]).as_array()
+        assert np.array_equal(rotated, batched["rotated"][i])
 
 
 def test_array_forms_mark_what_the_object_api_refuses():
@@ -161,16 +154,11 @@ def test_array_forms_mark_what_the_object_api_refuses():
     prob, post = selective_array(ideal.up.as_array(), down.r)
     assert prob == 0.0 and np.isnan(post).all()
 
-    zero = KrausOperator(0.0, np.zeros(3))
-    with pytest.raises(DegenerateKraus):
-        effect_of(zero)
-    assert not effect_array(zero.as_array()).any()
-
     unnormalized = Instrument(ideal.up, ideal.up)
     state = BlochState((0.1, -0.2, 0.3))
     with pytest.raises(UnnormalizedInstrument):
         nonselective_apply(unnormalized, state)
-    assert residual_array(unnormalized.as_array()) == normalization_residual(unnormalized) > 0.5
+    assert residual_array(unnormalized.as_array()) > 0.5
 
     with pytest.raises(SingularNormalization):
         exact_normalize(unnormalized)
