@@ -21,7 +21,6 @@ import numpy as np
 # loads neither experiment nor estimate, and no other command loads verify.
 from .errors import RankDeficientFit
 from .linearize import (
-    AffineCoefficients,
     ObservableSpec,
     Outcome,
     PARAM_LABELS,
@@ -216,7 +215,7 @@ def cmd_fit(data_path, out_path) -> int:
         "fits": [
             {
                 "observable": _observable_dict(fit.observable),
-                "coefficients": fit.coefficients.as_array().tolist(),
+                "coefficients": fit.coefficients.tolist(),
                 "covariance": fit.covariance.tolist(),
                 "chi_square": fit.chi_square,
                 "degrees_of_freedom": fit.degrees_of_freedom,
@@ -224,10 +223,14 @@ def cmd_fit(data_path, out_path) -> int:
             for fit in fits
         ],
     }
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(document, fh, indent=1)
-        fh.write("\n")
+    _write_json(document, out_path)
     return 0
+
+
+def _write_json(document: dict, path) -> None:
+    """Write strict JSON: a non-finite number raises ValueError before the file is opened."""
+    text = json.dumps(document, indent=1, allow_nan=False) + "\n"
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def _load_fits(path) -> tuple[list[FitResult], float]:
@@ -260,8 +263,9 @@ def _load_fits(path) -> tuple[list[FitResult], float]:
         if not _is_number(chi_square) or chi_square < 0:
             raise ConfigError(f"{where}.chi_square must be a nonnegative number")
         dof = item.get("degrees_of_freedom")
-        if not isinstance(dof, int) or isinstance(dof, bool) or dof < 1:
-            raise ConfigError(f"{where}.degrees_of_freedom must be a positive integer")
+        # Beyond 2**53 a count is no longer an exact float, and beyond 2**1024 no float.
+        if not isinstance(dof, int) or isinstance(dof, bool) or not 1 <= dof <= 2 ** 53:
+            raise ConfigError(f"{where}.degrees_of_freedom must be an integer in 1..2**53")
         observable = _observable_from_dict(item.get("observable"), f"{where}.observable")
         if observable in first_index:
             raise ConfigError(
@@ -271,9 +275,7 @@ def _load_fits(path) -> tuple[list[FitResult], float]:
         fits.append(
             FitResult(
                 observable=observable,
-                coefficients=AffineCoefficients(
-                    *_numbers(item.get("coefficients"), (4,), f"{where}.coefficients")
-                ),
+                coefficients=_numbers(item.get("coefficients"), (4,), f"{where}.coefficients"),
                 covariance=_covariance(item.get("covariance"), f"{where}.covariance"),
                 chi_square=float(chi_square),
                 degrees_of_freedom=dof,
@@ -294,7 +296,8 @@ def _covariance(value, where: str) -> np.ndarray:
     return covariance
 
 
-def _recovery_report(fits, eta, constraints, residual_threshold):
+def _recovery_report(fits, eta, constraints, residual_threshold) -> dict:
+    """The recovery report as the JSON document that ``sgkit recover`` writes."""
     from .estimate import goodness_of_fit, recover_parameters
 
     if constraints == "paper":
@@ -307,9 +310,7 @@ def _recovery_report(fits, eta, constraints, residual_threshold):
         recovery_ok = result.chi_square <= FIT_CHI2_THRESHOLD * result.degrees_of_freedom
     else:
         recovery_ok = result.residual_norm <= residual_threshold
-    compatible = bool(quality.compatible and recovery_ok)
-    comparison = compare_with_paper()
-    document = {
+    return {
         "schema": RECOVERY_SCHEMA,
         "constraints": constraints,
         "eta": eta,
@@ -329,13 +330,13 @@ def _recovery_report(fits, eta, constraints, residual_threshold):
             "threshold": quality.threshold,
             "compatible": quality.compatible,
         },
-        "comparison": comparison.to_dict(),
-        "compatible": compatible,
+        "comparison": compare_with_paper(),
+        "compatible": bool(quality.compatible and recovery_ok),
     }
-    return document, result, quality, comparison, compatible
 
 
-def _report_text(document, result, quality, comparison) -> str:
+def _report_text(document: dict) -> str:
+    """The TXT report, rendered from the JSON document alone."""
     lines = [
         "parameter recovery report",
         f"constraint system: {document['constraints']}",
@@ -343,39 +344,42 @@ def _report_text(document, result, quality, comparison) -> str:
         "",
         "recovered parameters (minimum-norm):",
     ]
-    for label, value in zip(PARAM_LABELS, result.parameters):
+    for label, value in zip(document["parameter_labels"], document["parameters"]):
         lines.append(f"  {label:12s} {value: .6e}")
     lines.append("")
-    lines.append(f"rank: {result.rank} of 16")
-    lines.append(f"residual (probability scale): {result.residual_norm:.6e}")
-    if result.chi_square is not None:
+    lines.append(f"rank: {document['rank']} of 16")
+    lines.append(f"residual (probability scale): {document['residual_norm']:.6e}")
+    if document["recovery_chi_square"] is not None:
         lines.append(
-            f"recovery chi-square: {result.chi_square:.4g} over {result.degrees_of_freedom} dof"
+            f"recovery chi-square: {document['recovery_chi_square']:.4g}"
+            f" over {document['recovery_degrees_of_freedom']} dof"
         )
     lines.append("unidentifiable directions:")
-    for vec in result.nullspace_basis:
+    for vec in document["nullspace"]:
         lines.append(f"  {render_combination(vec, zero_tol=1e-8)}")
+    quality = document["fit_quality"]
     lines.append("")
-    lines.append(f"fit chi-square: {quality.chi_square:.4g} over {quality.degrees_of_freedom} dof")
-    lines.append(f"fit compatibility: {'yes' if quality.compatible else 'NO'}")
+    lines.append(f"fit chi-square: {quality['chi_square']:.4g} over {quality['degrees_of_freedom']} dof")
+    lines.append(f"fit compatibility: {'yes' if quality['compatible'] else 'NO'}")
     lines.append(f"overall compatibility: {'yes' if document['compatible'] else 'NO'}")
     lines.append("")
-    lines.append(comparison.to_text())
+    entries = document["comparison"]["entries"]
+    width = max(len(e["paper_equation"]) for e in entries)
+    lines.append("reference equation".ljust(width) + "  verdict               generated counterpart")
+    for e in entries:
+        lines.append(f"{e['paper_equation'].ljust(width)}  {e['verdict'].ljust(20)}  {e['generated_row']}")
+    for note in document["comparison"]["notes"]:
+        lines.append(f"note: {note}")
     return "\n".join(lines) + "\n"
 
 
 def cmd_recover(fits_path, out_path, constraints="derived", residual_threshold=DEFAULT_RESIDUAL_THRESHOLD) -> int:
     residual_threshold = _residual_threshold(residual_threshold, "option '--residual-threshold'")
     fits, eta = _load_fits(fits_path)
-    document, result, quality, comparison, compatible = _recovery_report(
-        fits, eta, constraints, residual_threshold
-    )
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(document, fh, indent=1)
-        fh.write("\n")
-    text_path = Path(out_path).with_suffix(".txt")
-    text_path.write_text(_report_text(document, result, quality, comparison), encoding="utf-8")
-    return 0 if compatible else 4
+    document = _recovery_report(fits, eta, constraints, residual_threshold)
+    _write_json(document, out_path)
+    Path(out_path).with_suffix(".txt").write_text(_report_text(document), encoding="utf-8")
+    return 0 if document["compatible"] else 4
 
 
 def cmd_verify() -> int:

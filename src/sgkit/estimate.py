@@ -14,42 +14,35 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficientFit
-from .linearize import (
-    AffineCoefficients,
-    LinearSystem,
-    ObservableSpec,
-    PARAM_LABELS,
-    ideal_probability,
-)
+from .linearize import LinearSystem, ObservableSpec, ideal_probability
 
 WEIGHT_CLAMP = 1e-6
 RANK_RTOL = 1e-10
-NULLSPACE_SKIP_TOL = 1e-8
+BASIS_SKIP_TOL = 1e-8
 EXACT_CHI2_TOL = 1e-10
-
-
-class InconsistentSystem(RuntimeError):
-    """Recovery residual exceeds the caller's threshold."""
 
 
 @dataclass(frozen=True)
 class FitResult:
     """Affine fit of one observable's deviations from the ideal model.
 
-    The covariance is the WLS estimate for counted data and a zero matrix
-    for exact records, which carry no sampling variance.
+    ``coefficients`` are (c0, c1, c2, c3) of c0 + c1*kx + c2*ky + c3*kz, a
+    read-only (4,) array.  The covariance is the WLS estimate for counted
+    data and a zero matrix for exact records, which carry no sampling
+    variance.
     """
 
     observable: ObservableSpec
-    coefficients: AffineCoefficients
+    coefficients: np.ndarray
     covariance: np.ndarray
     chi_square: float
     degrees_of_freedom: int
 
     def __post_init__(self):
-        cov = np.array(self.covariance, dtype=float).reshape(4, 4)
-        cov.setflags(write=False)
-        object.__setattr__(self, "covariance", cov)
+        for name, shape in (("coefficients", (4,)), ("covariance", (4, 4))):
+            value = np.array(getattr(self, name), dtype=float).reshape(shape)
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
         if self.degrees_of_freedom < 1:
             raise ValueError("fit needs at least one degree of freedom")
 
@@ -62,10 +55,10 @@ class FitResult:
 class RecoveryResult:
     """Minimum-norm recovery of the 16 parameters with identifiability data.
 
-    ``row_space_basis`` (rank x 16, orthonormal) spans the identifiable
-    parameter combinations; ``nullspace_basis`` spans the rest, in the basis
-    obtained by Gram-Schmidt on e_1, e_2, ... projected onto it, so that it
-    depends on the nullspace only and not on the SVD's choice of vectors.
+    ``row_space_basis`` (rank x 16) spans the identifiable parameter
+    combinations and ``nullspace_basis`` the rest.  Both are orthonormal and
+    canonical: Gram-Schmidt on e_1, e_2, ... projected onto the subspace, so
+    each depends on its subspace only and not on the SVD's choice of vectors.
     ``residual_norm`` is reported on the probability-deviation scale (the
     scaled-system residual multiplied back by eta) so it can be compared
     with statistical noise and truncation error.  ``chi_square`` is the
@@ -81,7 +74,6 @@ class RecoveryResult:
     covariance: np.ndarray | None
     chi_square: float | None
     degrees_of_freedom: int | None
-    column_labels: tuple[str, ...] = PARAM_LABELS
 
 
 def fit_affine(records) -> FitResult:
@@ -129,7 +121,7 @@ def fit_affine(records) -> FitResult:
     covariance = np.linalg.inv(design.T @ (weights[:, None] * design)) if sampled else np.zeros((4, 4))
     return FitResult(
         observable=observable,
-        coefficients=AffineCoefficients(*coeffs),
+        coefficients=coeffs,
         covariance=covariance,
         chi_square=chi_square,
         degrees_of_freedom=len(records) - 4,
@@ -150,13 +142,16 @@ def goodness_of_fit(fits, threshold: float = 3.0) -> GoodnessOfFit:
 
     Counted data is compatible when every fit has chi-square/dof below
     ``threshold``.  Exact records carry no noise, so their residual must
-    vanish outright (chi-square below EXACT_CHI2_TOL).
+    vanish outright (chi-square below EXACT_CHI2_TOL).  Raises ValueError
+    when the total chi-square overflows.
     """
     fits = list(fits)
     per_fit = tuple(
         (fit.observable.label(), fit.chi_square / fit.degrees_of_freedom) for fit in fits
     )
     chi_square = float(sum(fit.chi_square for fit in fits))
+    if not np.isfinite(chi_square):
+        raise ValueError("the total fit chi-square overflows")
     dof = int(sum(fit.degrees_of_freedom for fit in fits))
     compatible = all(
         fit.chi_square <= threshold * fit.degrees_of_freedom
@@ -172,7 +167,7 @@ def _canonical_basis(basis: np.ndarray) -> np.ndarray:
 
     The unit vectors e_1, e_2, ... are projected onto the span in order and
     Gram-Schmidt orthogonalized (twice, for rounding); projections whose
-    residual is below NULLSPACE_SKIP_TOL are skipped.  An SVD returns an
+    residual is below BASIS_SKIP_TOL are skipped.  An SVD returns an
     arbitrary rotation of a subspace with equal singular values; this basis
     moves only as much as the subspace does.  It is complete: a unit vector
     of the span orthogonal to the result would have every component below
@@ -183,28 +178,22 @@ def _canonical_basis(basis: np.ndarray) -> np.ndarray:
         for _ in range(2):
             v = v - out.T @ (out @ v)
         norm = float(np.linalg.norm(v))
-        if norm > NULLSPACE_SKIP_TOL:
+        if norm > BASIS_SKIP_TOL:
             out = np.vstack([out, v / norm])
     return out
 
 
-def recover_parameters(
-    fits,
-    system: LinearSystem,
-    eta: float,
-    max_residual: float | None = None,
-) -> RecoveryResult:
+def recover_parameters(fits, system: LinearSystem, eta: float) -> RecoveryResult:
     """Solve the stacked linear system for the 16 parameters.
 
     Fitted coefficients are divided by eta (recovered parameters come out
     O(1)); constraint rows keep rhs 0.  The solve is a rank-revealing SVD:
     singular values below 1e-10 of the largest are treated as zero, the
-    returned solution is minimum-norm and the nullspace basis orthonormal and
-    canonical.
+    returned solution is minimum-norm and the nullspace and row-space bases
+    orthonormal and canonical.
 
-    Raises InconsistentSystem when ``max_residual`` is given and the
-    residual (probability-deviation scale) exceeds it, and ValueError when
-    eta is so small that a fitted coefficient divided by it overflows.
+    Raises ValueError when eta is so small that a fitted coefficient divided
+    by it overflows, and when the recovery chi-square overflows.
     """
     fits = list(fits)
     by_observable = {fit.observable: fit for fit in fits}
@@ -223,7 +212,7 @@ def recover_parameters(
             fit = by_observable.get(obs)
             if fit is None:
                 raise ValueError(f"no fit supplied for {obs.label()}")
-            rhs[i] = factor * fit.coefficients.as_array()[j] / scale
+            rhs[i] = factor * fit.coefficients[j] / scale
             row_variance[i] = np.square(factor / scale) * fit.covariance[j, j]
     if not np.isfinite(rhs).all():
         raise ValueError(f"fitted coefficients divided by eta = {eta:g} overflow")
@@ -241,10 +230,13 @@ def recover_parameters(
     # for a tiny eta the residual is about c / eta and its squares would overflow.
     exponent = int(np.frexp(np.max(np.abs(residual_vec)))[1])
     unit_norm = np.linalg.norm(np.ldexp(residual_vec, -exponent))
-    residual_norm = float(unit_norm * np.ldexp(scale, exponent))
+    with np.errstate(over="ignore"):
+        residual_norm = float(unit_norm * np.ldexp(scale, exponent))
+    if not np.isfinite(residual_norm):
+        raise ValueError(f"the recovery residual times eta = {eta:g} overflows")
 
     nullspace = _canonical_basis(vt[rank:])
-    row_space = vt[:rank]
+    row_space = _canonical_basis(vt[:rank])
 
     covariance = None
     chi_square = None
@@ -265,13 +257,12 @@ def recover_parameters(
                 covariance_ik = by_observable[obs_i].covariance[j_i, j_k]
                 cov_rhs[i, k] = (f_i / scale) * (f_k / scale) * covariance_ik
         covariance = pseudo @ cov_rhs @ pseudo.T
-        chi_square = float(np.sum(residual_vec[data_rows] ** 2 / variances))
+        with np.errstate(over="ignore"):
+            chi_square = float(np.sum(residual_vec[data_rows] ** 2 / variances))
+        if not np.isfinite(chi_square):
+            raise ValueError("the recovery chi-square overflows")
         dof = int(np.sum(data_rows)) - rank
 
-    if max_residual is not None and residual_norm > max_residual:
-        raise InconsistentSystem(
-            f"recovery residual {residual_norm:.3e} exceeds threshold {max_residual:.3e}"
-        )
     return RecoveryResult(
         parameters=solution,
         rank=rank,

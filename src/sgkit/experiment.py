@@ -269,8 +269,8 @@ def _parse_meta(raw: dict[str, str]) -> DatasetMeta:
 def read_dataset(path) -> Dataset:
     """Parse a dataset file; FormatError names the offending line.
 
-    Every record must sit on the metadata's ``grid=`` nodes, and no setting
-    (observable and direction) may appear twice.
+    Every record must sit on the metadata's ``grid=`` nodes, no setting
+    (observable and direction) may appear twice, and shots lie below 2**63.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -306,6 +306,8 @@ def read_dataset(path) -> Dataset:
             outcome = Outcome(parts[2])
             direction = Direction(float(parts[3]), float(parts[4]))
             shots = int(parts[5])
+            if shots >= 2 ** 63:  # a config's bound; counts beyond float range break the fit
+                raise ValueError("shots must be below 2**63")
             successes = int(parts[6])
             probability = float(parts[7]) if parts[7] != "" else None
             record = MeasurementRecord(

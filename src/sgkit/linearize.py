@@ -138,21 +138,9 @@ class PerturbationParams:
 
 
 @dataclass(frozen=True)
-class AffineCoefficients:
-    """Coefficients of c0 + c1*kx + c2*ky + c3*kz over probe directions."""
-
-    c0: float
-    c1: float
-    c2: float
-    c3: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.c0, self.c1, self.c2, self.c3])
-
-
-@dataclass(frozen=True)
 class LinearSystem:
-    """Rows over the 16 parameters plus labels and per-row data hooks.
+    """Rows over the 16 parameters (columns in PARAM_LABELS order) plus row
+    labels and per-row data hooks.
 
     ``rhs_keys[i]`` is None for a constraint row, whose right-hand side is 0,
     or a tuple ``(observable, coefficient_index, scale)`` telling which fitted
@@ -161,13 +149,12 @@ class LinearSystem:
 
     rows: np.ndarray
     row_labels: tuple[str, ...]
-    column_labels: tuple[str, ...]
     rhs_keys: tuple[tuple[ObservableSpec, int, float] | None, ...]
 
     def __post_init__(self):
         rows = np.array(self.rows, dtype=float)
-        if rows.ndim != 2 or rows.shape[1] != len(self.column_labels):
-            raise ValueError("row width must match column labels")
+        if rows.ndim != 2 or rows.shape[1] != len(PARAM_LABELS):
+            raise ValueError("rows must have one column per parameter")
         if rows.shape[0] != len(self.row_labels):
             raise ValueError("row count must match row labels")
         if len(self.rhs_keys) != rows.shape[0]:
@@ -175,17 +162,15 @@ class LinearSystem:
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "row_labels", tuple(self.row_labels))
-        object.__setattr__(self, "column_labels", tuple(self.column_labels))
         object.__setattr__(self, "rhs_keys", tuple(self.rhs_keys))
 
 
-def build_perturbed(params: PerturbationParams, eta: float | None = None) -> Instrument:
+def build_perturbed(params: PerturbationParams) -> Instrument:
     """Instrument with alpha = 1/2 + eta*a, beta = +-e_z/2 + eta*b (no repair)."""
-    scale = params.eta if eta is None else float(eta)
     e_z = np.array([0.0, 0.0, 0.5])
     return Instrument(
-        KrausOperator(0.5 + scale * params.a_up, e_z + scale * params.b_up),
-        KrausOperator(0.5 + scale * params.a_down, -e_z + scale * params.b_down),
+        KrausOperator(0.5 + params.eta * params.a_up, e_z + params.eta * params.b_up),
+        KrausOperator(0.5 + params.eta * params.a_down, -e_z + params.eta * params.b_down),
     )
 
 
@@ -229,9 +214,10 @@ def _finite(inst: np.ndarray) -> np.ndarray:
 
 
 def perturbed_probabilities(params: PerturbationParams, obs: ObservableSpec, k, etas) -> np.ndarray:
-    """The model probability of ``obs`` at ``k`` for ``build_perturbed(params, eta)``
-    at every eta, in one pass of the array forms over the stacked (n, 2, 4)
-    instruments: bit for bit ``model_probability`` per eta, ValueErrors included."""
+    """The model probability of ``obs`` at ``k`` for ``build_perturbed(params)``
+    with its eta replaced by each of ``etas`` (negative ones too), in one pass
+    of the array forms over the stacked (n, 2, 4) instruments: bit for bit
+    ``model_probability`` per eta, ValueErrors included."""
     scale = np.asarray(etas, dtype=float)[:, None, None]
     perturbation = np.array([[params.a_up, *params.b_up], [params.a_down, *params.b_down]])
     inst = _finite(_IDEAL + scale * perturbation)
@@ -267,9 +253,12 @@ def linear_response(
     return float(coeffs[1])
 
 
-def affine_coefficients(params: PerturbationParams, obs: ObservableSpec) -> AffineCoefficients:
-    """First-order response as an affine function of the probe direction."""
-    return AffineCoefficients(*(_RESPONSE_BLOCKS[obs] @ params.to_vector()))
+def affine_coefficients(params: PerturbationParams, obs: ObservableSpec) -> np.ndarray:
+    """First-order response c0 + c1*kx + c2*ky + c3*kz over probe directions,
+    as the read-only (4,) array (c0, c1, c2, c3)."""
+    coefficients = _RESPONSE_BLOCKS[obs] @ params.to_vector()
+    coefficients.setflags(write=False)
+    return coefficients
 
 
 def default_observables() -> tuple[ObservableSpec, ...]:
@@ -385,7 +374,7 @@ def design_matrix(observables) -> LinearSystem:
             rows.append(up[j] + down[j])
             labels.append(f"norm/m{m}:{COEFF_LABELS[j]}")
             keys.append(None)
-    return LinearSystem(np.array(rows), tuple(labels), PARAM_LABELS, tuple(keys))
+    return LinearSystem(np.array(rows), tuple(labels), tuple(keys))
 
 
 def gauge_directions() -> tuple[np.ndarray, np.ndarray]:
@@ -507,7 +496,7 @@ def transcribed_system() -> LinearSystem:
     rows = np.array([eq.lhs for eq in eqs])
     labels = tuple(eq.text for eq in eqs)
     keys = tuple(eq.rhs_key for eq in eqs)
-    return LinearSystem(rows, labels, PARAM_LABELS, keys)
+    return LinearSystem(rows, labels, keys)
 
 
 def _round_clean(value: float) -> float:
@@ -535,60 +524,29 @@ def render_combination(vec, zero_tol: float = 1e-9) -> str:
     return text
 
 
-@dataclass(frozen=True)
-class ComparisonEntry:
-    group: str
-    reference: str
-    generated: str
-    verdict: str
+# A coefficient at or below this is zero when equations are compared.
+_ZERO_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    entries: tuple[ComparisonEntry, ...]
-    notes: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "entries": [
-                {
-                    "group": e.group,
-                    "paper_equation": e.reference,
-                    "generated_row": e.generated,
-                    "verdict": e.verdict,
-                }
-                for e in self.entries
-            ],
-            "notes": list(self.notes),
-        }
-
-    def to_text(self) -> str:
-        width = max(len(e.reference) for e in self.entries)
-        lines = ["reference equation".ljust(width) + "  verdict               generated counterpart"]
-        for e in self.entries:
-            lines.append(f"{e.reference.ljust(width)}  {e.verdict.ljust(20)}  {e.generated}")
-        for note in self.notes:
-            lines.append(f"note: {note}")
-        return "\n".join(lines)
-
-
-def _verdict(lhs: np.ndarray, generated: np.ndarray, tol: float = 1e-9) -> str:
-    if np.allclose(lhs, generated, atol=tol):
+def _verdict(lhs: np.ndarray, generated: np.ndarray) -> str:
+    if np.allclose(lhs, generated, atol=_ZERO_TOL):
         return "Confirmed"
-    support_l = np.abs(lhs) > tol
-    support_g = np.abs(generated) > tol
+    support_l = np.abs(lhs) > _ZERO_TOL
+    support_g = np.abs(generated) > _ZERO_TOL
     if np.array_equal(support_l, support_g) and np.allclose(
-        np.abs(lhs), np.abs(generated), atol=tol
+        np.abs(lhs), np.abs(generated), atol=_ZERO_TOL
     ):
         return "SignDiscrepancy"
     return "StructureDiscrepancy"
 
 
-def compare_with_paper() -> ComparisonReport:
+def compare_with_paper() -> dict:
     """Match the transcribed reference equations against the generated system.
 
-    Every reference equation gets a verdict (Confirmed, SignDiscrepancy or
-    StructureDiscrepancy) together with the generated counterpart row.
+    Returns the recovery report's ``comparison`` section: ``entries``, one
+    per reference equation with its ``group``, the ``paper_equation``, the
+    ``generated_row`` counterpart and a ``verdict`` (Confirmed,
+    SignDiscrepancy or StructureDiscrepancy), and a list of ``notes``.
     """
     system = design_matrix(default_observables())
     by_key = {key[:2]: row for row, key in zip(system.rows, system.rhs_keys) if key}
@@ -600,10 +558,10 @@ def compare_with_paper() -> ComparisonReport:
     entries = []
     for eq in reference_equations():
         if eq.rhs_key is None:
-            support = np.abs(eq.lhs) > 1e-9
+            support = np.abs(eq.lhs) > _ZERO_TOL
             scores = [
-                int(np.sum(support & (np.abs(row) > 1e-9)))
-                - int(np.sum(support ^ (np.abs(row) > 1e-9)))
+                int(np.sum(support & (np.abs(row) > _ZERO_TOL)))
+                - int(np.sum(support ^ (np.abs(row) > _ZERO_TOL)))
                 for _, row in norm_rows
             ]
             label, row = norm_rows[int(np.argmax(scores))]
@@ -618,12 +576,14 @@ def compare_with_paper() -> ComparisonReport:
                 rhs_text = f"{scale:g}*{rhs_text}"
             generated_text = f"{render_combination(claim)} = {rhs_text}"
             verdict = _verdict(eq.lhs, claim)
-        entries.append(ComparisonEntry(eq.group, eq.text, generated_text, verdict))
-    notes = (
+        entries.append(
+            dict(group=eq.group, paper_equation=eq.text, generated_row=generated_text, verdict=verdict)
+        )
+    notes = [
         "post-measurement states are computed by operator conjugation; the "
         "printed coefficient expansion of the non-selective update drops the "
         "(k.b*)b + (k.b)b* terms and is not used",
         "the generated single-protocol responses attach the published "
         "parameter combinations to angular terms shifted by one cyclic step",
-    )
-    return ComparisonReport(tuple(entries), notes)
+    ]
+    return {"entries": entries, "notes": notes}

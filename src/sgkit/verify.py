@@ -247,7 +247,7 @@ def check_linearization_ratio(n: int = 10) -> None:
         obs = observables[i % len(observables)]
         k = rng.normal(size=3)
         k /= np.linalg.norm(k)
-        delta = affine_coefficients(params, obs).as_array() @ np.array([1.0, *k])
+        delta = affine_coefficients(params, obs) @ np.array([1.0, *k])
         f0, *f = perturbed_probabilities(params, obs, k, (0.0, *etas))
         errors = [abs(fe - f0 - eta * delta) for eta, fe in zip(etas, f)]
         if errors[0] > 1e-13:
@@ -275,7 +275,7 @@ def check_node_independence() -> None:
                 obs = ObservableSpec(protocol, outcome, m)
                 k = rng.normal(size=3)
                 k /= np.linalg.norm(k)
-                closed = affine_coefficients(params, obs).as_array() @ np.array([1.0, *k])
+                closed = affine_coefficients(params, obs) @ np.array([1.0, *k])
                 assert abs(closed - linear_response(params, obs, k)) < 1e-12, obs.label()
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -11,8 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sgkit.cli
-from sgkit.cli import ConfigError, load_config, main
-from sgkit.estimate import InconsistentSystem
+from sgkit.cli import ConfigError, _report_text, load_config, main
 
 REPO = Path(__file__).resolve().parent.parent
 EXACT_CONFIG = REPO / "configs" / "exact.json"
@@ -171,12 +172,22 @@ def test_property_load_config_accepts_or_raises_config_error(tmp_path_factory, c
 
 
 @pytest.fixture(scope="module")
-def bundled_fits(tmp_path_factory) -> dict:
+def bundled_outputs(tmp_path_factory) -> dict:
+    """The dataset and the fits file of each bundled config, by config stem."""
+    workdir = tmp_path_factory.mktemp("bundled_outputs")
+    outputs = {}
+    for config in (EXACT_CONFIG, SAMPLED_CONFIG):
+        data, fits = workdir / f"{config.stem}.csv", workdir / f"{config.stem}.fits.json"
+        assert main(["simulate", "--config", str(config), "--out", str(data)]) == 0
+        assert main(["fit", "--data", str(data), "--out", str(fits)]) == 0
+        outputs[config.stem] = {"data": data, "fits": fits}
+    return outputs
+
+
+@pytest.fixture(scope="module")
+def bundled_fits(bundled_outputs) -> dict:
     """The fits document `sgkit fit` writes for the exact bundled config."""
-    workdir = tmp_path_factory.mktemp("bundled_fits")
-    assert main(["simulate", "--config", str(EXACT_CONFIG), "--out", str(workdir / "d.csv")]) == 0
-    assert main(["fit", "--data", str(workdir / "d.csv"), "--out", str(workdir / "f.json")]) == 0
-    return json.loads((workdir / "f.json").read_text())
+    return json.loads(bundled_outputs["exact"]["fits"].read_text())
 
 
 def json_paths(node, prefix=()):
@@ -217,7 +228,7 @@ def test_property_load_fits_accepts_or_raises_config_error(tmp_path_factory, bun
         return
     assert np.isfinite(eta) and eta >= 0
     for fit in fits:
-        assert np.isfinite(fit.coefficients.as_array()).all() and np.isfinite(fit.covariance).all()
+        assert np.isfinite(fit.coefficients).all() and np.isfinite(fit.covariance).all()
 
 
 def test_fit_zero_eta_gives_zero_coefficients(tmp_path):
@@ -255,7 +266,7 @@ def test_fit_matches_linear_model(tmp_path):
             Outcome(fit["observable"]["outcome"]),
             fit["observable"]["m"],
         )
-        predicted = eta * affine_coefficients(truth, obs).as_array()
+        predicted = eta * affine_coefficients(truth, obs)
         assert np.max(np.abs(np.array(fit["coefficients"]) - predicted)) <= 10 * eta * eta
 
 
@@ -438,6 +449,160 @@ def test_recover_paper_constraints(tmp_path):
     assert "SignDiscrepancy" in verdicts and "StructureDiscrepancy" in verdicts
 
 
+@pytest.mark.parametrize("constraints", ["derived", "paper"])
+@pytest.mark.parametrize("config", ["exact", "sampled"])
+def test_txt_report_is_rendered_from_the_json(tmp_path, bundled_outputs, config, constraints):
+    report = tmp_path / "r.json"
+    fits = bundled_outputs[config]["fits"]
+    assert main(["recover", "--fits", str(fits), "--out", str(report), "--constraints", constraints]) in (0, 4)
+    text = report.with_suffix(".txt").read_text()
+    assert text == _report_text(json.loads(report.read_text()))
+    assert "Confirmed" in text and "SignDiscrepancy" in text
+
+
+def strict_json(text: str):
+    """JSON that may not contain NaN or Infinity."""
+
+    def reject(constant):
+        raise AssertionError(f"non-finite number {constant} in a written file")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def _huge_degrees_of_freedom(document):
+    document["fits"][0]["degrees_of_freedom"] = 10 ** 400
+
+
+def _huge_chi_squares(document):
+    for fit in document["fits"][:2]:
+        fit["chi_square"] = 1.5e308
+
+
+def _subnormal_covariances(document):
+    for fit in document["fits"]:
+        fit["covariance"] = np.diag([5e-324] * 4).tolist()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_huge_degrees_of_freedom, "fits[0].degrees_of_freedom"),
+        (_huge_chi_squares, "fit chi-square overflows"),
+        (_subnormal_covariances, "recovery chi-square overflows"),
+    ],
+)
+def test_recover_overflowing_fits_exit_2(tmp_path, capsys, bundled_outputs, edit, message):
+    """Fits that parse but overflow a chi-square exit 2 with one line and write no report."""
+    document = json.loads(bundled_outputs["sampled"]["fits"].read_text())
+    edit(document)
+    fits, report = tmp_path / "f.json", tmp_path / "r.json"
+    fits.write_text(json.dumps(document))
+    assert main(["recover", "--fits", str(fits), "--out", str(report)]) == 2
+    assert message in one_error_line(capsys)
+    assert not report.exists() and not report.with_suffix(".txt").exists()
+
+
+def test_fit_shots_beyond_float_range_exit_2(tmp_path, capsys, bundled_outputs):
+    """A count that overflows the fit's weights is a format error naming its line."""
+    lines = bundled_outputs["sampled"]["data"].read_text().splitlines()
+    line = next(i for i, text in enumerate(lines) if not text.startswith("#")) + 1
+    parts = lines[line].split(",")
+    parts[5:7] = [str(10 ** 400), str(10 ** 399)]
+    lines[line] = ",".join(parts)
+    data, fits = tmp_path / "d.csv", tmp_path / "f.json"
+    data.write_text("\n".join(lines) + "\n")
+    assert main(["fit", "--data", str(data), "--out", str(fits)]) == 2
+    assert f"line {line + 1}: shots" in one_error_line(capsys)
+    assert not fits.exists()
+
+
+def run_main(*args) -> tuple[int, list[str]]:
+    """``main(ARGS)`` with its stderr lines, for tests that cannot take ``capsys``."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        status = main([str(arg) for arg in args])
+    return status, stderr.getvalue().splitlines()
+
+
+@pytest.fixture(scope="module")
+def small_dataset_lines(tmp_path_factory) -> list[str]:
+    """A sampled dataset on the smallest grid, 6 records per observable."""
+    workdir = tmp_path_factory.mktemp("small_dataset")
+    config = write_config(workdir / "c.json", grid={"n_theta": 2, "n_phi": 3}, shots=1000)
+    assert main(["simulate", "--config", str(config), "--out", str(workdir / "d.csv")]) == 0
+    return (workdir / "d.csv").read_text().splitlines()
+
+
+COUNTS = st.one_of(st.sampled_from([0, 1, 2 ** 63 - 1, 2 ** 63, 10 ** 400]), st.integers(0, 10 ** 400))
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_property_fit_runs_past_the_parser(tmp_path_factory, small_dataset_lines, data):
+    """`sgkit fit` on records with mutated shots, successes and probability fits,
+    or exits 2 or 3 with one line; a fits file it writes is strict JSON."""
+    lines = list(small_dataset_lines)
+    first = next(i for i, text in enumerate(lines) if not text.startswith("#")) + 1
+    for _ in range(data.draw(st.integers(1, 3))):
+        line = data.draw(st.integers(first, len(lines) - 1))
+        parts = lines[line].split(",")
+        parts[data.draw(st.sampled_from([5, 6, 7]))] = str(data.draw(COUNTS))
+        lines[line] = ",".join(parts)
+    workdir = tmp_path_factory.getbasetemp()
+    dataset, fits = workdir / "fuzzed.csv", workdir / "fuzzed_fits.json"
+    dataset.write_text("\n".join(lines) + "\n")
+    fits.unlink(missing_ok=True)
+    status, err = run_main("fit", "--data", dataset, "--out", fits)
+    assert status in (0, 2, 3), err
+    assert len(err) == (status != 0), err
+    assert fits.exists() == (status == 0)
+    if status == 0:
+        strict_json(fits.read_text())
+
+
+MAGNITUDES = st.one_of(
+    st.sampled_from([1e-320, 1e308]),
+    st.builds(lambda mantissa, exponent: mantissa * 10.0 ** exponent, st.floats(1.0, 9.0), st.integers(-320, 307)),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_property_recover_runs_past_the_parser(tmp_path_factory, bundled_outputs, data):
+    """`sgkit recover` on fits with mutated chi-squares, degrees of freedom,
+    covariance diagonals, coefficients and eta exits 0, 2 or 4 with at most one
+    stderr line, and a report it writes is strict JSON."""
+    document = json.loads(bundled_outputs["sampled"]["fits"].read_text())
+    for _ in range(data.draw(st.integers(1, 3))):
+        key = data.draw(st.sampled_from(["chi_square", "degrees_of_freedom", "covariance", "coefficients", "eta"]))
+        if key == "eta":
+            document["eta"] = data.draw(MAGNITUDES)
+            continue
+        every = data.draw(st.booleans())
+        chosen = document["fits"] if every else [data.draw(st.sampled_from(document["fits"]))]
+        if key == "degrees_of_freedom":
+            value = data.draw(st.integers(1, 10 ** 400))
+        else:
+            value = data.draw(MAGNITUDES)
+        for fit in chosen:
+            if key == "covariance":
+                fit["covariance"] = np.diag([value] * 4).tolist()
+            elif key == "coefficients":
+                fit["coefficients"][data.draw(st.integers(0, 3))] = data.draw(st.sampled_from([1, -1])) * value
+            else:
+                fit[key] = value
+    workdir = tmp_path_factory.getbasetemp()
+    fits, report = workdir / "fuzzed.fits.json", workdir / "fuzzed_report.json"
+    fits.write_text(json.dumps(document))
+    report.unlink(missing_ok=True)
+    status, err = run_main("recover", "--fits", fits, "--out", report)
+    assert status in (0, 2, 4), err
+    assert len(err) <= 1, err
+    assert report.exists() == (status != 2)
+    if report.exists():
+        strict_json(report.read_text())
+
+
 def test_verify_passes(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
@@ -463,7 +628,7 @@ def test_simulate_unwritable_output_exit_1(tmp_path):
     assert main(["simulate", "--config", str(EXACT_CONFIG), "--out", str(out)]) == 1
 
 
-@pytest.mark.parametrize("error", [KeyError("fits"), InconsistentSystem("residual too large")])
+@pytest.mark.parametrize("error", [KeyError("fits"), ZeroDivisionError("division by zero")])
 def test_unexpected_exception_exit_6(monkeypatch, capsys, error):
     """An exception no input check anticipated is a defect: one line naming it, exit 6."""
 
