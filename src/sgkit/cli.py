@@ -7,7 +7,14 @@ error (a defect, reported in one line that names the exception type).
 
 from __future__ import annotations
 
+import os
+
+# Set before numpy loads OpenBLAS: sgkit's largest BLAS operand, one observable's
+# (n_theta*n_phi)x4 least squares (128x4 on 8x16), is too small to share out.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
+import gc
 import json
 import math
 import sys
@@ -475,5 +482,12 @@ def main(argv=None) -> int:
         return 6
 
 
+def run() -> int:
+    """``main()`` for a process about to exit; its heap, freed anyway, skips the final collection."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

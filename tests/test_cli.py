@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -80,13 +81,21 @@ def test_non_finite_config_value_exit_2(tmp_path, capsys, key, value):
     assert f"'{key}'" in one_error_line(capsys)
 
 
+def sgkit_env(**overrides) -> dict:
+    """This process's environment with ``src`` first on PYTHONPATH and
+    OPENBLAS_NUM_THREADS unset, since importing ``sgkit.cli`` here has set it."""
+    env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    env.update(overrides)
+    return env
+
+
 def run_sgkit(*args) -> subprocess.CompletedProcess:
     """``python -m sgkit ARGS`` in a fresh interpreter, so stderr is exactly what a user sees."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "sgkit", *map(str, args)],
-        capture_output=True, text=True, env=env, stdin=subprocess.DEVNULL, timeout=120,
+        capture_output=True, text=True, env=sgkit_env(), stdin=subprocess.DEVNULL, timeout=120,
     )
 
 
@@ -661,11 +670,9 @@ def test_roundtrip_subnormal_eta_exit_2(tmp_path, capsys):
 
 def imported_sgkit_modules(*args) -> set[str]:
     """The sgkit modules a fresh ``python -X importtime ARGS`` imports, read from its log."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", *map(str, args)],
-        capture_output=True, text=True, env=env, stdin=subprocess.DEVNULL, timeout=120,
+        capture_output=True, text=True, env=sgkit_env(), stdin=subprocess.DEVNULL, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     names = {
@@ -688,27 +695,36 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
     assert "sgkit.verify" not in roundtrip, roundtrip
 
 
-def test_console_script_installed(tmp_path):
-    """The command pyproject.toml declares runs ``simulate``, from the tree alone.
-
-    The declared target is run the way the generated wrapper runs it, and so is
-    ``python -m sgkit``. A program of the declared name on PATH must write the
-    same bytes, so a foreign tool of that name fails the test.
-    """
+def declared_script() -> tuple[str, str]:
+    """The (name, target) of the one console script pyproject.toml declares."""
     tomllib = pytest.importorskip("tomllib")
     scripts = tomllib.loads((REPO / "pyproject.toml").read_text())["project"]["scripts"]
     ((name, target),) = scripts.items()
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    return name, target
+
+
+def launcher_commands() -> dict[str, list[str]]:
+    """Each way to start the command: the declared target run the way the
+    generated wrapper runs it, ``python -m sgkit`` and ``python -m sgkit.cli``."""
+    name, target = declared_script()
     wrapper = (
         "import sys; from importlib.metadata import EntryPoint; "
         f"sys.exit(EntryPoint({name!r}, {target!r}, 'console_scripts').load()())"
     )
-    launchers = {
+    return {
         "entry point": [sys.executable, "-c", wrapper],
         "python -m sgkit": [sys.executable, "-m", "sgkit"],
+        "python -m sgkit.cli": [sys.executable, "-m", "sgkit.cli"],
     }
-    exe = shutil.which(name)
+
+
+def test_console_script_installed(tmp_path):
+    """Every launcher runs ``simulate`` from the tree alone and writes the same
+    bytes. A program of the declared name on PATH must too, so a foreign tool
+    of that name fails the test.
+    """
+    launchers = launcher_commands()
+    exe = shutil.which(declared_script()[0])
     if exe is not None:
         launchers[exe] = [exe]
     outputs = {}
@@ -716,7 +732,7 @@ def test_console_script_installed(tmp_path):
         out = tmp_path / f"d{len(outputs)}.csv"
         proc = subprocess.run(
             [*command, "simulate", "--config", str(EXACT_CONFIG), "--out", str(out)],
-            capture_output=True, text=True, env=env, stdin=subprocess.DEVNULL, timeout=120,
+            capture_output=True, text=True, env=sgkit_env(), stdin=subprocess.DEVNULL, timeout=120,
         )
         assert proc.returncode == 0, f"{label}: {proc.stderr.strip()}"
         outputs[label] = out.read_bytes()
@@ -724,3 +740,77 @@ def test_console_script_installed(tmp_path):
     assert first
     for label, data in outputs.items():
         assert data == first, f"{label} wrote different bytes"
+
+
+@pytest.mark.parametrize("launcher", ["entry point", "python -m sgkit", "python -m sgkit.cli"])
+def test_launcher_roundtrip_and_config_error(tmp_path, launcher):
+    """Each launcher's round trip exits 0 and removes its temporary files; a
+    missing config exits 2 with one error line."""
+    command = launcher_commands()[launcher]
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env = sgkit_env(TMPDIR=str(tmpdir))
+
+    def launch(*args):
+        return subprocess.run(
+            [*command, *map(str, args)],
+            capture_output=True, text=True, env=env, stdin=subprocess.DEVNULL, timeout=120,
+        )
+
+    proc = launch("roundtrip", "--config", EXACT_CONFIG, "--out", tmp_path / "r.json")
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "r.json").is_file() and not list(tmpdir.iterdir())
+    proc = launch("roundtrip", "--config", tmp_path / "nope.json", "--out", tmp_path / "x.json")
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_cli_import_sets_one_blas_thread(preset, expected):
+    """``import sgkit.cli`` before numpy leaves OpenBLAS without a worker thread,
+    unless the user set OPENBLAS_NUM_THREADS."""
+    env = sgkit_env() if preset is None else sgkit_env(OPENBLAS_NUM_THREADS=preset)
+    code = (
+        "import os, sgkit.cli, numpy; "
+        "task = '/proc/self/task'; "
+        "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir(task)) if os.path.isdir(task) else -1)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, stdin=subprocess.DEVNULL, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    value, threads = proc.stdout.split()
+    assert value == expected
+    if preset is None and threads != "-1":
+        assert threads == "1"
+
+
+FREEZE_PROBE = """
+import gc, runpy, sys
+from importlib.metadata import EntryPoint
+launcher, target = sys.argv[1:]
+sys.argv = ["sgkit", "simulate", "--config", "missing.json", "--out", "x.csv"]
+try:
+    if launcher == "entry point":
+        code = EntryPoint("sgkit", target, "console_scripts").load()()
+    else:
+        runpy.run_module(launcher, run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(code, gc.get_freeze_count() > 0)
+"""
+
+
+@pytest.mark.parametrize("launcher", ["entry point", "sgkit", "sgkit.cli"])
+def test_launchers_freeze_the_heap_before_exit(tmp_path, launcher):
+    """Each launcher ends in ``run()``, which freezes the heap out of the final
+    collection; ``main()``, which the tests call in process, freezes nothing."""
+    proc = subprocess.run(
+        [sys.executable, "-c", FREEZE_PROBE, launcher, declared_script()[1]],
+        capture_output=True, text=True, env=sgkit_env(), stdin=subprocess.DEVNULL, timeout=120,
+    )
+    assert proc.stdout.split() == ["2", "True"], proc.stderr
+    assert main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x.csv")]) == 2
+    assert gc.get_freeze_count() == 0

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sgkit.instrument import (
+    NORMALIZATION_TOL,
     BlochState,
     Instrument,
     KrausOperator,
@@ -14,6 +18,7 @@ from sgkit.instrument import (
     effect_array,
     effect_expectation,
     exact_normalize,
+    exact_normalize_array,
     expectation_array,
     ideal_instrument,
     nonselective_apply,
@@ -399,6 +404,44 @@ def test_exact_normalize_rejects_singular():
         exact_normalize(
             Instrument(KrausOperator(0.0, np.zeros(3)), KrausOperator(0.0, np.zeros(3)))
         )
+
+
+def instrument_stacks(max_magnitude=None):
+    """(n, 2, 4) complex instrument stacks with finite entries."""
+    elements = st.complex_numbers(max_magnitude=max_magnitude, allow_nan=False, allow_infinity=False)
+    return arrays(complex, st.tuples(st.integers(1, 4), st.just(2), st.just(4)), elements=elements)
+
+
+def branch_sum_eigenvalues(inst: np.ndarray):
+    """(lam_lo, lam_hi) = s0 -+ |v| of the branch sums S = s0 + v . sigma."""
+    s = effect_array(inst).sum(axis=-2).real
+    vnorm = np.linalg.norm(s[..., 1:], axis=-1)
+    return s[..., 0] - vnorm, s[..., 0] + vnorm
+
+
+@settings(deadline=None, max_examples=300)
+@given(instrument_stacks())
+def test_property_exact_normalize_completes_or_raises(inst):
+    """Any finite input is renormalized to completeness or refused, under the
+    overflow-silencing errstate its production caller (``experiment``) uses."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            out = exact_normalize_array(inst)
+        except SingularNormalization:
+            return
+    assert np.all(residual_array(out) <= NORMALIZATION_TOL)
+
+
+@settings(deadline=None, max_examples=200)
+@given(instrument_stacks(max_magnitude=10.0))
+def test_property_exact_normalize_well_conditioned(inst):
+    """A well-conditioned branch sum (eigenvalue ratio below 1e3) is made complete
+    to 1e-12, and normalizing the result again moves it by less than 1e-12."""
+    lam_lo, lam_hi = branch_sum_eigenvalues(inst)
+    assume(np.all(lam_lo > 1e-6) and np.all(lam_hi < 1e3 * lam_lo))
+    out = exact_normalize_array(inst)
+    assert np.all(residual_array(out) < 1e-12)
+    assert np.max(np.abs(exact_normalize_array(out) - out)) < 1e-12
 
 
 # --- gauge freedom ---------------------------------------------------------------
