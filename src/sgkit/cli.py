@@ -48,7 +48,6 @@ FITS_SCHEMA = "sgkit-fits-v1"
 RECOVERY_SCHEMA = "sgkit-recovery-v1"
 
 DEFAULT_RESIDUAL_THRESHOLD = 1e-4
-FIT_CHI2_THRESHOLD = 3.0
 # Fits covariances may miss symmetry and semidefiniteness by rounding, relative
 # to their largest entry: `sgkit fit` output is asymmetric by about 1e-17.
 COVARIANCE_RTOL = 1e-9
@@ -90,19 +89,25 @@ def _residual_threshold(value, where: str) -> float:
     return float(value)
 
 
-def load_config(path) -> tuple[ExperimentConfig, dict]:
-    """Parse and validate a run configuration; unknown keys are rejected."""
-    from .experiment import ExperimentConfig
-
+def _read_json_object(path, document: str) -> dict:
+    """The JSON object stored at ``path``; ``document`` names it in every error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
+        raise ConfigError(f"cannot read {document}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, int digit limit
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        raise ConfigError(f"{document} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
+        raise ConfigError(f"{document} must be a JSON object")
+    return raw
+
+
+def load_config(path) -> tuple[ExperimentConfig, dict]:
+    """Parse and validate a run configuration; unknown keys are rejected."""
+    from .experiment import ExperimentConfig
+
+    raw = _read_json_object(path, "config")
 
     known = {
         "schema", "eta", "perturbation", "grid", "protocols", "shots", "seed",
@@ -243,15 +248,7 @@ def _write_json(document: dict, path) -> None:
 def _load_fits(path) -> tuple[list[FitResult], float]:
     from .estimate import FitResult
 
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read fits: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, int digit limit
-        raise ConfigError(f"fits document is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("fits document must be a JSON object")
+    raw = _read_json_object(path, "fits document")
     if raw.get("schema") != FITS_SCHEMA:
         raise ConfigError(f"fits document must declare schema '{FITS_SCHEMA}'")
     eta = raw.get("eta")
@@ -305,14 +302,14 @@ def _covariance(value, where: str) -> np.ndarray:
 
 def _recovery_report(fits, eta, constraints, residual_threshold) -> dict:
     """The recovery report as the JSON document that ``sgkit recover`` writes."""
-    from .estimate import goodness_of_fit, recover_parameters
+    from .estimate import FIT_CHI2_THRESHOLD, goodness_of_fit, recover_parameters
 
     if constraints == "paper":
         system = transcribed_system()
     else:
         system = design_matrix([fit.observable for fit in fits])
     result = recover_parameters(fits, system, eta=eta)
-    quality = goodness_of_fit(fits, threshold=FIT_CHI2_THRESHOLD)
+    quality = goodness_of_fit(fits)
     if result.chi_square is not None and result.degrees_of_freedom:
         recovery_ok = result.chi_square <= FIT_CHI2_THRESHOLD * result.degrees_of_freedom
     else:

@@ -20,6 +20,8 @@ WEIGHT_CLAMP = 1e-6
 RANK_RTOL = 1e-10
 BASIS_SKIP_TOL = 1e-8
 EXACT_CHI2_TOL = 1e-10
+# Largest chi-square per degree of freedom a compatible fit or recovery may have.
+FIT_CHI2_THRESHOLD = 3.0
 
 
 @dataclass(frozen=True)
@@ -137,7 +139,7 @@ class GoodnessOfFit:
     compatible: bool
 
 
-def goodness_of_fit(fits, threshold: float = 3.0) -> GoodnessOfFit:
+def goodness_of_fit(fits, threshold: float = FIT_CHI2_THRESHOLD) -> GoodnessOfFit:
     """Per-fit and aggregate chi-square per degree of freedom.
 
     Counted data is compatible when every fit has chi-square/dof below

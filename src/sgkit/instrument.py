@@ -253,10 +253,12 @@ def exact_normalize_array(inst: np.ndarray) -> np.ndarray:
 
     Raises SingularNormalization as ``_inverse_sqrt`` does, and also when S is
     so ill-conditioned that the result misses completeness by more than
-    NORMALIZATION_TOL.
+    NORMALIZATION_TOL.  Overflow warnings are silenced: both checks refuse
+    every non-finite intermediate.
     """
-    out = pauli_mul_array(_inverse_sqrt(_effect_sum(inst).real)[..., None, :], inst)
-    residual = residual_array(out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = pauli_mul_array(_inverse_sqrt(_effect_sum(inst).real)[..., None, :], inst)
+        residual = residual_array(out)
     if not np.all(residual <= NORMALIZATION_TOL):
         raise SingularNormalization(
             f"branch sum is too ill-conditioned to renormalize (completeness residual "

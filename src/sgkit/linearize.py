@@ -10,12 +10,18 @@ closed form, once, at import.  Exact polynomial interpolation in eta
 (``linear_response``; the probabilities are polynomials of degree <= 2 for
 single measurements and <= 4 for successive ones) stays as the independent
 oracle the tests and ``sgkit verify`` compare the closed form against.
+
+``PerturbationParams`` holds the 16 parameters as one read-only (2, 4)
+complex array, [a, b_x, b_y, b_z] per branch; only its ``from_vector`` and
+``to_vector`` know their PARAM_LABELS order.  The paper's 13 first-order
+equations are held once, as their printed text, and ``transcribed_system``
+reads both sides of each equation from that text.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
@@ -26,7 +32,6 @@ from .instrument import (
     BlochState,
     Direction,
     Instrument,
-    KrausOperator,
     cyclic_rotation,
     expectation_array,
     ideal_instrument,
@@ -78,28 +83,24 @@ PARAM_LABELS = (
 COEFF_LABELS = ("c0", "c1", "c2", "c3")
 
 
+# Where Re and Im of [a, b_x, b_y, b_z] sit among each branch's 8 PARAM_LABELS.
+_RE, _IM = [0, 2, 3, 4], [1, 5, 6, 7]
+
+
 @dataclass(frozen=True)
 class PerturbationParams:
-    """16 real non-ideality parameters (a, b per outcome) plus the scale eta."""
+    """16 real non-ideality parameters, as the read-only (2, 4) complex array
+    [a, b_x, b_y, b_z] of the up and the down branch, plus the scale eta."""
 
-    a_up: complex
-    a_down: complex
-    b_up: np.ndarray
-    b_down: np.ndarray
+    array: np.ndarray
     eta: float
 
     def __post_init__(self):
-        for name in ("a_up", "a_down"):
-            value = complex(getattr(self, name))
-            if not cmath.isfinite(value):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, value)
-        for name in ("b_up", "b_down"):
-            vec = np.array(getattr(self, name), dtype=complex).reshape(3)
-            if not np.isfinite(vec).all():
-                raise ValueError(f"{name} components must be finite")
-            vec.setflags(write=False)
-            object.__setattr__(self, name, vec)
+        array = np.array(self.array, dtype=complex)
+        if array.shape != (2, 4) or not np.isfinite(array).all():
+            raise ValueError("perturbation must be finite and of shape (2, 4)")
+        array.setflags(write=False)
+        object.__setattr__(self, "array", array)
         eta = float(self.eta)
         if not math.isfinite(eta):
             raise ValueError("eta must be finite")
@@ -109,26 +110,21 @@ class PerturbationParams:
 
     @classmethod
     def zero(cls, eta: float = 0.0) -> "PerturbationParams":
-        return cls(0.0, 0.0, np.zeros(3), np.zeros(3), eta)
+        return cls(np.zeros((2, 4)), eta)
 
     @classmethod
     def from_vector(cls, vec, eta: float) -> "PerturbationParams":
-        v = np.asarray(vec, dtype=float).reshape(16)
-        a_up = complex(v[0], v[1])
-        b_up = v[2:5] + 1j * v[5:8]
-        a_down = complex(v[8], v[9])
-        b_down = v[10:13] + 1j * v[13:16]
-        return cls(a_up, a_down, b_up, b_down, eta)
+        """The parameters of a 16-vector in PARAM_LABELS order."""
+        v = np.asarray(vec, dtype=float).reshape(2, 8)
+        array = np.empty((2, 4), dtype=complex)
+        array.real, array.imag = v[:, _RE], v[:, _IM]
+        return cls(array, eta)
 
     def to_vector(self) -> np.ndarray:
-        return np.concatenate(
-            [
-                [self.a_up.real, self.a_up.imag],
-                self.b_up.real, self.b_up.imag,
-                [self.a_down.real, self.a_down.imag],
-                self.b_down.real, self.b_down.imag,
-            ]
-        )
+        """The 16-vector in PARAM_LABELS order."""
+        v = np.empty((2, 8))
+        v[:, _RE], v[:, _IM] = self.array.real, self.array.imag
+        return v.reshape(16)
 
     @classmethod
     def unit(cls, index: int, eta: float = 0.0) -> "PerturbationParams":
@@ -165,13 +161,12 @@ class LinearSystem:
         object.__setattr__(self, "rhs_keys", tuple(self.rhs_keys))
 
 
+_IDEAL = ideal_instrument().as_array()
+
+
 def build_perturbed(params: PerturbationParams) -> Instrument:
     """Instrument with alpha = 1/2 + eta*a, beta = +-e_z/2 + eta*b (no repair)."""
-    e_z = np.array([0.0, 0.0, 0.5])
-    return Instrument(
-        KrausOperator(0.5 + params.eta * params.a_up, e_z + params.eta * params.b_up),
-        KrausOperator(0.5 + params.eta * params.a_down, -e_z + params.eta * params.b_down),
-    )
+    return Instrument.from_array(_IDEAL + params.eta * params.array)
 
 
 def _direction_vector(k) -> np.ndarray:
@@ -204,9 +199,6 @@ def ideal_probability(obs: ObservableSpec, k) -> float:
     return model_probability(ideal_instrument(), obs, k)
 
 
-_IDEAL = ideal_instrument().as_array()
-
-
 def _finite(inst: np.ndarray) -> np.ndarray:
     if not np.isfinite(inst).all():
         raise ValueError("instrument components must be finite")
@@ -219,8 +211,7 @@ def perturbed_probabilities(params: PerturbationParams, obs: ObservableSpec, k, 
     of the array forms over the stacked (n, 2, 4) instruments: bit for bit
     ``model_probability`` per eta, ValueErrors included."""
     scale = np.asarray(etas, dtype=float)[:, None, None]
-    perturbation = np.array([[params.a_up, *params.b_up], [params.a_down, *params.b_down]])
-    inst = _finite(_IDEAL + scale * perturbation)
+    inst = _finite(_IDEAL + scale * params.array)
     rot = cyclic_rotation(obs.m)
     rotated = _finite(rotate_array(inst, rot.axis, rot.angle))
     return _probability_array(inst, rotated, obs, BlochState(_direction_vector(k)).r)
@@ -275,10 +266,7 @@ def default_observables() -> tuple[ObservableSpec, ...]:
 
 def _unit_perturbations() -> np.ndarray:
     """d(alpha, beta)/d(parameter_i) of the up and the down branch, shape (2, 16, 4)."""
-    units = [PerturbationParams.unit(i) for i in range(16)]
-    return np.array(
-        [[[p.a_up, *p.b_up] for p in units], [[p.a_down, *p.b_down] for p in units]]
-    )
+    return np.stack([PerturbationParams.unit(i).array for i in range(16)], axis=1)
 
 
 def _rotation_matrix(m: int) -> np.ndarray:
@@ -388,115 +376,67 @@ def gauge_directions() -> tuple[np.ndarray, np.ndarray]:
     return up, down
 
 
-# --- comparison against the hand-transcribed reference equations -------------
+# --- comparison against the published equations -----------------------------
 
-_IDX = {label: i for i, label in enumerate(PARAM_LABELS)}
+# The first-order system of the paper, as printed: signed terms, (...)_up|down
+# groups whose terms take that branch, and a right-hand side that is 0 (a
+# completeness condition) or N*cJ[protocol/mM/outcome], the fitted coefficient
+# J of that observable scaled by N.  This text is the only transcription.
+_PAPER_EQUATIONS = (
+    "(a_r + b_rz)_up + (a_r + b_rz)_down = 0",
+    "(b_rx - b_iy)_up + (b_rx - b_iy)_down = 0",
+    "(b_ry + b_ix)_up + (b_ry + b_ix)_down = 0",
+    "a_r_up + b_rz_up = c0[single/m0/up]",
+    "b_rx_up - b_iy_up = c2[single/m0/up]",
+    "b_ry_up + b_ix_up = c3[single/m0/up]",
+    "(a_r + b_rz + b_iy)_up + b_iy_down = c0[successive/m0/up]",
+    "(a_r + b_rz - b_ix)_up - b_ix_down = c0[successive/m1/up]",
+    "a_r_up + b_ry_up = c0[successive/m2/up]",
+    "b_iy_up + b_iy_down = 2*c0[successive/m0/up]",
+    "b_ix_up + b_ix_down = 2*c0[successive/m1/up]",
+    "(a_r - b_rz)_up + (a_r - b_rz)_down = 2*c1[successive/m0/up]",
+    "(a_i - b_iz)_up + (a_i - b_iz)_down = 2*c1[successive/m1/up]",
+)
+
+_TERM = re.compile(r"\s*([+-]?)\s*(?:\(([^)]*)\)_(up|down)|(\w+))")
+_RHS = re.compile(r"(?:(\d+)\*)?c([0-3])\[(\w+)/m(\d)/(\w+)\]")
 
 
-def _combo(**terms) -> np.ndarray:
-    vec = np.zeros(16)
-    for label, value in terms.items():
-        vec[_IDX[label]] = value
+def _combination(text: str, branch: str = "") -> np.ndarray:
+    """The parameter vector of a signed sum of labels and (...)_up|down groups;
+    ``branch`` is appended to every label of a group's body."""
+    if _TERM.sub("", text).strip():
+        raise ValueError(f"cannot read parameter combination {text!r}")
+    vec = np.zeros(len(PARAM_LABELS))
+    for sign, group, group_branch, label in _TERM.findall(text):
+        scale = -1.0 if sign == "-" else 1.0
+        if group:
+            vec += scale * _combination(group, "_" + group_branch)
+        else:
+            vec[PARAM_LABELS.index(label + branch)] += scale
     return vec
 
 
-@dataclass(frozen=True)
-class ReferenceEquation:
-    """One equation of the published first-order system, as transcribed."""
-
-    text: str
-    lhs: np.ndarray
-    group: str
-    rhs_key: tuple[ObservableSpec, int, float] | None
-
-
-def _single_up0() -> ObservableSpec:
-    return ObservableSpec(Protocol.SINGLE, Outcome.UP, 0)
-
-
-def _succ(m: int) -> ObservableSpec:
-    return ObservableSpec(Protocol.SUCCESSIVE, Outcome.UP, m)
-
-
-def reference_equations() -> tuple[ReferenceEquation, ...]:
-    """The 13 transcribed equations: 3 completeness, 3 identification from the
-    single protocol, 7 from the successive protocol."""
-    return (
-        ReferenceEquation(
-            "(a_r + b_rz)_up + (a_r + b_rz)_down = 0",
-            _combo(a_r_up=1, b_rz_up=1, a_r_down=1, b_rz_down=1),
-            "normalization", None,
-        ),
-        ReferenceEquation(
-            "(b_rx - b_iy)_up + (b_rx - b_iy)_down = 0",
-            _combo(b_rx_up=1, b_iy_up=-1, b_rx_down=1, b_iy_down=-1),
-            "normalization", None,
-        ),
-        ReferenceEquation(
-            "(b_ry + b_ix)_up + (b_ry + b_ix)_down = 0",
-            _combo(b_ry_up=1, b_ix_up=1, b_ry_down=1, b_ix_down=1),
-            "normalization", None,
-        ),
-        ReferenceEquation(
-            "a_r_up + b_rz_up = c0[single/m0/up]",
-            _combo(a_r_up=1, b_rz_up=1),
-            "identification", (_single_up0(), 0, 1.0),
-        ),
-        ReferenceEquation(
-            "b_rx_up - b_iy_up = c2[single/m0/up]",
-            _combo(b_rx_up=1, b_iy_up=-1),
-            "identification", (_single_up0(), 2, 1.0),
-        ),
-        ReferenceEquation(
-            "b_ry_up + b_ix_up = c3[single/m0/up]",
-            _combo(b_ry_up=1, b_ix_up=1),
-            "identification", (_single_up0(), 3, 1.0),
-        ),
-        ReferenceEquation(
-            "(a_r + b_rz + b_iy)_up + b_iy_down = c0[successive/m0/up]",
-            _combo(a_r_up=1, b_rz_up=1, b_iy_up=1, b_iy_down=1),
-            "successive", (_succ(0), 0, 1.0),
-        ),
-        ReferenceEquation(
-            "(a_r + b_rz - b_ix)_up - b_ix_down = c0[successive/m1/up]",
-            _combo(a_r_up=1, b_rz_up=1, b_ix_up=-1, b_ix_down=-1),
-            "successive", (_succ(1), 0, 1.0),
-        ),
-        ReferenceEquation(
-            "a_r_up + b_ry_up = c0[successive/m2/up]",
-            _combo(a_r_up=1, b_ry_up=1),
-            "successive", (_succ(2), 0, 1.0),
-        ),
-        ReferenceEquation(
-            "b_iy_up + b_iy_down = 2*c0[successive/m0/up]",
-            _combo(b_iy_up=1, b_iy_down=1),
-            "successive", (_succ(0), 0, 2.0),
-        ),
-        ReferenceEquation(
-            "b_ix_up + b_ix_down = 2*c0[successive/m1/up]",
-            _combo(b_ix_up=1, b_ix_down=1),
-            "successive", (_succ(1), 0, 2.0),
-        ),
-        ReferenceEquation(
-            "(a_r - b_rz)_up + (a_r - b_rz)_down = 2*c1[successive/m0/up]",
-            _combo(a_r_up=1, b_rz_up=-1, a_r_down=1, b_rz_down=-1),
-            "successive", (_succ(0), 1, 2.0),
-        ),
-        ReferenceEquation(
-            "(a_i - b_iz)_up + (a_i - b_iz)_down = 2*c1[successive/m1/up]",
-            _combo(a_i_up=1, b_iz_up=-1, a_i_down=1, b_iz_down=-1),
-            "successive", (_succ(1), 1, 2.0),
-        ),
-    )
+def _rhs_key(text: str) -> tuple[ObservableSpec, int, float] | None:
+    """``LinearSystem.rhs_keys`` entry of a right-hand side."""
+    if text == "0":
+        return None
+    match = _RHS.fullmatch(text)
+    if match is None:
+        raise ValueError(f"cannot read right-hand side {text!r}")
+    scale, j, protocol, m, outcome = match.groups()
+    return ObservableSpec(Protocol(protocol), Outcome(outcome), int(m)), int(j), float(scale or 1)
 
 
 def transcribed_system() -> LinearSystem:
-    """The reference equations assembled as a solvable linear system."""
-    eqs = reference_equations()
-    rows = np.array([eq.lhs for eq in eqs])
-    labels = tuple(eq.text for eq in eqs)
-    keys = tuple(eq.rhs_key for eq in eqs)
-    return LinearSystem(rows, labels, keys)
+    """The paper's equations, read from their printed text: 3 completeness,
+    3 identification from the single protocol, 7 from the successive protocol."""
+    sides = [text.split(" = ") for text in _PAPER_EQUATIONS]
+    return LinearSystem(
+        np.array([_combination(lhs) for lhs, _ in sides]),
+        _PAPER_EQUATIONS,
+        tuple(_rhs_key(rhs) for _, rhs in sides),
+    )
 
 
 def _round_clean(value: float) -> float:
@@ -541,43 +481,41 @@ def _verdict(lhs: np.ndarray, generated: np.ndarray) -> str:
 
 
 def compare_with_paper() -> dict:
-    """Match the transcribed reference equations against the generated system.
+    """Match the paper's equations against the generated system.
 
     Returns the recovery report's ``comparison`` section: ``entries``, one
-    per reference equation with its ``group``, the ``paper_equation``, the
+    per paper equation with its ``group`` (normalization, identification or
+    successive, after its right-hand side), the ``paper_equation``, the
     ``generated_row`` counterpart and a ``verdict`` (Confirmed,
     SignDiscrepancy or StructureDiscrepancy), and a list of ``notes``.
     """
-    system = design_matrix(default_observables())
-    by_key = {key[:2]: row for row, key in zip(system.rows, system.rhs_keys) if key}
-    norm_rows = [
-        (label, row)
-        for row, label, key in zip(system.rows, system.row_labels, system.rhs_keys)
-        if key is None
-    ]
+    paper = transcribed_system()
+    constraints = design_matrix(())
     entries = []
-    for eq in reference_equations():
-        if eq.rhs_key is None:
-            support = np.abs(eq.lhs) > _ZERO_TOL
+    for lhs, text, key in zip(paper.rows, paper.row_labels, paper.rhs_keys):
+        if key is None:
+            support = np.abs(lhs) > _ZERO_TOL
             scores = [
                 int(np.sum(support & (np.abs(row) > _ZERO_TOL)))
                 - int(np.sum(support ^ (np.abs(row) > _ZERO_TOL)))
-                for _, row in norm_rows
+                for row in constraints.rows
             ]
-            label, row = norm_rows[int(np.argmax(scores))]
-            generated_text = f"{render_combination(row)} = 0  [{label}]"
-            verdict = _verdict(eq.lhs, row)
+            best = int(np.argmax(scores))
+            row = constraints.rows[best]
+            group = "normalization"
+            generated_text = f"{render_combination(row)} = 0  [{constraints.row_labels[best]}]"
+            verdict = _verdict(lhs, row)
         else:
-            obs, j, scale = eq.rhs_key
-            row = by_key[(obs, j)]
-            claim = scale * row
+            obs, j, scale = key
+            claim = scale * _RESPONSE_BLOCKS[obs][j]
+            group = "identification" if obs.protocol is Protocol.SINGLE else "successive"
             rhs_text = f"{COEFF_LABELS[j]}[{obs.label()}]"
             if scale != 1.0:
                 rhs_text = f"{scale:g}*{rhs_text}"
             generated_text = f"{render_combination(claim)} = {rhs_text}"
-            verdict = _verdict(eq.lhs, claim)
+            verdict = _verdict(lhs, claim)
         entries.append(
-            dict(group=eq.group, paper_equation=eq.text, generated_row=generated_text, verdict=verdict)
+            dict(group=group, paper_equation=text, generated_row=generated_text, verdict=verdict)
         )
     notes = [
         "post-measurement states are computed by operator conjugation; the "

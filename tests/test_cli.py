@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import os
@@ -814,3 +815,50 @@ def test_launchers_freeze_the_heap_before_exit(tmp_path, launcher):
     assert proc.stdout.split() == ["2", "True"], proc.stderr
     assert main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x.csv")]) == 2
     assert gc.get_freeze_count() == 0
+
+
+# sha256 of each artifact of the bundled configs.  A refactor keeps every one; a
+# change that moves digits says so in CHANGES.md and records the new digests here.
+ARTIFACT_DIGESTS = {
+    "exact.csv": "d6877b82d902de7836a9b07cdf721fa47ef6e061800a2f007395490c4f07a8cb",
+    "exact-fits.json": "e00ae3c0df8542bd09e28a38007d688c3babd6055051b2e00fba7de30a66a5c0",
+    "exact-rec-derived.json": "e9c9a6662a09c3b664e776e7ab9cca123f8ab655d6ba60d509b21e6214c63e81",
+    "exact-rec-derived.txt": "cddaf68a278271890178629b25218efc04668d845cf1d4d9bab76c78015391be",
+    "exact-rec-paper.json": "7ba99e000b14f6d3ea47a646d01230e803c2e0f5ae9b76c3e735f0139c4a0c93",
+    "exact-rec-paper.txt": "9a16ddb4d3f87e7cb0598fa6cb68b92a66c17441f4ccb472c883cca4c1daeb44",
+    "exact-rt.json": "e9c9a6662a09c3b664e776e7ab9cca123f8ab655d6ba60d509b21e6214c63e81",
+    "exact-rt.txt": "cddaf68a278271890178629b25218efc04668d845cf1d4d9bab76c78015391be",
+    "sampled.csv": "1b2fffce9c451f2c9758a63aae8fde56a2fd97817d7ada1f537d636b96b261fc",
+    "sampled-fits.json": "bb62c1291277c2a9e90a8a57653c8aca0ca06810be0bd1b8021233576c8af6c3",
+    "sampled-rec-derived.json": "a5489ab405f5d31e10eb044781aa1abec5271b3ce0795399f8528ca93f9f80cc",
+    "sampled-rec-derived.txt": "d78303d99a56d8c6bcf89f9ccf48389a18f47a41b8f580d77e1e7b46feb9e0db",
+    "sampled-rec-paper.json": "508ffd3a1bef22257915299298bf36812ea849cca386ceea246d81e5e4d324d1",
+    "sampled-rec-paper.txt": "8d18991ed1807a81ce6a8c573ca39a0c7d75d21db0b8422aa0baa839fc48c0fa",
+    "sampled-rt.json": "a5489ab405f5d31e10eb044781aa1abec5271b3ce0795399f8528ca93f9f80cc",
+    "sampled-rt.txt": "d78303d99a56d8c6bcf89f9ccf48389a18f47a41b8f580d77e1e7b46feb9e0db",
+}
+
+
+def test_artifacts_keep_their_recorded_digests(tmp_path):
+    """simulate, fit, recover (both constraint systems) and roundtrip of both
+    bundled configs write byte for byte the recorded artifacts."""
+    statuses = []
+    for name, config in (("exact", EXACT_CONFIG), ("sampled", SAMPLED_CONFIG)):
+        data, fits = tmp_path / f"{name}.csv", tmp_path / f"{name}-fits.json"
+        statuses.append(main(["simulate", "--config", str(config), "--out", str(data)]))
+        statuses.append(main(["fit", "--data", str(data), "--out", str(fits)]))
+        for constraints in ("derived", "paper"):
+            out = tmp_path / f"{name}-rec-{constraints}.json"
+            statuses.append(
+                main(["recover", "--fits", str(fits), "--out", str(out), "--constraints", constraints])
+            )
+        statuses.append(main(["roundtrip", "--config", str(config), "--out", str(tmp_path / f"{name}-rt.json")]))
+    # The sampled fits are incompatible with the paper's system (exit 4).
+    assert statuses == [0, 0, 0, 0, 0, 0, 0, 0, 4, 0]
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()}
+    moved = sorted(name for name, digest in ARTIFACT_DIGESTS.items() if digests.get(name) != digest)
+    assert not moved, (
+        f"artifacts changed: {', '.join(moved)}. A change that moves their digits must say "
+        "so in CHANGES.md (ROADMAP aim 2) and record the new digests here."
+    )
+    assert digests.keys() == ARTIFACT_DIGESTS.keys()

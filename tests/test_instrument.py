@@ -406,6 +406,18 @@ def test_exact_normalize_rejects_singular():
         )
 
 
+@pytest.mark.parametrize("scale", [1e100, 1e200, 1e300, 1e-320])
+def test_exact_normalize_refuses_extreme_scales_without_warning(scale):
+    """Overflowing or vanishing branch sums raise SingularNormalization, and no
+    numpy warning comes first (the suite turns warnings into errors)."""
+    rng = np.random.default_rng(3)
+    stack = scale * (rng.normal(size=(3, 2, 4)) + 1j * rng.normal(size=(3, 2, 4)))
+    with pytest.raises(SingularNormalization):
+        exact_normalize_array(stack)
+    with pytest.raises(SingularNormalization):
+        exact_normalize(Instrument.from_array(stack[0]))
+
+
 def instrument_stacks(max_magnitude=None):
     """(n, 2, 4) complex instrument stacks with finite entries."""
     elements = st.complex_numbers(max_magnitude=max_magnitude, allow_nan=False, allow_infinity=False)

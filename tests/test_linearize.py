@@ -29,6 +29,7 @@ from sgkit.linearize import (
     perturbed_probabilities,
     transcribed_system,
 )
+from sgkit.linearize import _combination, _rhs_key
 
 from conftest import project_to_constraints, random_unit
 
@@ -61,7 +62,7 @@ def test_build_perturbed_zero_is_ideal():
 
 
 def test_build_perturbed_direct_substitution():
-    params = PerturbationParams(1.0, 0.0, np.zeros(3), np.zeros(3), 0.1)
+    params = PerturbationParams([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]], 0.1)
     inst = build_perturbed(params)
     assert inst.up.alpha == pytest.approx(0.6)
     assert inst.down.alpha == pytest.approx(0.5)
@@ -74,7 +75,6 @@ def test_build_perturbed_residual_is_first_order(rng):
         assert residual_array(inst.as_array()) <= 10 * 1e-3
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_perturbation_params_rejects_non_finite(bad):
     for index in range(16):
@@ -84,6 +84,29 @@ def test_perturbation_params_rejects_non_finite(bad):
             PerturbationParams.from_vector(vec, 0.1)
     with pytest.raises(ValueError, match="eta must be finite"):
         PerturbationParams.zero(bad)
+
+
+def test_perturbation_params_rejects_other_shapes():
+    with pytest.raises(ValueError, match=r"shape \(2, 4\)"):
+        PerturbationParams(np.zeros((4, 2)), 0.1)
+
+
+@settings(deadline=None, max_examples=200)
+@given(vector=arrays(float, 16, elements=st.floats(-1e3, 1e3)), eta=st.floats(0.0, 1e3))
+def test_property_perturbation_array_holds_the_vector(vector, eta):
+    """``to_vector`` returns the vector bit for bit, and ``build_perturbed``
+    is alpha = 1/2 + eta*a, beta = +-e_z/2 + eta*b per branch, bit for bit up
+    to the sign of a zero (``+ 0.0`` maps -0.0 to 0.0 and keeps every other value)."""
+    params = PerturbationParams.from_vector(vector, eta)
+    assert params.to_vector().tobytes() == vector.tobytes()
+    assert params.array.shape == (2, 4) and not params.array.flags.writeable
+    e_z = np.array([0.0, 0.0, 0.5])
+    branches = []
+    for v, sign in ((vector[:8], 1.0), (vector[8:], -1.0)):
+        a, b = complex(v[0], v[1]), v[2:5] + 1j * v[5:8]
+        branches.append([0.5 + eta * a, *(sign * e_z + eta * b)])
+    got = build_perturbed(params).as_array() + 0.0
+    assert got.tobytes() == (np.array(branches) + 0.0).tobytes()
 
 
 # --- first-order response extraction --------------------------------------------
@@ -127,7 +150,7 @@ def test_constant_part_is_a_r_plus_b_rz(rng):
     for _ in range(10):
         params = random_params(rng)
         coeffs = affine_coefficients(params, SINGLE_UP0)
-        expected = params.a_up.real + params.b_up[2].real
+        expected = params.array[0, 0].real + params.array[0, 3].real
         assert coeffs[0] == pytest.approx(expected, abs=1e-12)
 
 
@@ -360,6 +383,57 @@ def test_transcribed_system_shape():
     system = transcribed_system()
     assert system.rows.shape == (13, 16)
     assert sum(key is None for key in system.rhs_keys) == 3
+
+
+def combo(**terms) -> np.ndarray:
+    vec = np.zeros(16)
+    for label, value in terms.items():
+        vec[PARAM_LABELS.index(label)] = value
+    return vec
+
+
+def successive_up(m):
+    return ObservableSpec(Protocol.SUCCESSIVE, Outcome.UP, m)
+
+
+# The 13 paper equations encoded by hand, in order: (lhs, rhs key, group).
+HAND_ENCODED = [
+    (combo(a_r_up=1, b_rz_up=1, a_r_down=1, b_rz_down=1), None, "normalization"),
+    (combo(b_rx_up=1, b_iy_up=-1, b_rx_down=1, b_iy_down=-1), None, "normalization"),
+    (combo(b_ry_up=1, b_ix_up=1, b_ry_down=1, b_ix_down=1), None, "normalization"),
+    (combo(a_r_up=1, b_rz_up=1), (SINGLE_UP0, 0, 1.0), "identification"),
+    (combo(b_rx_up=1, b_iy_up=-1), (SINGLE_UP0, 2, 1.0), "identification"),
+    (combo(b_ry_up=1, b_ix_up=1), (SINGLE_UP0, 3, 1.0), "identification"),
+    (combo(a_r_up=1, b_rz_up=1, b_iy_up=1, b_iy_down=1), (successive_up(0), 0, 1.0), "successive"),
+    (combo(a_r_up=1, b_rz_up=1, b_ix_up=-1, b_ix_down=-1), (successive_up(1), 0, 1.0), "successive"),
+    (combo(a_r_up=1, b_ry_up=1), (successive_up(2), 0, 1.0), "successive"),
+    (combo(b_iy_up=1, b_iy_down=1), (successive_up(0), 0, 2.0), "successive"),
+    (combo(b_ix_up=1, b_ix_down=1), (successive_up(1), 0, 2.0), "successive"),
+    (combo(a_r_up=1, b_rz_up=-1, a_r_down=1, b_rz_down=-1), (successive_up(0), 1, 2.0), "successive"),
+    (combo(a_i_up=1, b_iz_up=-1, a_i_down=1, b_iz_down=-1), (successive_up(1), 1, 2.0), "successive"),
+]
+
+
+def test_paper_equations_read_as_hand_encoded():
+    """Each equation's text yields the hand-encoded row, right-hand side and group."""
+    system = transcribed_system()
+    groups = [entry["group"] for entry in compare_with_paper()["entries"]]
+    assert len(system.row_labels) == len(groups) == len(HAND_ENCODED)
+    for row, key, group, (lhs, want_key, want_group) in zip(system.rows, system.rhs_keys, groups, HAND_ENCODED):
+        assert row.tobytes() == lhs.tobytes()
+        assert (key, group) == (want_key, want_group)
+
+
+@pytest.mark.parametrize("text", ["a_r_up * b_rz_up", "a_r + b_rz_up", "(a_r + b_rz)_left"])
+def test_equation_reader_refuses_unknown_notation(text):
+    with pytest.raises(ValueError):
+        _combination(text)
+
+
+@pytest.mark.parametrize("text", ["c4[single/m0/up]", "2c0[single/m0/up]", "c0[single/m3/up]", "1"])
+def test_equation_reader_refuses_unknown_right_hand_side(text):
+    with pytest.raises(ValueError):
+        _rhs_key(text)
 
 
 GOLDEN_VERDICTS = [
