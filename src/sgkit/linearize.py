@@ -16,6 +16,10 @@ complex array, [a, b_x, b_y, b_z] per branch; only its ``from_vector`` and
 ``to_vector`` know their PARAM_LABELS order.  The paper's 13 first-order
 equations are held once, as their printed text, and ``transcribed_system``
 reads both sides of each equation from that text.
+
+``model_probability``, run once per simulated record, checks the rotated
+instrument as an array and rebuilds no ``Instrument`` or ``RotationSpec``:
+the ideal instrument and the three cyclic rotations are built at import.
 """
 
 from __future__ import annotations
@@ -161,7 +165,9 @@ class LinearSystem:
         object.__setattr__(self, "rhs_keys", tuple(self.rhs_keys))
 
 
-_IDEAL = ideal_instrument().as_array()
+_IDEAL_INSTRUMENT = ideal_instrument()
+_IDEAL = _IDEAL_INSTRUMENT.as_array()
+_ROTATIONS = tuple(cyclic_rotation(m) for m in range(3))
 
 
 def build_perturbed(params: PerturbationParams) -> Instrument:
@@ -184,25 +190,25 @@ def _probability_array(inst: np.ndarray, rotated: np.ndarray, obs: ObservableSpe
     return successive_array(inst, branch, r)
 
 
-def model_probability(inst: Instrument, obs: ObservableSpec, k) -> float:
-    """Model success frequency of an observable; unclamped and polynomial in
-    any perturbation of the instrument (no intermediate renormalization)."""
-    state = BlochState(_direction_vector(k))
-    rot = cyclic_rotation(obs.m)
-    branches = inst.as_array()
-    rotated = rotate_array(branches, rot.axis, rot.angle)
-    Instrument.from_array(rotated)  # validated as rotate_instrument validates
-    return float(_probability_array(branches, rotated, obs, state.r))
-
-
-def ideal_probability(obs: ObservableSpec, k) -> float:
-    return model_probability(ideal_instrument(), obs, k)
-
-
 def _finite(inst: np.ndarray) -> np.ndarray:
     if not np.isfinite(inst).all():
         raise ValueError("instrument components must be finite")
     return inst
+
+
+def model_probability(inst: Instrument, obs: ObservableSpec, k) -> float:
+    """Model success frequency of an observable; unclamped and polynomial in
+    any perturbation of the instrument (no intermediate renormalization).
+    The rotated instrument is checked as an array: ValueError if not finite."""
+    state = BlochState(_direction_vector(k))
+    rot = _ROTATIONS[obs.m]
+    branches = inst.as_array()
+    rotated = _finite(rotate_array(branches, rot.axis, rot.angle))
+    return float(_probability_array(branches, rotated, obs, state.r))
+
+
+def ideal_probability(obs: ObservableSpec, k) -> float:
+    return model_probability(_IDEAL_INSTRUMENT, obs, k)
 
 
 def perturbed_probabilities(params: PerturbationParams, obs: ObservableSpec, k, etas) -> np.ndarray:
@@ -212,7 +218,7 @@ def perturbed_probabilities(params: PerturbationParams, obs: ObservableSpec, k, 
     ``model_probability`` per eta, ValueErrors included."""
     scale = np.asarray(etas, dtype=float)[:, None, None]
     inst = _finite(_IDEAL + scale * params.array)
-    rot = cyclic_rotation(obs.m)
+    rot = _ROTATIONS[obs.m]
     rotated = _finite(rotate_array(inst, rot.axis, rot.angle))
     return _probability_array(inst, rotated, obs, BlochState(_direction_vector(k)).r)
 
@@ -271,7 +277,7 @@ def _unit_perturbations() -> np.ndarray:
 
 def _rotation_matrix(m: int) -> np.ndarray:
     """The real 3x3 matrix that ``rotate_array`` applies to beta for ``cyclic_rotation(m)``."""
-    rot = cyclic_rotation(m)
+    rot = _ROTATIONS[m]
     basis = np.concatenate([np.zeros((3, 1)), np.eye(3)], axis=1)  # branches 0 + e_i . sigma
     return rotate_array(basis, rot.axis, rot.angle)[:, 1:].T
 

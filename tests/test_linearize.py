@@ -11,7 +11,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sgkit.instrument import effect_array, ideal_instrument, residual_array
+from sgkit import estimate, experiment
+from sgkit.cli import load_config
+from sgkit.instrument import (
+    BlochState,
+    Instrument,
+    KrausOperator,
+    RotationSpec,
+    SingularNormalization,
+    cyclic_rotation,
+    effect_array,
+    exact_normalize,
+    ideal_instrument,
+    residual_array,
+    rotate_instrument,
+)
 from sgkit.linearize import (
     ObservableSpec,
     Outcome,
@@ -24,16 +38,18 @@ from sgkit.linearize import (
     default_observables,
     design_matrix,
     gauge_directions,
+    ideal_probability,
     linear_response,
     model_probability,
     perturbed_probabilities,
     transcribed_system,
 )
-from sgkit.linearize import _combination, _rhs_key
+from sgkit.linearize import _combination, _probability_array, _rhs_key
 
 from conftest import project_to_constraints, random_unit
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src"
 SINGLE_UP0 = ObservableSpec(Protocol.SINGLE, Outcome.UP, 0)
 ALL_OBSERVABLES = default_observables()
 
@@ -234,6 +250,81 @@ def test_perturbed_probabilities_raise_like_per_eta_calls():
             model_probability(perturbed_at(params, 10.0), SINGLE_UP0, k)
         with np.errstate(over="ignore"), pytest.raises(ValueError):
             perturbed_probabilities(params, SINGLE_UP0, k, (0.0, 10.0))
+
+
+@pytest.mark.parametrize("obs", EVERY_OBSERVABLE, ids=ObservableSpec.label)
+def test_rotation_overflow_raises_on_both_paths(obs):
+    """A finite instrument whose rotation overflows (n . beta exceeds the float
+    range inside ``rotate_array``) is a ValueError on both paths."""
+    big = 1.7e308
+    inst = Instrument(KrausOperator(0.5, (big, big, big)), KrausOperator(0.5, (big, big, big)))
+    params = PerturbationParams.from_vector([0.0, 0.0, big, big, big, 0.0, 0.0, 0.0] * 2, 0.0)
+    pole = np.array([0.0, 0.0, 1.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isfinite(perturbed_at(params, 1.0).as_array()).all()
+        with pytest.raises(ValueError):
+            model_probability(inst, obs, pole)
+        with pytest.raises(ValueError):
+            perturbed_probabilities(params, obs, pole, (1.0,))
+
+
+def _unit_directions():
+    return arrays(float, 3, elements=st.floats(-1.0, 1.0)).filter(
+        lambda v: np.linalg.norm(v) > 1e-3
+    ).map(lambda v: v / np.linalg.norm(v))
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    components=arrays(float, (2, 2, 4), elements=st.floats(-2.0, 2.0)),
+    normalize=st.booleans(),
+    obs=st.sampled_from(ALL_OBSERVABLES),
+    k=_unit_directions(),
+)
+def test_property_model_probability_equals_object_path(components, normalize, obs, k):
+    """The array path is the validated object path, bit for bit, on raw and on
+    renormalized instruments; ``ideal_probability`` is the ideal instrument's."""
+    inst = Instrument.from_array(components[0] + 1j * components[1])
+    if normalize:
+        try:
+            inst = exact_normalize(inst)
+        except SingularNormalization:
+            return
+    rotated = rotate_instrument(inst, cyclic_rotation(obs.m))
+    oracle = float(_probability_array(inst.as_array(), rotated.as_array(), obs, BlochState(k).r))
+    assert model_probability(inst, obs, k).hex() == oracle.hex()
+    ideal = model_probability(ideal_instrument(), obs, k)
+    assert ideal_probability(obs, k).hex() == ideal.hex()
+
+
+def _constructions(monkeypatch, grid):
+    """KrausOperator and RotationSpec constructions while the bundled exact
+    config on ``grid`` is generated and every observable's records fitted."""
+    config, _ = load_config(REPO / "configs" / "exact.json")
+    config = replace(config, n_theta=grid[0], n_phi=grid[1])
+    counts = {KrausOperator: 0, RotationSpec: 0}
+    for cls in counts:
+        def counted(self, _cls=cls, _init=cls.__post_init__):
+            counts[_cls] += 1
+            _init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    groups = {}
+    for rec in experiment.generate_dataset(config).records:
+        groups.setdefault(rec.setting.observable, []).append(rec)
+    for records in groups.values():
+        estimate.fit_affine(records)
+    monkeypatch.undo()
+    return counts, sum(map(len, groups.values()))
+
+
+def test_per_record_path_builds_no_kraus_operators_or_rotations(monkeypatch):
+    """Generating and fitting 4x as many records constructs no more Kraus
+    operators or rotations: the per-record model evaluation builds none."""
+    small, small_records = _constructions(monkeypatch, (4, 8))
+    large, large_records = _constructions(monkeypatch, (8, 16))
+    assert large_records == 4 * small_records
+    assert large == small
 
 
 def test_first_order_accuracy_halving_ratio(rng):
