@@ -216,9 +216,11 @@ def _numbers(value, shape: tuple[int, ...], where: str) -> np.ndarray:
 
 def cmd_fit(data_path, out_path) -> int:
     from .estimate import fit_affine
-    from .experiment import read_dataset
+    from .experiment import FormatError, read_dataset
 
     dataset = read_dataset(data_path)
+    if not dataset.records:
+        raise FormatError("dataset has no records")
     fits = [fit_affine(records) for records in _group_records(dataset).values()]
     document = {
         "schema": FITS_SCHEMA,
@@ -255,8 +257,8 @@ def _load_fits(path) -> tuple[list[FitResult], float]:
     if not _is_number(eta) or eta < 0:
         raise ConfigError("key 'eta' must be a nonnegative number")
     items = raw.get("fits")
-    if not isinstance(items, list):
-        raise ConfigError("key 'fits' must be a list")
+    if not isinstance(items, list) or not items:
+        raise ConfigError("key 'fits' must be a non-empty list")
     fits = []
     first_index = {}
     for n, item in enumerate(items):

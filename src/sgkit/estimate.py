@@ -82,10 +82,12 @@ def fit_affine(records) -> FitResult:
     """Weighted least squares of one observable's deviations from the ideal model.
 
     Args:
-        records: MeasurementRecord sequence, all for the same observable,
-            at least 5 of them spanning a rank-4 direction design.
+        records: MeasurementRecord sequence, all for the same observable and
+            all exact or all sampled, at least 5 of them spanning a rank-4
+            direction design.
 
-    Raises RankDeficientFit when the design cannot determine 4 coefficients.
+    Raises ValueError when the records mix observables or exact and sampled
+    data, and RankDeficientFit when the design cannot determine 4 coefficients.
     """
     records = list(records)
     if not records:
@@ -93,6 +95,9 @@ def fit_affine(records) -> FitResult:
     observable = records[0].setting.observable
     if any(rec.setting.observable != observable for rec in records):
         raise ValueError("records mix observables")
+    sampled = records[0].shots > 0
+    if any((rec.shots > 0) != sampled for rec in records):
+        raise ValueError(f"{observable.label()}: records mix exact and sampled data")
     if len(records) < 5:
         raise RankDeficientFit(
             f"{observable.label()}: need at least 5 records, got {len(records)}"
@@ -104,20 +109,16 @@ def fit_affine(records) -> FitResult:
     values = np.array([rec.frequency() for rec in records]) - baseline
 
     weights = np.ones(len(records))
-    sampled = False
-    for i, rec in enumerate(records):
-        if rec.shots > 0:
-            sampled = True
+    if sampled:
+        for i, rec in enumerate(records):
             p_hat = min(1.0 - WEIGHT_CLAMP, max(WEIGHT_CLAMP, rec.frequency()))
             weights[i] = rec.shots / (p_hat * (1.0 - p_hat))
 
     sqrt_w = np.sqrt(weights)
     design_w = design * sqrt_w[:, None]
-    singular = np.linalg.svd(design_w, compute_uv=False)
+    coeffs, _, _, singular = np.linalg.lstsq(design_w, values * sqrt_w, rcond=None)
     if singular[-1] <= RANK_RTOL * singular[0]:
         raise RankDeficientFit(f"{observable.label()}: direction design has rank < 4")
-
-    coeffs, *_ = np.linalg.lstsq(design_w, values * sqrt_w, rcond=None)
     residual = values - design @ coeffs
     chi_square = float(np.sum(weights * residual ** 2))
     covariance = np.linalg.inv(design.T @ (weights[:, None] * design)) if sampled else np.zeros((4, 4))
@@ -201,21 +202,26 @@ def recover_parameters(fits, system: LinearSystem, eta: float) -> RecoveryResult
     by_observable = {fit.observable: fit for fit in fits}
     scale = eta if eta > 0 else 1.0
 
-    rhs = np.zeros(len(system.rhs_keys))
-    row_variance = np.zeros(len(rhs))
-    # (factor / scale) ** 2, never factor ** 2 / scale ** 2: a huge eta must not
-    # overflow the divisor.  A tiny one overflows the variance itself, which
-    # then counts as unavailable below, like a zero one.
+    for key in system.rhs_keys:
+        if key is not None and key[0] not in by_observable:
+            raise ValueError(f"no fit supplied for {key[0].label()}")
+    # Every fit's coefficients and 4x4 covariance block, stacked, then one zero
+    # slot (index -1) that the constraint rows read at factor 0.
+    stacked = list(by_observable.values())
+    coefficients = np.concatenate([*(fit.coefficients for fit in stacked), [0.0]])
+    blocks = np.zeros((len(coefficients), len(coefficients)))
+    for n, fit in enumerate(stacked):
+        blocks[4 * n : 4 * n + 4, 4 * n : 4 * n + 4] = fit.covariance
+    start = {fit.observable: 4 * n for n, fit in enumerate(stacked)}
+    index = np.array([-1 if key is None else start[key[0]] + key[1] for key in system.rhs_keys])
+    factor = np.array([0.0 if key is None else key[2] for key in system.rhs_keys])
+    # w = factor / scale, never factor ** 2 / scale ** 2: a huge eta must not
+    # overflow the divisor.  A tiny one overflows the variances themselves, which
+    # then count as unavailable below, like zero ones.
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, key in enumerate(system.rhs_keys):
-            if key is None:
-                continue
-            obs, j, factor = key
-            fit = by_observable.get(obs)
-            if fit is None:
-                raise ValueError(f"no fit supplied for {obs.label()}")
-            rhs[i] = factor * fit.coefficients[j] / scale
-            row_variance[i] = np.square(factor / scale) * fit.covariance[j, j]
+        rhs = factor * coefficients[index] / scale
+        w = factor / scale
+        cov_rhs = np.outer(w, w) * blocks[np.ix_(index, index)]
     if not np.isfinite(rhs).all():
         raise ValueError(f"fitted coefficients divided by eta = {eta:g} overflow")
 
@@ -244,20 +250,8 @@ def recover_parameters(fits, system: LinearSystem, eta: float) -> RecoveryResult
     chi_square = None
     dof = None
     data_rows = np.array([key is not None for key in system.rhs_keys])
-    variances = row_variance[data_rows]
+    variances = np.diag(cov_rhs)[data_rows]
     if np.all((variances > 0.0) & (variances < np.inf)):
-        cov_rhs = np.zeros((len(rhs), len(rhs)))
-        # full 4x4 covariance blocks for rows sharing a fit
-        for i, key_i in enumerate(system.rhs_keys):
-            if key_i is None:
-                continue
-            obs_i, j_i, f_i = key_i
-            for k, key_k in enumerate(system.rhs_keys):
-                if key_k is None or key_k[0] != obs_i:
-                    continue
-                _, j_k, f_k = key_k
-                covariance_ik = by_observable[obs_i].covariance[j_i, j_k]
-                cov_rhs[i, k] = (f_i / scale) * (f_k / scale) * covariance_ik
         covariance = pseudo @ cov_rhs @ pseudo.T
         with np.errstate(over="ignore"):
             chi_square = float(np.sum(residual_vec[data_rows] ** 2 / variances))

@@ -1,9 +1,11 @@
 """Synthetic experiment planning, data generation and the dataset file format.
 
-Datasets are CSV with a leading ``#`` metadata block.  Exact records use
-shots = 0 as a sentinel and carry the model probability; sampled records
-carry binomial counts.  The per-setting random stream is derived from
-(seed, setting index), so generation order never matters.
+Datasets are CSV with a leading ``#`` metadata block.  One generator,
+``generate_dataset``, writes both kinds of records from one loop over the
+plan: exact records use shots = 0 as a sentinel and carry the model
+probability; sampled records carry binomial counts.  The per-setting random
+stream is derived from (seed, setting index), so generation order never
+matters.
 """
 
 from __future__ import annotations
@@ -158,64 +160,36 @@ def plan_settings(config: ExperimentConfig) -> tuple[MeasurementSetting, ...]:
     return tuple(settings)
 
 
-def _config_instrument(config: ExperimentConfig):
-    inst = build_perturbed(config.perturbation)
-    if config.strict_normalization:
-        inst = exact_normalize(inst)
-    return inst
+def generate_dataset(config: ExperimentConfig) -> Dataset:
+    """One record per planned setting at the model probability clamped to [0, 1].
 
-
-def _meta(config: ExperimentConfig) -> DatasetMeta:
-    return DatasetMeta(
-        eta=config.perturbation.eta,
-        strict_normalization=config.strict_normalization,
-        seed=config.seed,
-        n_theta=config.n_theta,
-        n_phi=config.n_phi,
-    )
-
-
-def _clamped_probability(inst, setting: MeasurementSetting) -> float:
-    """Model probability clamped to [0, 1]; a non-finite one is an error, never clamped.
-
-    Callers build the instrument and evaluate it with numpy's overflow and
-    invalid-value warnings off: either ends in this error, or in the
-    finiteness and positive-definiteness checks of the strict-normalization
+    With shots = 0 a record carries that probability (the exact sentinel);
+    otherwise it carries binomial counts drawn from the setting's own stream
+    ``default_rng([seed, index])``.  A non-finite probability is an error,
+    never clamped.  The instrument is built and evaluated with numpy's
+    overflow and invalid-value warnings off: either ends in that error, or in
+    the finiteness and positive-definiteness checks of the strict-normalization
     instrument, and never in a warning.
     """
-    p = model_probability(inst, setting.observable, setting.direction)
-    if not math.isfinite(p):
-        raise ValueError(f"model probability of {setting.observable.label()} is not finite")
-    return min(1.0, max(0.0, p))
-
-
-def exact_dataset(config: ExperimentConfig) -> Dataset:
-    """Records with the exact model probabilities (shots = 0 sentinel)."""
     records = []
     with np.errstate(over="ignore", invalid="ignore"):
-        inst = _config_instrument(config)
-        for setting in plan_settings(config):
-            records.append(MeasurementRecord(setting, 0, 0, _clamped_probability(inst, setting)))
-    return Dataset(_meta(config), records)
-
-
-def sampled_dataset(config: ExperimentConfig) -> Dataset:
-    """Binomial counts at the exact probabilities, reproducible per setting."""
-    if config.shots < 1:
-        raise ValueError("sampled datasets need shots >= 1")
-    records = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        inst = _config_instrument(config)
+        inst = build_perturbed(config.perturbation)
+        if config.strict_normalization:
+            inst = exact_normalize(inst)
         for index, setting in enumerate(plan_settings(config)):
-            p = _clamped_probability(inst, setting)
-            rng = np.random.default_rng([config.seed, index])
-            successes = int(rng.binomial(config.shots, p))
-            records.append(MeasurementRecord(setting, config.shots, successes, None))
-    return Dataset(_meta(config), records)
-
-
-def generate_dataset(config: ExperimentConfig) -> Dataset:
-    return exact_dataset(config) if config.shots == 0 else sampled_dataset(config)
+            p = model_probability(inst, setting.observable, setting.direction)
+            if not math.isfinite(p):
+                raise ValueError(f"model probability of {setting.observable.label()} is not finite")
+            p = min(1.0, max(0.0, p))
+            if config.shots == 0:
+                records.append(MeasurementRecord(setting, 0, 0, p))
+            else:
+                successes = int(np.random.default_rng([config.seed, index]).binomial(config.shots, p))
+                records.append(MeasurementRecord(setting, config.shots, successes, None))
+    meta = DatasetMeta(
+        config.perturbation.eta, config.strict_normalization, config.seed, config.n_theta, config.n_phi
+    )
+    return Dataset(meta, records)
 
 
 def _fmt(x: float) -> str:

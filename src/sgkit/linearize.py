@@ -275,33 +275,17 @@ def _unit_perturbations() -> np.ndarray:
     return np.stack([PerturbationParams.unit(i).array for i in range(16)], axis=1)
 
 
-def _rotation_matrix(m: int) -> np.ndarray:
-    """The real 3x3 matrix that ``rotate_array`` applies to beta for ``cyclic_rotation(m)``."""
-    rot = _ROTATIONS[m]
-    basis = np.concatenate([np.zeros((3, 1)), np.eye(3)], axis=1)  # branches 0 + e_i . sigma
-    return rotate_array(basis, rot.axis, rot.angle)[:, 1:].T
-
-
-def _rotated(ops: np.ndarray, rotation: np.ndarray) -> np.ndarray:
-    """(..., 4) Kraus operators with beta rotated and alpha untouched."""
-    # einsum rather than a matmul: a matmul here would start the BLAS library
-    # at import, which raised the peak RSS of an `sgkit roundtrip` by 0.4 MB.
-    beta = np.einsum("...j,kj->...k", ops[..., 1:], rotation)
-    return np.concatenate([ops[..., :1], beta], axis=-1)
-
-
 def _effect_derivative(b0: np.ndarray, db: np.ndarray) -> np.ndarray:
     """d(B B^dag) = dB B0^dag + B0 dB^dag."""
     return pauli_mul_array(db, b0.conj()) + pauli_mul_array(b0, db.conj())
 
 
-def _response_block(
-    obs: ObservableSpec, ideal: np.ndarray, units: np.ndarray, rotation: np.ndarray
-) -> np.ndarray:
+def _response_block(obs: ObservableSpec, ideal: np.ndarray, units: np.ndarray) -> np.ndarray:
     """4x16 block of d(coefficient_j)/d(parameter_i) for one observable.
 
-    ``ideal`` (2, 4) holds the unrotated ideal branches, ``units`` (2, 16, 4)
-    their unit perturbations, ``rotation`` is ``_rotation_matrix(obs.m)``.
+    ``ideal`` (2, 4) holds the unrotated ideal branches and ``units`` (2, 16, 4)
+    their unit perturbations.  The measured branch is rotated by
+    ``rotate_array`` with ``cyclic_rotation(obs.m)``, as in ``model_probability``.
 
     tr(rho H) = h0 + h . k for rho = (1 + k . sigma)/2 and Hermitian H, so the
     affine coefficients are the Pauli coefficients of the effect's derivative.
@@ -310,8 +294,9 @@ def _response_block(
     dH = sum_n (dA_n F0 A_n0^dag + A_n0 dF A_n0^dag + A_n0 F0 dA_n^dag).
     """
     branch = 0 if obs.outcome is Outcome.UP else 1
-    b0 = _rotated(ideal[branch], rotation)
-    d_effect = _effect_derivative(b0, _rotated(units[branch], rotation))
+    rot = _ROTATIONS[obs.m]
+    b0 = rotate_array(ideal[branch], rot.axis, rot.angle)
+    d_effect = _effect_derivative(b0, rotate_array(units[branch], rot.axis, rot.angle))
     if obs.protocol is Protocol.SUCCESSIVE:
         f0 = pauli_mul_array(b0, b0.conj())
         d_effect = sum(
@@ -328,7 +313,6 @@ def _response_block(
 def _response_blocks() -> MappingProxyType:
     """Read-only blocks of every observable: 2 protocols x 2 outcomes x 3 rotations."""
     units = _unit_perturbations()
-    rotations = [_rotation_matrix(m) for m in range(3)]
     observables = (
         ObservableSpec(protocol, outcome, m)
         for protocol in Protocol
@@ -336,7 +320,7 @@ def _response_blocks() -> MappingProxyType:
         for m in range(3)
     )
     return MappingProxyType(
-        {obs: _response_block(obs, _IDEAL, units, rotations[obs.m]) for obs in observables}
+        {obs: _response_block(obs, _IDEAL, units) for obs in observables}
     )
 
 

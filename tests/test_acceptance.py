@@ -15,7 +15,7 @@ import numpy as np
 from sgkit import verify
 from sgkit.cli import main
 from sgkit.estimate import fit_affine, goodness_of_fit, recover_parameters
-from sgkit.experiment import exact_dataset, sampled_dataset, ExperimentConfig
+from sgkit.experiment import ExperimentConfig, generate_dataset
 from sgkit.linearize import PerturbationParams, compare_with_paper, design_matrix
 
 from conftest import project_to_constraints
@@ -86,7 +86,7 @@ def test_criterion_7_round_trip_exact():
     config = ExperimentConfig(
         PerturbationParams.from_vector(truth, eta), 4, 8, shots=0, seed=107
     )
-    fits = _grouped_fits(exact_dataset(config))
+    fits = _grouped_fits(generate_dataset(config))
     system = design_matrix([fit.observable for fit in fits])
     result = recover_parameters(fits, system, eta=eta)
     row_err = np.linalg.norm(result.row_space_basis @ (result.parameters - truth))
@@ -105,7 +105,7 @@ def test_criterion_8_round_trip_sampled():
     config = ExperimentConfig(
         PerturbationParams.from_vector(truth, eta), 4, 8, shots=10**6, seed=20260810
     )
-    fits = _grouped_fits(sampled_dataset(config))
+    fits = _grouped_fits(generate_dataset(config))
     quality = goodness_of_fit(fits)
     assert quality.compatible
     system = design_matrix([fit.observable for fit in fits])

@@ -526,6 +526,44 @@ def test_fit_shots_beyond_float_range_exit_2(tmp_path, capsys, bundled_outputs):
     assert not fits.exists()
 
 
+def test_fit_mixed_exact_and_sampled_records_exit_2(tmp_path, capsys, bundled_outputs):
+    """A sampled dataset with one record replaced by its exact counterpart (the
+    bundled configs differ only in shots)."""
+    lines = bundled_outputs["sampled"]["data"].read_text().splitlines()
+    line = next(i for i, text in enumerate(lines) if not text.startswith("#")) + 1
+    lines[line] = bundled_outputs["exact"]["data"].read_text().splitlines()[line]
+    assert lines[line].split(",")[5] == "0"
+    data, fits = tmp_path / "d.csv", tmp_path / "f.json"
+    data.write_text("\n".join(lines) + "\n")
+    assert main(["fit", "--data", str(data), "--out", str(fits)]) == 2
+    assert "records mix exact and sampled data" in one_error_line(capsys)
+    assert not fits.exists()
+
+
+def test_fit_dataset_without_records_exit_2(tmp_path, capsys, bundled_outputs):
+    """A header-only dataset parses, but there is nothing to fit."""
+    from sgkit.experiment import read_dataset
+
+    lines = bundled_outputs["exact"]["data"].read_text().splitlines()
+    header = next(i for i, text in enumerate(lines) if not text.startswith("#"))
+    data, fits = tmp_path / "d.csv", tmp_path / "f.json"
+    data.write_text("\n".join(lines[: header + 1]) + "\n")
+    assert read_dataset(data).records == []
+    assert main(["fit", "--data", str(data), "--out", str(fits)]) == 2
+    assert "no records" in one_error_line(capsys)
+    assert not fits.exists()
+
+
+def test_recover_empty_fits_list_exit_2(tmp_path, capsys):
+    def empty(document):
+        document["fits"] = []
+        return document
+
+    status, err = _recover_exit(_malformed_fits(tmp_path, empty), tmp_path, capsys)
+    assert status == 2 and "'fits'" in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def run_main(*args) -> tuple[int, list[str]]:
     """``main(ARGS)`` with its stderr lines, for tests that cannot take ``capsys``."""
     stderr = io.StringIO()

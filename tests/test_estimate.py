@@ -12,9 +12,8 @@ from sgkit.experiment import (
     ExperimentConfig,
     MeasurementRecord,
     MeasurementSetting,
-    exact_dataset,
+    generate_dataset,
     make_grid,
-    sampled_dataset,
 )
 from sgkit.linearize import (
     LinearSystem,
@@ -27,6 +26,7 @@ from sgkit.linearize import (
     design_matrix,
     gauge_directions,
     ideal_probability,
+    transcribed_system,
 )
 
 from conftest import project_to_constraints
@@ -87,7 +87,7 @@ def test_fit_sampled_chi_square_near_one():
     config = ExperimentConfig(
         PerturbationParams.zero(1e-3), 4, 8, shots=10**6, seed=99
     )
-    fits = grouped_fits(sampled_dataset(config))
+    fits = grouped_fits(generate_dataset(config))
     for fit in fits:
         assert 0.5 <= fit.chi_square / fit.degrees_of_freedom <= 2.0
         assert fit.has_variance
@@ -140,6 +140,15 @@ def test_fit_rejects_mixed_observables():
         fit_affine(records)
 
 
+def test_fit_rejects_mixed_exact_and_sampled_records():
+    """An exact record's weight of 1 beside binomial weights of about 4e6 would
+    drop it from the fit unseen, so the two kinds never share a fit."""
+    records = exact_records(SINGLE_UP0, make_grid(3, 4), np.zeros(4))
+    records[0] = MeasurementRecord(records[0].setting, 10**6, 500_000, None)
+    with pytest.raises(ValueError, match="single/m0/up: records mix exact and sampled data"):
+        fit_affine(records)
+
+
 # --- goodness of fit ----------------------------------------------------------
 
 
@@ -152,7 +161,7 @@ def test_goodness_exact_data_compatible():
 
 def test_goodness_sampled_compatible():
     config = ExperimentConfig(PerturbationParams.zero(1e-3), 4, 8, shots=10**6, seed=3)
-    report = goodness_of_fit(grouped_fits(sampled_dataset(config)))
+    report = goodness_of_fit(grouped_fits(generate_dataset(config)))
     assert report.compatible
 
 
@@ -193,7 +202,7 @@ def _roundtrip(truth_vec, eta, shots, seed):
     config = ExperimentConfig(
         PerturbationParams.from_vector(truth_vec, eta), 4, 8, shots=shots, seed=seed
     )
-    dataset = exact_dataset(config) if shots == 0 else sampled_dataset(config)
+    dataset = generate_dataset(config)
     fits = grouped_fits(dataset)
     system = design_matrix([fit.observable for fit in fits])
     return fits, recover_parameters(fits, system, eta=eta)
@@ -282,3 +291,27 @@ def test_recover_missing_fit_is_an_error(rng):
     system = design_matrix([f.observable for f in fits])
     with pytest.raises(ValueError):
         recover_parameters(fits[:-1], system, eta=1e-3)
+
+
+@pytest.mark.parametrize(
+    "system_of", [design_matrix, lambda observables: transcribed_system()], ids=["derived", "paper"]
+)
+def test_recover_covariance_propagates_each_fit_covariance(rng, system_of):
+    """Rows read from one fit are correlated through its 4x4 covariance, scaled by
+    their factors (2 in some paper rows) over eta; rows of different fits are not."""
+    truth = project_to_constraints(rng.uniform(-0.08, 0.08, size=16))
+    eta = 1e-3
+    fits, _ = _roundtrip(truth, eta, 10**6, 20260810)
+    system = system_of([fit.observable for fit in fits])
+    by_observable = {fit.observable: fit for fit in fits}
+    n = len(system.rhs_keys)
+    cov_rhs = np.zeros((n, n))
+    for i, key_i in enumerate(system.rhs_keys):
+        for k, key_k in enumerate(system.rhs_keys):
+            if key_i is not None and key_k is not None and key_i[0] == key_k[0]:
+                covariance = by_observable[key_i[0]].covariance[key_i[1], key_k[1]]
+                cov_rhs[i, k] = key_i[2] * key_k[2] * covariance / eta ** 2
+    pseudo = np.linalg.pinv(system.rows, rcond=1e-10)
+    result = recover_parameters(fits, system, eta=eta)
+    expected = pseudo @ cov_rhs @ pseudo.T
+    assert np.max(np.abs(result.covariance - expected)) <= 1e-9 * np.max(np.abs(expected))

@@ -13,12 +13,10 @@ from sgkit.experiment import (
     InvalidGrid,
     MeasurementRecord,
     MeasurementSetting,
-    exact_dataset,
     generate_dataset,
     make_grid,
     plan_settings,
     read_dataset,
-    sampled_dataset,
     write_dataset,
 )
 from sgkit.instrument import exact_normalize, residual_array
@@ -90,7 +88,7 @@ def test_plan_is_deterministic_and_ordered():
 
 
 def test_exact_ideal_single_probability():
-    dataset = exact_dataset(config_of(ZERO, 0.0, protocols=(Protocol.SINGLE,)))
+    dataset = generate_dataset(config_of(ZERO, 0.0, protocols=(Protocol.SINGLE,)))
     for rec in dataset.records:
         obs = rec.setting.observable
         if obs.m == 0 and obs.outcome is Outcome.UP:
@@ -99,7 +97,7 @@ def test_exact_ideal_single_probability():
 
 
 def test_exact_ideal_successive_probability():
-    dataset = exact_dataset(config_of(ZERO, 0.0, protocols=(Protocol.SUCCESSIVE,)))
+    dataset = generate_dataset(config_of(ZERO, 0.0, protocols=(Protocol.SUCCESSIVE,)))
     for rec in dataset.records:
         if rec.setting.observable.m == 0:
             kz = rec.setting.direction.unit_vector()[2]
@@ -113,7 +111,7 @@ def test_exact_matches_matrix_pipeline(rng):
 
     vec = rng.uniform(-1.0, 1.0, size=16)
     config = config_of(vec, 1e-3, n_theta=2, n_phi=3)
-    dataset = exact_dataset(config)
+    dataset = generate_dataset(config)
     inst = build_perturbed(config.perturbation)
     for rec in dataset.records:
         obs = rec.setting.observable
@@ -135,7 +133,7 @@ def test_exact_matches_matrix_pipeline(rng):
 def test_exact_completeness_raw_and_strict(rng):
     vec = rng.uniform(-1.0, 1.0, size=16)
     eta = 1e-3
-    raw = exact_dataset(config_of(vec, eta, protocols=(Protocol.SINGLE,)))
+    raw = generate_dataset(config_of(vec, eta, protocols=(Protocol.SINGLE,)))
     by_setting = {}
     for rec in raw.records:
         key = (rec.setting.observable.m, rec.setting.direction)
@@ -143,7 +141,7 @@ def test_exact_completeness_raw_and_strict(rng):
     for probs in by_setting.values():
         assert abs(sum(probs) - 1.0) <= 10 * eta
 
-    strict = exact_dataset(
+    strict = generate_dataset(
         config_of(vec, eta, protocols=(Protocol.SINGLE,), strict_normalization=True)
     )
     by_setting = {}
@@ -159,7 +157,7 @@ def test_strict_normalization_uses_normalized_instrument(rng):
     config = config_of(vec, 1e-2, strict_normalization=True, n_theta=2, n_phi=3)
     inst = exact_normalize(build_perturbed(config.perturbation))
     assert residual_array(inst.as_array()) <= 1e-12
-    dataset = exact_dataset(config)
+    dataset = generate_dataset(config)
     assert dataset.meta.strict_normalization
 
 
@@ -168,7 +166,7 @@ def test_strict_normalization_uses_normalized_instrument(rng):
 
 def test_sampled_reproducible():
     config = config_of(ZERO, 0.0, shots=1000, seed=42, n_theta=2, n_phi=3)
-    a, b = sampled_dataset(config), sampled_dataset(config)
+    a, b = generate_dataset(config), generate_dataset(config)
     assert a.records == b.records
 
 
@@ -176,7 +174,7 @@ def test_sampled_probability_one_saturates():
     vec = np.zeros(16)
     vec[0] = 2.0  # pushes the up-branch weight far above 1; clamped to p = 1
     config = config_of(vec, 1.0, shots=500, seed=1, protocols=(Protocol.SINGLE,), n_theta=2, n_phi=3)
-    dataset = sampled_dataset(config)
+    dataset = generate_dataset(config)
     ups = [r for r in dataset.records if r.setting.observable.outcome is Outcome.UP]
     assert all(r.successes == r.shots for r in ups)
 
@@ -185,8 +183,8 @@ def test_sampled_concentration(rng):
     shots = 10**6
     vec = rng.uniform(-1.0, 1.0, size=16)
     config = config_of(vec, 1e-3, shots=shots, seed=11)
-    sampled = sampled_dataset(config)
-    exact = exact_dataset(config_of(vec, 1e-3, shots=0, seed=11))
+    sampled = generate_dataset(config)
+    exact = generate_dataset(config_of(vec, 1e-3, shots=0, seed=11))
     bad = 0
     for s_rec, e_rec in zip(sampled.records, exact.records):
         p = e_rec.probability
@@ -201,7 +199,7 @@ def test_sampled_concentration(rng):
 
 def test_write_read_round_trip_exact(tmp_path, rng):
     vec = rng.uniform(-1.0, 1.0, size=16)
-    dataset = exact_dataset(config_of(vec, 1e-3, n_theta=2, n_phi=3))
+    dataset = generate_dataset(config_of(vec, 1e-3, n_theta=2, n_phi=3))
     path = tmp_path / "data.csv"
     write_dataset(dataset, path)
     back = read_dataset(path)
@@ -210,7 +208,7 @@ def test_write_read_round_trip_exact(tmp_path, rng):
 
 
 def test_write_read_round_trip_sampled(tmp_path):
-    dataset = sampled_dataset(config_of(ZERO, 0.0, shots=1234, seed=5, n_theta=2, n_phi=3))
+    dataset = generate_dataset(config_of(ZERO, 0.0, shots=1234, seed=5, n_theta=2, n_phi=3))
     path = tmp_path / "data.csv"
     write_dataset(dataset, path)
     assert read_dataset(path).records == dataset.records
@@ -224,7 +222,7 @@ def test_read_rejects_header_mismatch(tmp_path):
 
 
 def test_read_rejects_missing_tag(tmp_path):
-    dataset = exact_dataset(config_of(ZERO, 0.0, n_theta=2, n_phi=3))
+    dataset = generate_dataset(config_of(ZERO, 0.0, n_theta=2, n_phi=3))
     path = tmp_path / "data.csv"
     write_dataset(dataset, path)
     stripped = "\n".join(path.read_text().splitlines()[1:]) + "\n"
@@ -234,7 +232,7 @@ def test_read_rejects_missing_tag(tmp_path):
 
 
 def test_read_rejects_excess_successes(tmp_path):
-    dataset = sampled_dataset(config_of(ZERO, 0.0, shots=10, seed=5, n_theta=2, n_phi=3))
+    dataset = generate_dataset(config_of(ZERO, 0.0, shots=10, seed=5, n_theta=2, n_phi=3))
     path = tmp_path / "data.csv"
     write_dataset(dataset, path)
     lines = path.read_text().splitlines()
@@ -256,7 +254,7 @@ def write_edited(path, dataset, edit):
 
 
 def test_read_rejects_duplicate_setting(tmp_path):
-    dataset = exact_dataset(config_of(ZERO, 0.0, n_theta=2, n_phi=3))
+    dataset = generate_dataset(config_of(ZERO, 0.0, n_theta=2, n_phi=3))
     path = tmp_path / "data.csv"
     lines = write_edited(path, dataset, lambda lines: lines.append(lines[7]))
     with pytest.raises(FormatError, match=f"^line {len(lines)}: duplicate setting, first on line 8$"):
@@ -264,7 +262,7 @@ def test_read_rejects_duplicate_setting(tmp_path):
 
 
 def test_read_rejects_record_off_the_metadata_grid(tmp_path):
-    dataset = exact_dataset(config_of(ZERO, 0.0, n_theta=2, n_phi=3))
+    dataset = generate_dataset(config_of(ZERO, 0.0, n_theta=2, n_phi=3))
     path = tmp_path / "data.csv"
 
     def claim_four_phi_nodes(lines):
