@@ -222,6 +222,7 @@ def cmd_fit(data_path, out_path) -> int:
     if not dataset.records:
         raise FormatError("dataset has no records")
     fits = [fit_affine(records) for records in _group_records(dataset).values()]
+    _require_one_kind(fits, FormatError, "dataset")
     document = {
         "schema": FITS_SCHEMA,
         "eta": dataset.meta.eta,
@@ -239,6 +240,13 @@ def cmd_fit(data_path, out_path) -> int:
     }
     _write_json(document, out_path)
     return 0
+
+
+def _require_one_kind(fits, error: type[ValueError], what: str) -> None:
+    """Refuse exact fits next to sampled ones: recovery would drop its chi-square for all."""
+    kinds = {fit.has_variance: fit.observable.label() for fit in fits}
+    if len(kinds) > 1:
+        raise error(f"{what} mixes exact ({kinds[False]}) and sampled ({kinds[True]}) observables")
 
 
 def _write_json(document: dict, path) -> None:
@@ -287,6 +295,7 @@ def _load_fits(path) -> tuple[list[FitResult], float]:
                 degrees_of_freedom=dof,
             )
         )
+    _require_one_kind(fits, ConfigError, "fits document")
     return fits, float(eta)
 
 

@@ -91,9 +91,13 @@ class Instrument:
     def branches(self) -> tuple[KrausOperator, KrausOperator]:
         return (self.up, self.down)
 
+    def __post_init__(self):
+        object.__setattr__(self, "_array", np.stack((self.up.as_array(), self.down.as_array())))
+        self._array.setflags(write=False)
+
     def as_array(self) -> np.ndarray:
-        """The (2, 4) complex array of the up and down branches."""
-        return np.stack((self.up.as_array(), self.down.as_array()))
+        """The read-only (2, 4) complex array of the up and down branches, stacked once."""
+        return self._array
 
     @classmethod
     def from_array(cls, branches: np.ndarray) -> Instrument:

@@ -19,7 +19,8 @@ reads both sides of each equation from that text.
 
 ``model_probability``, run once per simulated record, checks the rotated
 instrument as an array and rebuilds no ``Instrument`` or ``RotationSpec``:
-the ideal instrument and the three cyclic rotations are built at import.
+the ideal instrument, the three cyclic rotations and the ideal instrument's
+three rotated arrays, all that ``ideal_probability`` reads, are built at import.
 """
 
 from __future__ import annotations
@@ -165,9 +166,9 @@ class LinearSystem:
         object.__setattr__(self, "rhs_keys", tuple(self.rhs_keys))
 
 
-_IDEAL_INSTRUMENT = ideal_instrument()
-_IDEAL = _IDEAL_INSTRUMENT.as_array()
+_IDEAL = ideal_instrument().as_array()
 _ROTATIONS = tuple(cyclic_rotation(m) for m in range(3))
+_IDEAL_ROTATED = tuple(rotate_array(_IDEAL, rot.axis, rot.angle) for rot in _ROTATIONS)
 
 
 def build_perturbed(params: PerturbationParams) -> Instrument:
@@ -208,7 +209,8 @@ def model_probability(inst: Instrument, obs: ObservableSpec, k) -> float:
 
 
 def ideal_probability(obs: ObservableSpec, k) -> float:
-    return model_probability(_IDEAL_INSTRUMENT, obs, k)
+    """``model_probability`` of the ideal instrument, bit for bit, from its rotations made at import."""
+    return float(_probability_array(_IDEAL, _IDEAL_ROTATED[obs.m], obs, BlochState(_direction_vector(k)).r))
 
 
 def perturbed_probabilities(params: PerturbationParams, obs: ObservableSpec, k, etas) -> np.ndarray:

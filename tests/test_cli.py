@@ -540,6 +540,20 @@ def test_fit_mixed_exact_and_sampled_records_exit_2(tmp_path, capsys, bundled_ou
     assert not fits.exists()
 
 
+def test_fit_observables_of_mixed_kind_exit_2(tmp_path, capsys, bundled_outputs):
+    """A sampled dataset whose single/m0/up records are all exact: each fit is
+    of one kind, but recovery would drop its chi-square for every fit."""
+    exact = bundled_outputs["exact"]["data"].read_text().splitlines()
+    sampled = bundled_outputs["sampled"]["data"].read_text().splitlines()
+    lines = [exact[i] if text.startswith("single,0,up,") else text for i, text in enumerate(sampled)]
+    assert sorted(text.split(",")[5] for text in lines if text.startswith("single,0,up,")) == ["0"] * 32
+    data, fits = tmp_path / "d.csv", tmp_path / "f.json"
+    data.write_text("\n".join(lines) + "\n")
+    assert main(["fit", "--data", str(data), "--out", str(fits)]) == 2
+    assert "dataset mixes exact (single/m0/up) and sampled" in one_error_line(capsys)
+    assert not fits.exists()
+
+
 def test_fit_dataset_without_records_exit_2(tmp_path, capsys, bundled_outputs):
     """A header-only dataset parses, but there is nothing to fit."""
     from sgkit.experiment import read_dataset
@@ -561,6 +575,17 @@ def test_recover_empty_fits_list_exit_2(tmp_path, capsys):
 
     status, err = _recover_exit(_malformed_fits(tmp_path, empty), tmp_path, capsys)
     assert status == 2 and "'fits'" in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_recover_fits_of_mixed_kind_exit_2(tmp_path, capsys, bundled_outputs):
+    """The sampled config's fits with one covariance zeroed, as an exact fit has it."""
+    document = json.loads(bundled_outputs["sampled"]["fits"].read_text())
+    document["fits"][0]["covariance"] = [[0.0] * 4] * 4
+    fits = tmp_path / "f.json"
+    fits.write_text(json.dumps(document))
+    status, err = _recover_exit(fits, tmp_path, capsys)
+    assert status == 2 and "fits document mixes exact (single/m0/up) and sampled" in err
     assert not (tmp_path / "r.json").exists()
 
 

@@ -78,6 +78,15 @@ def test_real_vector_constructors_reject_non_finite():
         RotationSpec((NAN, 0.0, 1.0), 0.0)
 
 
+def test_instrument_array_is_stacked_once_and_read_only(rng):
+    inst = random_instrument(rng)
+    branches = inst.as_array()
+    assert inst.as_array() is branches and branches.shape == (2, 4)
+    assert branches.tobytes() == np.stack((inst.up.as_array(), inst.down.as_array())).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        branches[0, 0] = 1.0
+
+
 # --- effects and normalization ------------------------------------------------
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sgkit import estimate, experiment
+from sgkit import estimate, experiment, linearize
 from sgkit.cli import load_config
 from sgkit.instrument import (
     BlochState,
@@ -297,11 +297,19 @@ def test_property_model_probability_equals_object_path(components, normalize, ob
     assert ideal_probability(obs, k).hex() == ideal.hex()
 
 
+def _exact_groups(grid) -> dict:
+    """The bundled exact config's records on ``grid``, by observable."""
+    config, _ = load_config(REPO / "configs" / "exact.json")
+    config = replace(config, n_theta=grid[0], n_phi=grid[1])
+    groups = {}
+    for rec in experiment.generate_dataset(config).records:
+        groups.setdefault(rec.setting.observable, []).append(rec)
+    return groups
+
+
 def _constructions(monkeypatch, grid):
     """KrausOperator and RotationSpec constructions while the bundled exact
     config on ``grid`` is generated and every observable's records fitted."""
-    config, _ = load_config(REPO / "configs" / "exact.json")
-    config = replace(config, n_theta=grid[0], n_phi=grid[1])
     counts = {KrausOperator: 0, RotationSpec: 0}
     for cls in counts:
         def counted(self, _cls=cls, _init=cls.__post_init__):
@@ -309,9 +317,7 @@ def _constructions(monkeypatch, grid):
             _init(self)
 
         monkeypatch.setattr(cls, "__post_init__", counted)
-    groups = {}
-    for rec in experiment.generate_dataset(config).records:
-        groups.setdefault(rec.setting.observable, []).append(rec)
+    groups = _exact_groups(grid)
     for records in groups.values():
         estimate.fit_affine(records)
     monkeypatch.undo()
@@ -325,6 +331,20 @@ def test_per_record_path_builds_no_kraus_operators_or_rotations(monkeypatch):
     large, large_records = _constructions(monkeypatch, (8, 16))
     assert large_records == 4 * small_records
     assert large == small
+
+
+@pytest.mark.parametrize("grid", [(4, 8), (8, 16)])
+def test_fit_baseline_rotates_nothing(monkeypatch, grid):
+    """Each record's ideal baseline reads the ideal instrument's rotations made
+    at import: fitting every observable calls ``rotate_array`` not once."""
+    groups = _exact_groups(grid)
+    assert sum(map(len, groups.values())) == 9 * grid[0] * grid[1]
+    calls = []
+    rotate = linearize.rotate_array
+    monkeypatch.setattr(linearize, "rotate_array", lambda *args: calls.append(args) or rotate(*args))
+    for records in groups.values():
+        estimate.fit_affine(records)
+    assert len(calls) == 0
 
 
 def test_first_order_accuracy_halving_ratio(rng):
