@@ -89,6 +89,12 @@ def _residual_threshold(value, where: str) -> float:
     return float(value)
 
 
+def _reject_unknown(document: dict, known, prefix: str = "") -> None:
+    for key in document:
+        if key not in known:
+            raise ConfigError(f"unknown key '{prefix}{key}'")
+
+
 def _read_json_object(path, document: str) -> dict:
     """The JSON object stored at ``path``; ``document`` names it in every error."""
     try:
@@ -113,9 +119,7 @@ def load_config(path) -> tuple[ExperimentConfig, dict]:
         "schema", "eta", "perturbation", "grid", "protocols", "shots", "seed",
         "strict_normalization", "constraints", "residual_threshold",
     }
-    for key in raw:
-        if key not in known:
-            raise ConfigError(f"unknown key '{key}'")
+    _reject_unknown(raw, known)
 
     if _require(raw, "schema", str, "a string") != CONFIG_SCHEMA:
         raise ConfigError(f"key 'schema' must equal '{CONFIG_SCHEMA}'")
@@ -126,9 +130,7 @@ def load_config(path) -> tuple[ExperimentConfig, dict]:
     if len(perturbation) != 16 or not all(_is_number(x) for x in perturbation):
         raise ConfigError("key 'perturbation' must be a list of 16 finite numbers")
     grid = _require(raw, "grid", dict, "an object")
-    for key in grid:
-        if key not in ("n_theta", "n_phi"):
-            raise ConfigError(f"unknown key 'grid.{key}'")
+    _reject_unknown(grid, ("n_theta", "n_phi"), "grid.")
     n_theta = _require(grid, "n_theta", int, "an integer")
     n_phi = _require(grid, "n_phi", int, "an integer")
     if n_theta < 2:
@@ -259,8 +261,11 @@ def _load_fits(path) -> tuple[list[FitResult], float]:
     from .estimate import FitResult
 
     raw = _read_json_object(path, "fits document")
+    _reject_unknown(raw, ("schema", "eta", "strict_normalization", "fits"))
     if raw.get("schema") != FITS_SCHEMA:
         raise ConfigError(f"fits document must declare schema '{FITS_SCHEMA}'")
+    if not isinstance(raw.get("strict_normalization", False), bool):
+        raise ConfigError("key 'strict_normalization' must be a boolean")
     eta = raw.get("eta")
     if not _is_number(eta) or eta < 0:
         raise ConfigError("key 'eta' must be a nonnegative number")
@@ -273,6 +278,9 @@ def _load_fits(path) -> tuple[list[FitResult], float]:
         where = f"fits[{n}]"
         if not isinstance(item, dict):
             raise ConfigError(f"{where} must be an object")
+        _reject_unknown(
+            item, ("observable", "coefficients", "covariance", "chi_square", "degrees_of_freedom"), f"{where}."
+        )
         chi_square = item.get("chi_square")
         if not _is_number(chi_square) or chi_square < 0:
             raise ConfigError(f"{where}.chi_square must be a nonnegative number")

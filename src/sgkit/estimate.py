@@ -24,7 +24,8 @@ EXACT_CHI2_TOL = 1e-10
 FIT_CHI2_THRESHOLD = 3.0
 
 
-@dataclass(frozen=True)
+# eq=False (identity): a field-wise == would ask an ndarray for a truth value.
+@dataclass(frozen=True, eq=False)
 class FitResult:
     """Affine fit of one observable's deviations from the ideal model.
 
@@ -53,7 +54,7 @@ class FitResult:
         return bool(np.any(self.covariance != 0.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecoveryResult:
     """Minimum-norm recovery of the 16 parameters with identifiability data.
 

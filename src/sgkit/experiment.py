@@ -218,37 +218,47 @@ def write_dataset(dataset: Dataset, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _parse_meta(raw: dict[str, str]) -> DatasetMeta:
-    try:
-        grid = raw["grid"].split(",")
-        meta = DatasetMeta(
-            eta=float(raw["eta"]),
-            strict_normalization=raw["strict_normalization"] == "true",
-            seed=int(raw["seed"]),
-            n_theta=int(grid[0]),
-            n_phi=int(grid[1]),
-        )
-    except (KeyError, IndexError, ValueError) as exc:
-        raise FormatError(f"bad or missing metadata: {exc}") from exc
-    if not (math.isfinite(meta.eta) and meta.eta >= 0.0):
-        raise FormatError("bad metadata: eta must be a finite nonnegative number")
-    if raw["strict_normalization"] not in ("true", "false"):
-        raise FormatError("bad metadata: strict_normalization must be true or false")
-    # Beyond 2**53 grid indices are no longer exact floats, so nodes stop being distinct.
-    if not (2 <= meta.n_theta <= 2 ** 53 and 3 <= meta.n_phi <= 2 ** 53):
-        raise FormatError("bad metadata: grid needs 2 <= n_theta <= 2**53 and 3 <= n_phi <= 2**53")
-    return meta
+# Each metadata key: its parser, the values it admits, and how an error states them.
+# Beyond 2**53 grid indices are no longer exact floats, so nodes stop being distinct.
+_META_FIELDS = {
+    "eta": (float, lambda x: math.isfinite(x) and x >= 0.0, "a finite nonnegative number"),
+    "strict_normalization": (lambda text: ("false", "true").index(text) == 1, lambda _: True, "true or false"),
+    "seed": (int, lambda x: 0 <= x < 2 ** 64, "an integer in [0, 2**64)"),
+    "grid": (
+        lambda text: tuple(map(int, text.split(","))),
+        lambda g: len(g) == 2 and 2 <= g[0] <= 2 ** 53 and 3 <= g[1] <= 2 ** 53,
+        "n_theta,n_phi with 2 <= n_theta <= 2**53 and 3 <= n_phi <= 2**53",
+    ),
+}
+
+
+def _parse_meta(raw: dict[str, tuple[str, int]]) -> DatasetMeta:
+    """The metadata block, from each key's text and line number."""
+    values = {}
+    for key, (parse, admits, what) in _META_FIELDS.items():
+        if key not in raw:
+            raise FormatError(f"missing metadata key '{key}'")
+        text, line = raw[key]
+        try:
+            values[key] = parse(text)
+        except ValueError:
+            values[key] = None
+        if values[key] is None or not admits(values[key]):
+            raise FormatError(f"bad metadata: {key} must be {what}", line=line)
+    n_theta, n_phi = values.pop("grid")
+    return DatasetMeta(n_theta=n_theta, n_phi=n_phi, **values)
 
 
 def read_dataset(path) -> Dataset:
     """Parse a dataset file; FormatError names the offending line.
 
-    Every record must sit on the metadata's ``grid=`` nodes, no setting
+    The metadata block holds eta, strict_normalization, seed and grid once
+    each.  Every record must sit on the metadata's ``grid=`` nodes, no setting
     (observable and direction) may appear twice, and shots lie below 2**63.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    meta_raw: dict[str, str] = {}
+    meta_raw: dict[str, tuple[str, int]] = {}
     tag_seen = False
     body_start = None
     for i, line in enumerate(lines):
@@ -259,8 +269,13 @@ def read_dataset(path) -> Dataset:
         if content == FORMAT_TAG:
             tag_seen = True
         elif "=" in content:
-            key, _, value = content.partition("=")
-            meta_raw[key.strip()] = value.strip()
+            key, _, value = (part.strip() for part in content.partition("="))
+            if key not in _META_FIELDS:
+                raise FormatError(f"unknown metadata key '{key}'", line=i + 1)
+            if key in meta_raw:
+                first = meta_raw[key][1]
+                raise FormatError(f"repeated metadata key '{key}', first on line {first}", line=i + 1)
+            meta_raw[key] = (value, i + 1)
     if not tag_seen:
         raise FormatError(f"missing format tag '{FORMAT_TAG}'")
     if body_start is None or lines[body_start] != CSV_HEADER:

@@ -53,7 +53,8 @@ def _real3(values) -> np.ndarray:
     return vec
 
 
-@dataclass(frozen=True)
+# eq=False (identity): a field-wise == would ask an ndarray for a truth value.
+@dataclass(frozen=True, eq=False)
 class KrausOperator:
     """One outcome branch, alpha * 1 + beta . sigma."""
 
@@ -82,7 +83,7 @@ class KrausOperator:
         return self._array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instrument:
     up: KrausOperator
     down: KrausOperator
@@ -108,7 +109,7 @@ class Instrument:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlochState:
     """Spin-1/2 state rho = (1 + r . sigma) / 2 with |r| <= 1."""
 
@@ -124,7 +125,7 @@ class BlochState:
         return PauliCoefficients(0.5, 0.5 * self.r)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RotationSpec:
     """Axis-angle device rotation; axis must be a unit vector."""
 

@@ -92,7 +92,8 @@ COEFF_LABELS = ("c0", "c1", "c2", "c3")
 _RE, _IM = [0, 2, 3, 4], [1, 5, 6, 7]
 
 
-@dataclass(frozen=True)
+# eq=False (identity): a field-wise == would ask an ndarray for a truth value.
+@dataclass(frozen=True, eq=False)
 class PerturbationParams:
     """16 real non-ideality parameters, as the read-only (2, 4) complex array
     [a, b_x, b_y, b_z] of the up and the down branch, plus the scale eta."""
@@ -138,7 +139,7 @@ class PerturbationParams:
         return cls.from_vector(vec, eta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearSystem:
     """Rows over the 16 parameters (columns in PARAM_LABELS order) plus row
     labels and per-row data hooks.

@@ -40,7 +40,8 @@ IDENTITY = np.eye(2, dtype=complex)
 _CYCLIC = np.array([1, 2, 0, 2, 0, 1])
 
 
-@dataclass(frozen=True)
+# eq=False (identity): a field-wise == would ask an ndarray for a truth value.
+@dataclass(frozen=True, eq=False)
 class PauliCoefficients:
     scalar: complex
     vector: np.ndarray

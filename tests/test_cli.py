@@ -7,7 +7,11 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
+from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -43,91 +47,10 @@ def test_simulate_deterministic_bytes(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
-def test_simulate_missing_config(tmp_path):
-    assert main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x.csv")]) == 2
-
-
-def test_simulate_unknown_key(tmp_path, capsys):
-    config = write_config(tmp_path / "bad.json", extra_knob=1)
-    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 2
-    assert "extra_knob" in capsys.readouterr().err
-
-
-def test_simulate_bad_value(tmp_path, capsys):
-    config = write_config(tmp_path / "bad.json", eta=-1.0)
-    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 2
-    assert "eta" in capsys.readouterr().err
-
-
 def one_error_line(capsys) -> str:
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     return lines[0]
-
-
-@pytest.mark.parametrize(
-    "key, value",
-    [
-        ("eta", float("nan")),
-        ("eta", float("inf")),
-        ("perturbation", [0.0] * 15 + [float("nan")]),
-        ("perturbation", [float("-inf")] + [0.0] * 15),
-        ("residual_threshold", float("nan")),
-        ("residual_threshold", float("inf")),
-    ],
-)
-def test_non_finite_config_value_exit_2(tmp_path, capsys, key, value):
-    config = write_config(tmp_path / "bad.json", **{key: value})  # json writes NaN/Infinity
-    assert main(["roundtrip", "--config", str(config), "--out", str(tmp_path / "r.json")]) == 2
-    assert f"'{key}'" in one_error_line(capsys)
-
-
-def sgkit_env(**overrides) -> dict:
-    """This process's environment with ``src`` first on PYTHONPATH and
-    OPENBLAS_NUM_THREADS unset, since importing ``sgkit.cli`` here has set it."""
-    env = dict(os.environ)
-    env.pop("OPENBLAS_NUM_THREADS", None)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
-    env.update(overrides)
-    return env
-
-
-def run_sgkit(*args) -> subprocess.CompletedProcess:
-    """``python -m sgkit ARGS`` in a fresh interpreter, so stderr is exactly what a user sees."""
-    return subprocess.run(
-        [sys.executable, "-m", "sgkit", *map(str, args)],
-        capture_output=True, text=True, env=sgkit_env(), stdin=subprocess.DEVNULL, timeout=120,
-    )
-
-
-def test_overflowing_model_probability_exit_2(tmp_path):
-    """Finite inputs whose probabilities overflow are an error, not a clamp to [0, 1],
-    and the error is all of stderr: no numpy warning comes before it."""
-    config = write_config(tmp_path / "huge.json", eta=1e100)
-    proc = run_sgkit("roundtrip", "--config", config, "--out", tmp_path / "r.json")
-    assert proc.returncode == 2
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ") and "not finite" in lines[0], proc.stderr
-
-
-def ill_conditioned_perturbation() -> list[float]:
-    """At eta 10 the branch sum S of this instrument is positive definite but so
-    ill-conditioned that S^(-1/2) leaves a completeness residual near 1.7e-7."""
-    vec = [0.0] * 16
-    vec[0] = vec[4] = 9.95
-    vec[8], vec[12] = -0.0499, 0.05
-    return vec
-
-
-@pytest.mark.parametrize("command", ["simulate", "roundtrip"])
-def test_strict_normalization_of_ill_conditioned_instrument_exit_2(tmp_path, capsys, command):
-    """Strict normalization that cannot meet the completeness tolerance is an error,
-    not a dataset from an instrument that is still not normalized."""
-    config = write_config(
-        tmp_path / "ill.json", eta=10.0, perturbation=ill_conditioned_perturbation(), strict_normalization=True
-    )
-    assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
-    assert "ill-conditioned" in one_error_line(capsys)
 
 
 JSON_VALUES = st.recursive(
@@ -252,7 +175,7 @@ def test_fit_zero_eta_gives_zero_coefficients(tmp_path):
         assert np.max(np.abs(fit["coefficients"])) < 1e-10
 
 
-def test_fit_matches_linear_model(tmp_path):
+def test_fit_matches_linear_model(bundled_outputs):
     """Fitted coefficients agree with the first-order model to O(eta)."""
     from sgkit.linearize import (
         ObservableSpec,
@@ -263,10 +186,7 @@ def test_fit_matches_linear_model(tmp_path):
     )
 
     eta = 1e-3
-    data, fits = tmp_path / "data.csv", tmp_path / "fits.json"
-    main(["simulate", "--config", str(EXACT_CONFIG), "--out", str(data)])
-    main(["fit", "--data", str(data), "--out", str(fits)])
-    document = json.loads(fits.read_text())
+    document = json.loads(bundled_outputs["exact"]["fits"].read_text())
     truth = PerturbationParams.from_vector(
         json.loads(EXACT_CONFIG.read_text())["perturbation"], 0.0
     )
@@ -278,47 +198,6 @@ def test_fit_matches_linear_model(tmp_path):
         )
         predicted = eta * affine_coefficients(truth, obs)
         assert np.max(np.abs(np.array(fit["coefficients"]) - predicted)) <= 10 * eta * eta
-
-
-def test_fit_truncated_dataset_exit_3(tmp_path, capsys):
-    data = tmp_path / "data.csv"
-    main(["simulate", "--config", str(EXACT_CONFIG), "--out", str(data)])
-    lines = data.read_text().splitlines()
-    header_at = next(i for i, line in enumerate(lines) if not line.startswith("#"))
-    truncated = lines[: header_at + 1] + lines[header_at + 1 : header_at + 4]
-    data.write_text("\n".join(truncated) + "\n")
-    assert main(["fit", "--data", str(data), "--out", str(tmp_path / "f.json")]) == 3
-    assert "single/m0/up" in capsys.readouterr().err
-
-
-def test_fit_malformed_dataset_exit_2(tmp_path):
-    data = tmp_path / "data.csv"
-    data.write_text("not a dataset\n")
-    assert main(["fit", "--data", str(data), "--out", str(tmp_path / "f.json")]) == 2
-
-
-@pytest.mark.parametrize(
-    "line", ["# eta=nan", "# eta=inf", "# eta=-0.001", "# strict_normalization=yes"]
-)
-def test_fit_bad_dataset_metadata_exit_2(tmp_path, capsys, line):
-    """Metadata that `sgkit fit` would copy into invalid JSON, or read as another
-    value than it says, is a format error."""
-    data, fits = tmp_path / "data.csv", tmp_path / "fits.json"
-    assert main(["simulate", "--config", str(EXACT_CONFIG), "--out", str(data)]) == 0
-    key = line.partition("=")[0]
-    edited = [line if old.startswith(key + "=") else old for old in data.read_text().splitlines()]
-    data.write_text("\n".join(edited) + "\n")
-    assert main(["fit", "--data", str(data), "--out", str(fits)]) == 2
-    assert key[2:] in one_error_line(capsys)
-    assert not fits.exists()
-
-
-def test_shots_beyond_the_sampler_range_exit_2(tmp_path, capsys):
-    """The binomial sampler takes a C long, so 2**63 shots is a config error."""
-    assert load_config(write_config(tmp_path / "max.json", shots=2 ** 63 - 1))[0].shots == 2 ** 63 - 1
-    config = write_config(tmp_path / "huge.json", shots=2 ** 63)
-    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 2
-    assert "'shots'" in one_error_line(capsys)
 
 
 def test_recover_roundtrip_exact(tmp_path):
@@ -362,95 +241,8 @@ def test_recover_incompatible_large_eta(tmp_path):
     assert document["compatible"] is False
 
 
-def _malformed_fits(tmp_path, edit):
-    data, fits = tmp_path / "d.csv", tmp_path / "f.json"
-    main(["simulate", "--config", str(EXACT_CONFIG), "--out", str(data)])
-    main(["fit", "--data", str(data), "--out", str(fits)])
-    fits.write_text(json.dumps(edit(json.loads(fits.read_text()))))
-    return fits
-
-
-def _recover_exit(fits, tmp_path, capsys):
-    status = main(["recover", "--fits", str(fits), "--out", str(tmp_path / "r.json")])
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    return status, err
-
-
-@pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1e-4"])
-def test_recover_bad_residual_threshold_exit_2(tmp_path, capsys, threshold):
-    fits = _malformed_fits(tmp_path, lambda document: document)
-    capsys.readouterr()
-    args = ["recover", "--fits", str(fits), "--out", str(tmp_path / "r.json")]
-    assert main([*args, f"--residual-threshold={threshold}"]) == 2
-    assert "--residual-threshold" in one_error_line(capsys)
-
-
-def test_recover_fits_without_fits_key_exit_2(tmp_path, capsys):
-    def drop_fits(document):
-        del document["fits"]
-        return document
-
-    status, err = _recover_exit(_malformed_fits(tmp_path, drop_fits), tmp_path, capsys)
-    assert status == 2 and "'fits'" in err
-
-
-def test_recover_fits_top_level_list_exit_2(tmp_path, capsys):
-    status, err = _recover_exit(_malformed_fits(tmp_path, lambda d: [d]), tmp_path, capsys)
-    assert status == 2 and "JSON object" in err
-
-
-def test_recover_fits_short_coefficients_exit_2(tmp_path, capsys):
-    def truncate(document):
-        document["fits"][0]["coefficients"] = document["fits"][0]["coefficients"][:3]
-        return document
-
-    status, err = _recover_exit(_malformed_fits(tmp_path, truncate), tmp_path, capsys)
-    assert status == 2 and "fits[0].coefficients" in err
-
-
-def test_recover_fits_duplicate_observable_exit_2(tmp_path, capsys):
-    def repeat(document):
-        document["fits"].append(document["fits"][2])
-        return document
-
-    fits = _malformed_fits(tmp_path, repeat)
-    last = len(json.loads(fits.read_text())["fits"]) - 1
-    status, err = _recover_exit(fits, tmp_path, capsys)
-    assert status == 2 and f"fits[{last}].observable" in err and "fits[2]" in err
-
-
-@pytest.mark.parametrize(
-    "entry, problem", [((0, 0), "positive semidefinite"), ((0, 1), "symmetric")]
-)
-def test_recover_fits_bad_covariance_exit_2(tmp_path, capsys, entry, problem):
-    def edit(document):
-        row, column = entry
-        document["fits"][3]["covariance"][row][column] = -1.0
-        return document
-
-    status, err = _recover_exit(_malformed_fits(tmp_path, edit), tmp_path, capsys)
-    assert status == 2 and "fits[3].covariance" in err and f"must be {problem}" in err
-
-
-@pytest.mark.parametrize("eta", [1e160, 1e-200])
-def test_recover_extreme_fits_eta_no_traceback(tmp_path, eta):
-    """Scaling the fitted variances by 1/eta overflows neither way into an exception."""
-
-    def set_eta(document):
-        document["eta"] = eta
-        return document
-
-    fits = _malformed_fits(tmp_path, set_eta)
-    proc = run_sgkit("recover", "--fits", fits, "--out", tmp_path / "r.json")
-    assert proc.returncode in (0, 4), proc.stderr
-    assert "Traceback" not in proc.stderr
-
-
-def test_recover_paper_constraints(tmp_path):
-    data, fits, report = tmp_path / "d.csv", tmp_path / "f.json", tmp_path / "r.json"
-    main(["simulate", "--config", str(EXACT_CONFIG), "--out", str(data)])
-    main(["fit", "--data", str(data), "--out", str(fits)])
+def test_recover_paper_constraints(tmp_path, bundled_outputs):
+    fits, report = bundled_outputs["exact"]["fits"], tmp_path / "r.json"
     status = main(["recover", "--fits", str(fits), "--out", str(report), "--constraints", "paper"])
     assert status in (0, 4)
     document = json.loads(report.read_text())
@@ -470,6 +262,258 @@ def test_txt_report_is_rendered_from_the_json(tmp_path, bundled_outputs, config,
     assert "Confirmed" in text and "SignDiscrepancy" in text
 
 
+# --- malformed and boundary inputs: one table, run in process through main() -------
+
+
+@dataclass(frozen=True)
+class Row:
+    """``sgkit COMMAND`` on ``edit`` of the ``base`` bundled config's config (simulate,
+    roundtrip), dataset (fit) or fits document (recover), with ``args`` appended.
+
+    A failing row exits ``status`` with one ``error:`` line that contains ``fragment``
+    and writes no ``--out`` file. An accepting row (``fragment`` None) prints nothing
+    to stderr and passes ``check`` on the file it wrote.
+    """
+
+    command: str
+    edit: Callable
+    status: int
+    fragment: str | None
+    id: str | None = None
+    base: str = "exact"
+    args: tuple[str, ...] = ()
+    check: Callable[[Path], bool] = Path.exists
+
+
+def keys(**values):
+    """A config or fits edit that sets top-level keys."""
+    return lambda document: {**document, **values}
+
+
+def fits_entries(selection: slice, **values):
+    """A fits edit that sets keys of the entries ``fits[selection]``."""
+
+    def edit(document):
+        for fit in document["fits"][selection]:
+            fit.update(values)
+        return document
+
+    return edit
+
+
+def metadata(line):
+    """A dataset edit that replaces the metadata line of ``line``'s key."""
+    key = line.partition("=")[0]
+    return lambda lines: [line if old.startswith(key + "=") else old for old in lines]
+
+
+def first_record(**by_column):
+    """A dataset edit that sets fields of the first record: line 7, after 5 metadata
+    lines and the header."""
+    columns = {"shots": 5, "successes": 6, "probability": 7}
+
+    def edit(lines):
+        parts = lines[6].split(",")
+        for column, value in by_column.items():
+            parts[columns[column]] = value
+        lines[6] = ",".join(parts)
+        return lines
+
+    return edit
+
+
+def exact_single_m0_up(lines):
+    """Every single/m0/up record of a sampled dataset as an exact record of its frequency."""
+    for i, line in enumerate(lines):
+        if line.startswith("single,0,up,"):
+            *setting, shots, successes, _ = line.split(",")
+            lines[i] = ",".join([*setting, "0", "0", repr(int(successes) / int(shots))])
+    return lines
+
+
+# At eta 10 the branch sum S of this instrument is positive definite but so
+# ill-conditioned that S^(-1/2) leaves a completeness residual near 1.7e-7.
+ILL_CONDITIONED = [9.95, 0, 0, 0, 9.95, 0, 0, 0, -0.0499, 0, 0, 0, 0.05, 0, 0, 0]
+NAN, INF = float("nan"), float("inf")
+
+# Rows by the test that runs them; a test with several rows takes them as parameters.
+TABLE = {
+    # configs
+    "test_simulate_missing_config": [Row("simulate", lambda document: None, 2, "cannot read config")],
+    "test_simulate_unknown_key": [Row("simulate", keys(extra_knob=1), 2, "unknown key 'extra_knob'")],
+    "test_simulate_bad_value": [Row("simulate", keys(eta=-1.0), 2, "key 'eta' must be nonnegative")],
+    "test_non_finite_config_value_exit_2": [
+        Row("roundtrip", keys(eta=NAN), 2, "'eta'", "eta-nan"),
+        Row("roundtrip", keys(eta=INF), 2, "'eta'", "eta-inf"),
+        Row("roundtrip", keys(perturbation=[0.0] * 15 + [NAN]), 2, "'perturbation'", "perturbation-value2"),
+        Row("roundtrip", keys(perturbation=[-INF] + [0.0] * 15), 2, "'perturbation'", "perturbation-value3"),
+        Row("roundtrip", keys(residual_threshold=NAN), 2, "'residual_threshold'", "residual_threshold-nan"),
+        Row("roundtrip", keys(residual_threshold=INF), 2, "'residual_threshold'", "residual_threshold-inf"),
+    ],
+    # Finite inputs whose probabilities overflow are an error, not a clamp to [0, 1],
+    # and no numpy warning comes before it.
+    "test_overflowing_model_probability_exit_2": [Row("roundtrip", keys(eta=1e100), 2, "not finite")],
+    # Strict normalization that cannot meet the completeness tolerance is an error.
+    "test_strict_normalization_of_ill_conditioned_instrument_exit_2": [
+        Row(command, keys(eta=10.0, perturbation=ILL_CONDITIONED, strict_normalization=True), 2, "ill-conditioned", command)
+        for command in ("simulate", "roundtrip")
+    ],
+    # The binomial sampler takes a C long.
+    "test_shots_beyond_the_sampler_range_exit_2": [Row("simulate", keys(shots=2 ** 63), 2, "'shots'")],
+    "test_shots_at_the_sampler_limit_simulate": [Row("simulate", keys(shots=2 ** 63 - 1), 0, None)],
+    # A fitted coefficient divided by a subnormal eta overflows. At a tiny eta it is
+    # sampling noise and huge, yet the residual on the probability scale stays small.
+    "test_roundtrip_subnormal_eta_exit_2": [Row("roundtrip", keys(eta=1e-320, shots=10 ** 6), 2, "overflow")],
+    "test_roundtrip_tiny_eta_residual_does_not_overflow": [
+        Row(
+            "roundtrip", keys(eta=eta, shots=10 ** 6), 4, None, str(eta),
+            check=lambda report: 0.0 < json.loads(report.read_text())["residual_norm"] < 1e-2,
+        )
+        for eta in (1e-200, 1e-310)
+    ],
+    # datasets
+    "test_fit_truncated_dataset_exit_3": [Row("fit", lambda lines: lines[:9], 3, "single/m0/up")],
+    "test_fit_malformed_dataset_exit_2": [Row("fit", lambda lines: ["not a dataset"], 2, "missing format tag")],
+    # Metadata that `sgkit fit` would copy into invalid JSON, or read as another value
+    # than it says, is a format error naming its line.
+    "test_fit_bad_dataset_metadata_exit_2": [
+        Row("fit", metadata(line), 2, fragment, line)
+        for line, fragment in [
+            ("# eta=nan", "line 2: bad metadata: eta"),
+            ("# eta=inf", "line 2: bad metadata: eta"),
+            ("# eta=-0.001", "line 2: bad metadata: eta"),
+            ("# strict_normalization=yes", "line 3: bad metadata: strict_normalization"),
+            ("# grid=4,8,1", "line 5: bad metadata: grid"),
+            ("# seed=-1", "line 4: bad metadata: seed"),
+            (f"# seed={2 ** 64}", "line 4: bad metadata: seed"),
+        ]
+    ] + [
+        Row("fit", lambda lines: [*lines[:2], "# eta=0.002", *lines[2:]], 2,
+            "line 3: repeated metadata key 'eta', first on line 2", "repeated # eta="),
+        Row("fit", lambda lines: [*lines[:2], "# bogus=1", *lines[2:]], 2, "line 3: unknown metadata key 'bogus'", "# bogus=1"),
+    ],
+    # line 7 has phi = 0, a node of both grids
+    "test_read_rejects_record_off_the_metadata_grid": [
+        Row("fit", metadata("# grid=4,9"), 2, "line 8: direction is not on the grid=4,9 metadata grid")
+    ],
+    "test_read_rejects_duplicate_setting": [
+        Row("fit", lambda lines: [*lines, lines[6]], 2, "line 295: duplicate setting, first on line 7")
+    ],
+    "test_read_rejects_excess_successes": [
+        Row("fit", first_record(successes="1000001"), 2, "line 7: successes must lie in [0, shots]", base="sampled")
+    ],
+    # A count that overflows the fit's weights.
+    "test_fit_shots_beyond_float_range_exit_2": [
+        Row("fit", first_record(shots=str(10 ** 400), successes=str(10 ** 399)), 2, "line 7: shots", base="sampled")
+    ],
+    "test_fit_mixed_exact_and_sampled_records_exit_2": [
+        Row(
+            "fit", first_record(shots="0", successes="0", probability="0.96"), 2,
+            "records mix exact and sampled data", base="sampled",
+        )
+    ],
+    # Each fit is of one kind, but recovery would drop its chi-square for every fit.
+    "test_fit_observables_of_mixed_kind_exit_2": [
+        Row("fit", exact_single_m0_up, 2, "dataset mixes exact (single/m0/up) and sampled", base="sampled")
+    ],
+    # A header-only dataset parses, but there is nothing to fit.
+    "test_fit_dataset_without_records_exit_2": [Row("fit", lambda lines: lines[:6], 2, "dataset has no records")],
+    # fits documents
+    "test_recover_bad_residual_threshold_exit_2": [
+        Row("recover", keys(), 2, "--residual-threshold", value, args=(f"--residual-threshold={value}",))
+        for value in ("nan", "inf", "0", "-1e-4")
+    ],
+    "test_recover_fits_without_fits_key_exit_2": [
+        Row("recover", lambda document: {k: v for k, v in document.items() if k != "fits"}, 2, "'fits'")
+    ],
+    "test_recover_fits_top_level_list_exit_2": [Row("recover", lambda document: [document], 2, "JSON object")],
+    "test_recover_fits_short_coefficients_exit_2": [
+        Row("recover", fits_entries(slice(0, 1), coefficients=[0.0] * 3), 2, "fits[0].coefficients")
+    ],
+    "test_recover_fits_duplicate_observable_exit_2": [
+        Row(
+            "recover", lambda document: {**document, "fits": [*document["fits"], document["fits"][2]]}, 2,
+            "fits[9].observable single/m1/up repeats fits[2]",
+        )
+    ],
+    # The exact fits' covariances are zero.
+    "test_recover_fits_bad_covariance_exit_2": [
+        Row("recover", fits_entries(slice(3, 4), covariance=np.diag([-1.0, 0, 0, 0]).tolist()), 2,
+            "fits[3].covariance must be positive semidefinite", "entry0-positive semidefinite"),
+        Row("recover", fits_entries(slice(3, 4), covariance=(-np.eye(4, k=1)).tolist()), 2,
+            "fits[3].covariance must be symmetric", "entry1-symmetric"),
+    ],
+    # Scaling the fitted variances by 1/eta overflows neither way.
+    "test_recover_extreme_fits_eta_no_traceback": [
+        Row("recover", keys(eta=eta), 0, None, str(eta)) for eta in (1e160, 1e-200)
+    ],
+    # Fits that parse but overflow a chi-square.
+    "test_recover_overflowing_fits_exit_2": [
+        Row("recover", fits_entries(slice(0, 1), degrees_of_freedom=10 ** 400), 2, "fits[0].degrees_of_freedom",
+            "_huge_degrees_of_freedom-fits[0].degrees_of_freedom", base="sampled"),
+        Row("recover", fits_entries(slice(0, 2), chi_square=1.5e308), 2, "fit chi-square overflows",
+            "_huge_chi_squares-fit chi-square overflows", base="sampled"),
+        Row("recover", fits_entries(slice(None), covariance=np.diag([5e-324] * 4).tolist()), 2,
+            "recovery chi-square overflows", "_subnormal_covariances-recovery chi-square overflows", base="sampled"),
+    ],
+    "test_recover_empty_fits_list_exit_2": [Row("recover", keys(fits=[]), 2, "'fits'")],
+    # The sampled fits with one covariance zeroed, as an exact fit has it.
+    "test_recover_fits_of_mixed_kind_exit_2": [
+        Row("recover", fits_entries(slice(0, 1), covariance=np.zeros((4, 4)).tolist()), 2,
+            "fits document mixes exact (single/m0/up) and sampled", base="sampled")
+    ],
+    "test_recover_fits_unknown_or_invalid_key_exit_2": [
+        Row("recover", keys(strict_normalization="maybe"), 2, "key 'strict_normalization'", "strict_normalization=maybe"),
+        Row("recover", keys(bogus=1), 2, "unknown key 'bogus'", "bogus"),
+        Row("recover", fits_entries(slice(0, 1), bogus=1), 2, "unknown key 'fits[0].bogus'", "fits[0].bogus"),
+    ],
+}
+
+
+def run_row(row: Row, tmp_path, capsys, bundled_outputs) -> None:
+    if row.command == "fit":
+        flag, document = "--data", bundled_outputs[row.base]["data"].read_text().splitlines()
+    elif row.command == "recover":
+        flag, document = "--fits", json.loads(bundled_outputs[row.base]["fits"].read_text())
+    else:
+        flag, document = "--config", json.loads((REPO / "configs" / f"{row.base}.json").read_text())
+    document = row.edit(document)
+    source, out = tmp_path / "input", tmp_path / "out.json"
+    if document is not None:  # json writes NaN and Infinity as JSON extensions
+        source.write_text("\n".join(document) + "\n" if row.command == "fit" else json.dumps(document))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning fails the row, as it would show on stderr
+        status = main([row.command, flag, str(source), "--out", str(out), *row.args])
+    err = capsys.readouterr().err.splitlines()
+    assert status == row.status, err
+    if row.fragment is None:
+        assert err == [] and row.check(out), err
+    else:
+        assert len(err) == 1 and err[0].startswith("error: ") and row.fragment in err[0], err
+        assert not out.exists() and not out.with_suffix(".txt").exists()
+
+
+def table_test(rows: list[Row]):
+    """One test of ``rows``, parametrized by their ids unless it has one row."""
+    if len(rows) == 1:
+
+        def test(tmp_path, capsys, bundled_outputs):
+            run_row(rows[0], tmp_path, capsys, bundled_outputs)
+
+        return test
+
+    @pytest.mark.parametrize("row", rows, ids=[row.id for row in rows])
+    def test(row, tmp_path, capsys, bundled_outputs):
+        run_row(row, tmp_path, capsys, bundled_outputs)
+
+    return test
+
+
+for _name, _rows in TABLE.items():
+    assert _name not in globals(), _name
+    globals()[_name] = table_test(_rows)
+
+
 def strict_json(text: str):
     """JSON that may not contain NaN or Infinity."""
 
@@ -477,116 +521,6 @@ def strict_json(text: str):
         raise AssertionError(f"non-finite number {constant} in a written file")
 
     return json.loads(text, parse_constant=reject)
-
-
-def _huge_degrees_of_freedom(document):
-    document["fits"][0]["degrees_of_freedom"] = 10 ** 400
-
-
-def _huge_chi_squares(document):
-    for fit in document["fits"][:2]:
-        fit["chi_square"] = 1.5e308
-
-
-def _subnormal_covariances(document):
-    for fit in document["fits"]:
-        fit["covariance"] = np.diag([5e-324] * 4).tolist()
-
-
-@pytest.mark.parametrize(
-    "edit, message",
-    [
-        (_huge_degrees_of_freedom, "fits[0].degrees_of_freedom"),
-        (_huge_chi_squares, "fit chi-square overflows"),
-        (_subnormal_covariances, "recovery chi-square overflows"),
-    ],
-)
-def test_recover_overflowing_fits_exit_2(tmp_path, capsys, bundled_outputs, edit, message):
-    """Fits that parse but overflow a chi-square exit 2 with one line and write no report."""
-    document = json.loads(bundled_outputs["sampled"]["fits"].read_text())
-    edit(document)
-    fits, report = tmp_path / "f.json", tmp_path / "r.json"
-    fits.write_text(json.dumps(document))
-    assert main(["recover", "--fits", str(fits), "--out", str(report)]) == 2
-    assert message in one_error_line(capsys)
-    assert not report.exists() and not report.with_suffix(".txt").exists()
-
-
-def test_fit_shots_beyond_float_range_exit_2(tmp_path, capsys, bundled_outputs):
-    """A count that overflows the fit's weights is a format error naming its line."""
-    lines = bundled_outputs["sampled"]["data"].read_text().splitlines()
-    line = next(i for i, text in enumerate(lines) if not text.startswith("#")) + 1
-    parts = lines[line].split(",")
-    parts[5:7] = [str(10 ** 400), str(10 ** 399)]
-    lines[line] = ",".join(parts)
-    data, fits = tmp_path / "d.csv", tmp_path / "f.json"
-    data.write_text("\n".join(lines) + "\n")
-    assert main(["fit", "--data", str(data), "--out", str(fits)]) == 2
-    assert f"line {line + 1}: shots" in one_error_line(capsys)
-    assert not fits.exists()
-
-
-def test_fit_mixed_exact_and_sampled_records_exit_2(tmp_path, capsys, bundled_outputs):
-    """A sampled dataset with one record replaced by its exact counterpart (the
-    bundled configs differ only in shots)."""
-    lines = bundled_outputs["sampled"]["data"].read_text().splitlines()
-    line = next(i for i, text in enumerate(lines) if not text.startswith("#")) + 1
-    lines[line] = bundled_outputs["exact"]["data"].read_text().splitlines()[line]
-    assert lines[line].split(",")[5] == "0"
-    data, fits = tmp_path / "d.csv", tmp_path / "f.json"
-    data.write_text("\n".join(lines) + "\n")
-    assert main(["fit", "--data", str(data), "--out", str(fits)]) == 2
-    assert "records mix exact and sampled data" in one_error_line(capsys)
-    assert not fits.exists()
-
-
-def test_fit_observables_of_mixed_kind_exit_2(tmp_path, capsys, bundled_outputs):
-    """A sampled dataset whose single/m0/up records are all exact: each fit is
-    of one kind, but recovery would drop its chi-square for every fit."""
-    exact = bundled_outputs["exact"]["data"].read_text().splitlines()
-    sampled = bundled_outputs["sampled"]["data"].read_text().splitlines()
-    lines = [exact[i] if text.startswith("single,0,up,") else text for i, text in enumerate(sampled)]
-    assert sorted(text.split(",")[5] for text in lines if text.startswith("single,0,up,")) == ["0"] * 32
-    data, fits = tmp_path / "d.csv", tmp_path / "f.json"
-    data.write_text("\n".join(lines) + "\n")
-    assert main(["fit", "--data", str(data), "--out", str(fits)]) == 2
-    assert "dataset mixes exact (single/m0/up) and sampled" in one_error_line(capsys)
-    assert not fits.exists()
-
-
-def test_fit_dataset_without_records_exit_2(tmp_path, capsys, bundled_outputs):
-    """A header-only dataset parses, but there is nothing to fit."""
-    from sgkit.experiment import read_dataset
-
-    lines = bundled_outputs["exact"]["data"].read_text().splitlines()
-    header = next(i for i, text in enumerate(lines) if not text.startswith("#"))
-    data, fits = tmp_path / "d.csv", tmp_path / "f.json"
-    data.write_text("\n".join(lines[: header + 1]) + "\n")
-    assert read_dataset(data).records == []
-    assert main(["fit", "--data", str(data), "--out", str(fits)]) == 2
-    assert "no records" in one_error_line(capsys)
-    assert not fits.exists()
-
-
-def test_recover_empty_fits_list_exit_2(tmp_path, capsys):
-    def empty(document):
-        document["fits"] = []
-        return document
-
-    status, err = _recover_exit(_malformed_fits(tmp_path, empty), tmp_path, capsys)
-    assert status == 2 and "'fits'" in err
-    assert not (tmp_path / "r.json").exists()
-
-
-def test_recover_fits_of_mixed_kind_exit_2(tmp_path, capsys, bundled_outputs):
-    """The sampled config's fits with one covariance zeroed, as an exact fit has it."""
-    document = json.loads(bundled_outputs["sampled"]["fits"].read_text())
-    document["fits"][0]["covariance"] = [[0.0] * 4] * 4
-    fits = tmp_path / "f.json"
-    fits.write_text(json.dumps(document))
-    status, err = _recover_exit(fits, tmp_path, capsys)
-    assert status == 2 and "fits document mixes exact (single/m0/up) and sampled" in err
-    assert not (tmp_path / "r.json").exists()
 
 
 def run_main(*args) -> tuple[int, list[str]]:
@@ -713,50 +647,37 @@ def test_unexpected_exception_exit_6(monkeypatch, capsys, error):
     assert one_error_line(capsys) == f"error: {type(error).__name__}: {error}"
 
 
-@pytest.mark.parametrize("eta", [1e-200, 1e-310])
-def test_roundtrip_tiny_eta_residual_does_not_overflow(tmp_path, capsys, eta):
-    """At a tiny eta the fitted coefficients c are sampling noise and c / eta is
-    huge, yet the residual norm on the probability scale stays finite, with no
-    warning (every warning fails the suite)."""
-    config = write_config(tmp_path / "tiny.json", eta=eta, shots=1_000_000)
-    report = tmp_path / "r.json"
-    assert main(["roundtrip", "--config", str(config), "--out", str(report)]) == 4
-    assert capsys.readouterr().err == ""
-    assert 0.0 < json.loads(report.read_text())["residual_norm"] < 1e-2
+# --- claims that need a fresh interpreter ------------------------------------------
 
 
-def test_roundtrip_subnormal_eta_exit_2(tmp_path, capsys):
-    """A fitted coefficient divided by a subnormal eta overflows: one error line, exit 2."""
-    config = write_config(tmp_path / "tiny.json", eta=1e-320, shots=1_000_000)
-    assert main(["roundtrip", "--config", str(config), "--out", str(tmp_path / "r.json")]) == 2
-    assert "overflow" in one_error_line(capsys)
+def sgkit_env(**overrides) -> dict:
+    """This process's environment with ``src`` first on PYTHONPATH and
+    OPENBLAS_NUM_THREADS unset, since importing ``sgkit.cli`` here has set it."""
+    env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    env.update(overrides)
+    return env
 
 
-def imported_sgkit_modules(*args) -> set[str]:
-    """The sgkit modules a fresh ``python -X importtime ARGS`` imports, read from its log."""
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", *map(str, args)],
-        capture_output=True, text=True, env=sgkit_env(), stdin=subprocess.DEVNULL, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
+def sgkit_modules(importtime_log: str) -> set[str]:
+    """The sgkit modules named in a ``-X importtime`` log."""
     names = {
         line.rsplit("|", 1)[-1].strip()
-        for line in proc.stderr.splitlines()
+        for line in importtime_log.splitlines()
         if line.startswith("import time:")
     }
     return {name for name in names if name == "sgkit" or name.startswith("sgkit.")}
 
 
-def test_each_command_imports_only_what_it_runs(tmp_path):
-    assert imported_sgkit_modules("-c", "import sgkit") == {"sgkit"}
-    verify = imported_sgkit_modules("-m", "sgkit.cli", "verify")
-    assert "sgkit.verify" in verify
-    assert not verify & {"sgkit.estimate", "sgkit.experiment"}, verify
-    roundtrip = imported_sgkit_modules(
-        "-m", "sgkit", "roundtrip", "--config", EXACT_CONFIG, "--out", tmp_path / "r.json"
+def imported_sgkit_modules(*args) -> set[str]:
+    """The sgkit modules a fresh ``python -X importtime ARGS`` imports."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *map(str, args)],
+        capture_output=True, text=True, env=sgkit_env(), stdin=subprocess.DEVNULL, timeout=120,
     )
-    assert {"sgkit.estimate", "sgkit.experiment"} <= roundtrip
-    assert "sgkit.verify" not in roundtrip, roundtrip
+    assert proc.returncode == 0, proc.stderr
+    return sgkit_modules(proc.stderr)
 
 
 def declared_script() -> tuple[str, str]:
@@ -782,52 +703,124 @@ def launcher_commands() -> dict[str, list[str]]:
     }
 
 
-def test_console_script_installed(tmp_path):
-    """Every launcher runs ``simulate`` from the tree alone and writes the same
-    bytes. A program of the declared name on PATH must too, so a foreign tool
-    of that name fails the test.
+# Runs a launcher in this interpreter on a missing config, so that after it
+# returns the interpreter can still print the exit code and whether the heap
+# was frozen. The launcher's own error line goes to stderr.
+MISSING_CONFIG_PROBE = """
+import gc, runpy, sys
+from importlib.metadata import EntryPoint
+launcher, target, config, out = sys.argv[1:]
+sys.argv = ["sgkit", "roundtrip", "--config", config, "--out", out]
+try:
+    if launcher == "entry point":
+        code = EntryPoint("sgkit", target, "console_scripts").load()()
+    else:
+        runpy.run_module(launcher.removeprefix("python -m "), run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(code, gc.get_freeze_count() > 0)
+"""
+
+
+def report_bytes(report: Path) -> bytes | None:
+    """The JSON and TXT report a round trip wrote to ``report``, or None."""
+    if not report.is_file():
+        return None
+    return report.read_bytes() + report.with_suffix(".txt").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def launched(tmp_path_factory) -> dict[str, SimpleNamespace]:
+    """Two fresh interpreters per launcher, all started at once: a round trip of the
+    exact config that logs its imports and has a TMPDIR of its own, and
+    ``MISSING_CONFIG_PROBE``."""
+    workdir = tmp_path_factory.mktemp("launched")
+    target = declared_script()[1]
+    children, runs = [], {}
+
+    def start(argv, env) -> subprocess.Popen:
+        children.append(subprocess.Popen(
+            [*map(str, argv)], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            stdin=subprocess.DEVNULL, env=env,
+        ))
+        return children[-1]
+
+    try:
+        for n, (label, command) in enumerate(launcher_commands().items()):
+            run = runs[label] = SimpleNamespace(report=workdir / f"r{n}.json", tmpdir=workdir / f"tmp{n}")
+            run.tmpdir.mkdir()
+            run.roundtrip = start(
+                [*command, "roundtrip", "--config", EXACT_CONFIG, "--out", run.report],
+                sgkit_env(TMPDIR=str(run.tmpdir), PYTHONPROFILEIMPORTTIME="1"),
+            )
+            run.missing_config = start(
+                [sys.executable, "-c", MISSING_CONFIG_PROBE, label, target, workdir / "nope.json", workdir / "x.json"],
+                sgkit_env(),
+            )
+        for run in runs.values():
+            for kind in ("roundtrip", "missing_config"):
+                proc = getattr(run, kind)
+                stdout, stderr = proc.communicate(timeout=120)
+                setattr(run, kind, subprocess.CompletedProcess(proc.args, proc.returncode, stdout, stderr))
+    finally:
+        for proc in children:  # a no-op for each child that has exited
+            proc.kill()
+    return runs
+
+
+def test_each_command_imports_only_what_it_runs(launched):
+    assert imported_sgkit_modules("-c", "import sgkit") == {"sgkit"}
+    verify = imported_sgkit_modules("-m", "sgkit.cli", "verify")
+    assert "sgkit.verify" in verify
+    assert not verify & {"sgkit.estimate", "sgkit.experiment"}, verify
+    for label, run in launched.items():
+        roundtrip = sgkit_modules(run.roundtrip.stderr)
+        assert {"sgkit.estimate", "sgkit.experiment"} <= roundtrip, label
+        assert "sgkit.verify" not in roundtrip, (label, roundtrip)
+
+
+def test_console_script_installed(launched, tmp_path):
+    """Every launcher runs ``roundtrip`` from the tree alone and writes the same
+    report bytes. A program of the declared name on PATH must too, so a foreign
+    tool of that name fails the test.
     """
-    launchers = launcher_commands()
+    reports = {label: report_bytes(run.report) for label, run in launched.items()}
     exe = shutil.which(declared_script()[0])
     if exe is not None:
-        launchers[exe] = [exe]
-    outputs = {}
-    for label, command in launchers.items():
-        out = tmp_path / f"d{len(outputs)}.csv"
         proc = subprocess.run(
-            [*command, "simulate", "--config", str(EXACT_CONFIG), "--out", str(out)],
+            [exe, "roundtrip", "--config", str(EXACT_CONFIG), "--out", str(tmp_path / "r.json")],
             capture_output=True, text=True, env=sgkit_env(), stdin=subprocess.DEVNULL, timeout=120,
         )
-        assert proc.returncode == 0, f"{label}: {proc.stderr.strip()}"
-        outputs[label] = out.read_bytes()
-    first = outputs.pop("entry point")
+        assert proc.returncode == 0, f"{exe}: {proc.stderr.strip()}"
+        reports[exe] = report_bytes(tmp_path / "r.json")
+    first = reports.pop("entry point")
     assert first
-    for label, data in outputs.items():
+    for label, data in reports.items():
         assert data == first, f"{label} wrote different bytes"
 
 
 @pytest.mark.parametrize("launcher", ["entry point", "python -m sgkit", "python -m sgkit.cli"])
-def test_launcher_roundtrip_and_config_error(tmp_path, launcher):
-    """Each launcher's round trip exits 0 and removes its temporary files; a
-    missing config exits 2 with one error line."""
-    command = launcher_commands()[launcher]
-    tmpdir = tmp_path / "tmp"
-    tmpdir.mkdir()
-    env = sgkit_env(TMPDIR=str(tmpdir))
-
-    def launch(*args):
-        return subprocess.run(
-            [*command, *map(str, args)],
-            capture_output=True, text=True, env=env, stdin=subprocess.DEVNULL, timeout=120,
-        )
-
-    proc = launch("roundtrip", "--config", EXACT_CONFIG, "--out", tmp_path / "r.json")
-    assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "r.json").is_file() and not list(tmpdir.iterdir())
-    proc = launch("roundtrip", "--config", tmp_path / "nope.json", "--out", tmp_path / "x.json")
-    assert proc.returncode == 2
-    lines = proc.stderr.splitlines()
+def test_launcher_roundtrip_and_config_error(launched, launcher):
+    """Each launcher's round trip exits 0, prints nothing but its import log and
+    removes its temporary files; a missing config exits 2 with one error line."""
+    run = launched[launcher]
+    assert run.roundtrip.returncode == 0, run.roundtrip.stderr
+    assert [line for line in run.roundtrip.stderr.splitlines() if not line.startswith("import time:")] == []
+    assert run.report.is_file() and not list(run.tmpdir.iterdir())
+    assert run.missing_config.stdout.split()[:1] == ["2"], run.missing_config.stderr
+    lines = run.missing_config.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+@pytest.mark.parametrize(
+    "launcher", ["entry point", "python -m sgkit", "python -m sgkit.cli"], ids=["entry point", "sgkit", "sgkit.cli"]
+)
+def test_launchers_freeze_the_heap_before_exit(tmp_path, launched, launcher):
+    """Each launcher ends in ``run()``, which freezes the heap out of the final
+    collection; ``main()``, which the tests call in process, freezes nothing."""
+    assert launched[launcher].missing_config.stdout.split() == ["2", "True"], launched[launcher].missing_config.stderr
+    assert main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x.csv")]) == 2
+    assert gc.get_freeze_count() == 0
 
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
@@ -849,35 +842,6 @@ def test_cli_import_sets_one_blas_thread(preset, expected):
     assert value == expected
     if preset is None and threads != "-1":
         assert threads == "1"
-
-
-FREEZE_PROBE = """
-import gc, runpy, sys
-from importlib.metadata import EntryPoint
-launcher, target = sys.argv[1:]
-sys.argv = ["sgkit", "simulate", "--config", "missing.json", "--out", "x.csv"]
-try:
-    if launcher == "entry point":
-        code = EntryPoint("sgkit", target, "console_scripts").load()()
-    else:
-        runpy.run_module(launcher, run_name="__main__")
-except SystemExit as exc:
-    code = exc.code
-print(code, gc.get_freeze_count() > 0)
-"""
-
-
-@pytest.mark.parametrize("launcher", ["entry point", "sgkit", "sgkit.cli"])
-def test_launchers_freeze_the_heap_before_exit(tmp_path, launcher):
-    """Each launcher ends in ``run()``, which freezes the heap out of the final
-    collection; ``main()``, which the tests call in process, freezes nothing."""
-    proc = subprocess.run(
-        [sys.executable, "-c", FREEZE_PROBE, launcher, declared_script()[1]],
-        capture_output=True, text=True, env=sgkit_env(), stdin=subprocess.DEVNULL, timeout=120,
-    )
-    assert proc.stdout.split() == ["2", "True"], proc.stderr
-    assert main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x.csv")]) == 2
-    assert gc.get_freeze_count() == 0
 
 
 # sha256 of each artifact of the bundled configs.  A refactor keeps every one; a

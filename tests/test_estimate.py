@@ -4,6 +4,7 @@ import pytest
 from sgkit.estimate import (
     FitResult,
     RankDeficientFit,
+    RecoveryResult,
     fit_affine,
     goodness_of_fit,
     recover_parameters,
@@ -15,6 +16,7 @@ from sgkit.experiment import (
     generate_dataset,
     make_grid,
 )
+from sgkit.instrument import BlochState, RotationSpec, ideal_instrument
 from sgkit.linearize import (
     LinearSystem,
     ObservableSpec,
@@ -28,6 +30,7 @@ from sgkit.linearize import (
     ideal_probability,
     transcribed_system,
 )
+from sgkit.pauli import PauliCoefficients
 
 from conftest import project_to_constraints
 
@@ -315,3 +318,33 @@ def test_recover_covariance_propagates_each_fit_covariance(rng, system_of):
     result = recover_parameters(fits, system, eta=eta)
     expected = pseudo @ cov_rhs @ pseudo.T
     assert np.max(np.abs(result.covariance - expected)) <= 1e-9 * np.max(np.abs(expected))
+
+
+def _recovery_result():
+    return RecoveryResult(np.zeros(16), 0, np.eye(16), np.zeros((0, 16)), 0.0, None, None, None)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        ideal_instrument,
+        lambda: ideal_instrument().up,
+        lambda: BlochState(np.array([0.0, 0.0, 1.0])),
+        lambda: RotationSpec(np.array([1.0, 0.0, 0.0]), 0.5),
+        lambda: PerturbationParams.from_vector(np.ones(16), 1e-3),
+        lambda: design_matrix(default_observables()),
+        lambda: FitResult(SINGLE_UP0, np.zeros(4), np.zeros((4, 4)), 0.0, 1),
+        _recovery_result,
+        lambda: ExperimentConfig(PerturbationParams.from_vector(np.ones(16), 1e-3)),
+        lambda: PauliCoefficients(1.0, np.zeros(3)),
+    ],
+    ids=[
+        "Instrument", "KrausOperator", "BlochState", "RotationSpec", "PerturbationParams", "LinearSystem",
+        "FitResult", "RecoveryResult", "ExperimentConfig", "PauliCoefficients",
+    ],
+)
+def test_array_holders_compare_and_hash(make):
+    """``==`` of two equal-valued objects is a bool, not an array's ambiguous truth value."""
+    a, b = make(), make()
+    assert isinstance(a == b, bool) and a == a
+    assert isinstance(hash(a), int)

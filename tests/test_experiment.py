@@ -231,50 +231,6 @@ def test_read_rejects_missing_tag(tmp_path):
         read_dataset(path)
 
 
-def test_read_rejects_excess_successes(tmp_path):
-    dataset = generate_dataset(config_of(ZERO, 0.0, shots=10, seed=5, n_theta=2, n_phi=3))
-    path = tmp_path / "data.csv"
-    write_dataset(dataset, path)
-    lines = path.read_text().splitlines()
-    parts = lines[6].split(",")
-    parts[6] = str(int(parts[5]) + 1)  # successes > shots
-    lines[6] = ",".join(parts)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(FormatError) as err:
-        read_dataset(path)
-    assert "line 7" in str(err.value)
-
-
-def write_edited(path, dataset, edit):
-    write_dataset(dataset, path)
-    lines = path.read_text().splitlines()
-    edit(lines)
-    path.write_text("\n".join(lines) + "\n")
-    return lines
-
-
-def test_read_rejects_duplicate_setting(tmp_path):
-    dataset = generate_dataset(config_of(ZERO, 0.0, n_theta=2, n_phi=3))
-    path = tmp_path / "data.csv"
-    lines = write_edited(path, dataset, lambda lines: lines.append(lines[7]))
-    with pytest.raises(FormatError, match=f"^line {len(lines)}: duplicate setting, first on line 8$"):
-        read_dataset(path)
-
-
-def test_read_rejects_record_off_the_metadata_grid(tmp_path):
-    dataset = generate_dataset(config_of(ZERO, 0.0, n_theta=2, n_phi=3))
-    path = tmp_path / "data.csv"
-
-    def claim_four_phi_nodes(lines):
-        assert lines[4] == "# grid=2,3"
-        lines[4] = "# grid=2,4"
-
-    write_edited(path, dataset, claim_four_phi_nodes)
-    # line 7 has phi = 0, a node of both grids; line 8 has phi = 2pi/3, not one of 0, pi/2, pi, 3pi/2
-    with pytest.raises(FormatError, match="^line 8: direction is not on the grid=2,4 metadata grid$"):
-        read_dataset(path)
-
-
 @st.composite
 def datasets(draw):
     """Any valid dataset: metadata, and distinct exact or sampled records on its grid."""
