@@ -2,9 +2,11 @@
 
 Fits are weighted least squares of (frequency - ideal probability) on the
 basis (1, kx, ky, kz), with binomial weights for counted data and uniform
-weights for exact records.  Recovery stacks the fitted coefficients (scaled
-by 1/eta) against the design system and solves by SVD, reporting the
-minimum-norm solution, rank, nullspace and residual.
+weights for exact records.  Each fit takes its ideal baseline from one
+``ideal_probability`` array call on its records' stacked directions.
+Recovery stacks the fitted coefficients (scaled by 1/eta) against the design
+system and solves by SVD, reporting the minimum-norm solution, rank,
+nullspace and residual.
 """
 
 from __future__ import annotations
@@ -87,6 +89,9 @@ def fit_affine(records) -> FitResult:
             all exact or all sampled, at least 5 of them spanning a rank-4
             direction design.
 
+    The ideal baseline of every record is one ``ideal_probability`` call on
+    the (n, 3) stack of their directions.
+
     Raises ValueError when the records mix observables or exact and sampled
     data, and RankDeficientFit when the design cannot determine 4 coefficients.
     """
@@ -106,8 +111,7 @@ def fit_affine(records) -> FitResult:
 
     directions = np.array([rec.setting.direction.unit_vector() for rec in records])
     design = np.column_stack([np.ones(len(records)), directions])
-    baseline = np.array([ideal_probability(observable, rec.setting.direction) for rec in records])
-    values = np.array([rec.frequency() for rec in records]) - baseline
+    values = np.array([rec.frequency() for rec in records]) - ideal_probability(observable, directions)
 
     weights = np.ones(len(records))
     if sampled:

@@ -252,14 +252,15 @@ def _parse_meta(raw: dict[str, tuple[str, int]]) -> DatasetMeta:
 def read_dataset(path) -> Dataset:
     """Parse a dataset file; FormatError names the offending line.
 
-    The metadata block holds eta, strict_normalization, seed and grid once
-    each.  Every record must sit on the metadata's ``grid=`` nodes, no setting
-    (observable and direction) may appear twice, and shots lie below 2**63.
+    The metadata block holds the format tag and eta, strict_normalization,
+    seed and grid once each, and no other line.  Every record must sit on the
+    metadata's ``grid=`` nodes, no setting (observable and direction) may
+    appear twice, and shots lie below 2**63.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     meta_raw: dict[str, tuple[str, int]] = {}
-    tag_seen = False
+    tag_line = None
     body_start = None
     for i, line in enumerate(lines):
         if not line.startswith("#"):
@@ -267,8 +268,12 @@ def read_dataset(path) -> Dataset:
             break
         content = line[1:].strip()
         if content == FORMAT_TAG:
-            tag_seen = True
-        elif "=" in content:
+            if tag_line is not None:
+                raise FormatError(f"repeated format tag '{FORMAT_TAG}', first on line {tag_line}", line=i + 1)
+            tag_line = i + 1
+        elif "=" not in content:
+            raise FormatError("metadata line is neither the format tag nor key=value", line=i + 1)
+        else:
             key, _, value = (part.strip() for part in content.partition("="))
             if key not in _META_FIELDS:
                 raise FormatError(f"unknown metadata key '{key}'", line=i + 1)
@@ -276,7 +281,7 @@ def read_dataset(path) -> Dataset:
                 first = meta_raw[key][1]
                 raise FormatError(f"repeated metadata key '{key}', first on line {first}", line=i + 1)
             meta_raw[key] = (value, i + 1)
-    if not tag_seen:
+    if tag_line is None:
         raise FormatError(f"missing format tag '{FORMAT_TAG}'")
     if body_start is None or lines[body_start] != CSV_HEADER:
         raise FormatError("header mismatch", line=(body_start or 0) + 1)

@@ -14,7 +14,8 @@ built on ``pauli.pauli_mul_array``: a branch is a ``(..., 4)`` complex array
 (up, down), a state its ``(..., 3)`` real Bloch vector, a rotation a unit
 ``(..., 3)`` axis with a ``(...)`` angle; leading axes broadcast.  The array
 forms are unvalidated: operands are finite, states have ``|r| <= 1`` and
-axes unit length, as the constructors below check.  The object functions
+axes unit length, as the constructors below check (``bloch_array`` checks a
+stack of states at once).  The object functions
 (``effect_expectation``, ``selective_apply``, ``nonselective_apply``,
 ``rotate_instrument``, ``exact_normalize``) validate at the boundary, raise
 this module's exceptions and return ``None`` post-states, and otherwise are
@@ -33,6 +34,7 @@ from .pauli import PauliCoefficients, cross_array, dot_array, pauli_mul_array
 
 NORMALIZATION_TOL = 1e-9
 ZERO_PROBABILITY = 1e-12
+BLOCH_NORM_TOL = 1e-12
 
 CYCLIC_AXIS = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
 
@@ -117,12 +119,25 @@ class BlochState:
 
     def __post_init__(self):
         vec = _real3(self.r)
-        if float(np.linalg.norm(vec)) > 1.0 + 1e-12:
+        if float(np.linalg.norm(vec)) > 1.0 + BLOCH_NORM_TOL:
             raise ValueError("Bloch vector norm exceeds 1")
         object.__setattr__(self, "r", vec)
 
     def coefficients(self) -> PauliCoefficients:
         return PauliCoefficients(0.5, 0.5 * self.r)
+
+
+def bloch_array(r) -> np.ndarray:
+    """``r`` as one float 3-vector or an (n, 3) stack: ValueError unless every
+    vector is finite with |r| <= 1, checked at once as ``BlochState`` checks one."""
+    r = np.asarray(r, dtype=float)
+    if r.ndim not in (1, 2) or r.shape[-1] != 3:
+        raise ValueError("Bloch vectors must be a 3-vector or an (n, 3) stack")
+    if not np.isfinite(r).all():
+        raise ValueError("vector components must be finite")
+    if np.any(np.linalg.norm(r, axis=-1) > 1.0 + BLOCH_NORM_TOL):
+        raise ValueError("Bloch vector norm exceeds 1")
+    return r
 
 
 @dataclass(frozen=True, eq=False)

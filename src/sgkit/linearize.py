@@ -21,6 +21,8 @@ reads both sides of each equation from that text.
 instrument as an array and rebuilds no ``Instrument`` or ``RotationSpec``:
 the ideal instrument, the three cyclic rotations and the ideal instrument's
 three rotated arrays, all that ``ideal_probability`` reads, are built at import.
+``ideal_probability`` takes an (n, 3) stack of directions too, so a fit's
+baseline is one array call per observable.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .instrument import (
     BlochState,
     Direction,
     Instrument,
+    bloch_array,
     cyclic_rotation,
     expectation_array,
     ideal_instrument,
@@ -209,9 +212,16 @@ def model_probability(inst: Instrument, obs: ObservableSpec, k) -> float:
     return float(_probability_array(branches, rotated, obs, state.r))
 
 
-def ideal_probability(obs: ObservableSpec, k) -> float:
-    """``model_probability`` of the ideal instrument, bit for bit, from its rotations made at import."""
-    return float(_probability_array(_IDEAL, _IDEAL_ROTATED[obs.m], obs, BlochState(_direction_vector(k)).r))
+def ideal_probability(obs: ObservableSpec, k) -> float | np.ndarray:
+    """``model_probability`` of the ideal instrument, bit for bit, at one Direction
+    or 3-vector (a float) or at each row of an (n, 3) stack (an (n,) array).
+
+    One ``_probability_array`` call on the rotations made at import covers the
+    whole stack; ValueError unless every vector passes ``bloch_array``.
+    """
+    r = bloch_array(k.unit_vector() if isinstance(k, Direction) else k)
+    p = _probability_array(_IDEAL, _IDEAL_ROTATED[obs.m], obs, r)
+    return p if r.ndim == 2 else float(p)
 
 
 def perturbed_probabilities(params: PerturbationParams, obs: ObservableSpec, k, etas) -> np.ndarray:

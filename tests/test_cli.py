@@ -391,6 +391,10 @@ TABLE = {
         Row("fit", lambda lines: [*lines[:2], "# eta=0.002", *lines[2:]], 2,
             "line 3: repeated metadata key 'eta', first on line 2", "repeated # eta="),
         Row("fit", lambda lines: [*lines[:2], "# bogus=1", *lines[2:]], 2, "line 3: unknown metadata key 'bogus'", "# bogus=1"),
+        Row("fit", lambda lines: [*lines[:2], "# hello", *lines[2:]], 2,
+            "line 3: metadata line is neither the format tag nor key=value", "# hello"),
+        Row("fit", lambda lines: [*lines[:2], "# sgkit-v1", *lines[2:]], 2,
+            "line 3: repeated format tag 'sgkit-v1', first on line 1", "repeated # sgkit-v1"),
     ],
     # line 7 has phi = 0, a node of both grids
     "test_read_rejects_record_off_the_metadata_grid": [

@@ -274,16 +274,36 @@ def _unit_directions():
     ).map(lambda v: v / np.linalg.norm(v))
 
 
+def _unit_rows(v):
+    """Each row of ``v`` scaled to unit length; a row too short to scale is e_z."""
+    norm = np.linalg.norm(v, axis=1, keepdims=True)
+    return np.where(norm > 1e-3, v / np.maximum(norm, 1e-3), [0.0, 0.0, 1.0])
+
+
+def _unit_stacks():
+    """(n, 3) stacks of unit directions, n from 1 to 64."""
+    return st.integers(1, 64).flatmap(
+        lambda n: arrays(float, (n, 3), elements=st.floats(-1.0, 1.0))
+    ).map(_unit_rows)
+
+
 @settings(deadline=None, max_examples=200)
 @given(
     components=arrays(float, (2, 2, 4), elements=st.floats(-2.0, 2.0)),
     normalize=st.booleans(),
     obs=st.sampled_from(ALL_OBSERVABLES),
     k=_unit_directions(),
+    stack=_unit_stacks(),
 )
-def test_property_model_probability_equals_object_path(components, normalize, obs, k):
+def test_property_model_probability_equals_object_path(components, normalize, obs, k, stack):
     """The array path is the validated object path, bit for bit, on raw and on
-    renormalized instruments; ``ideal_probability`` is the ideal instrument's."""
+    renormalized instruments; ``ideal_probability`` is the ideal instrument's,
+    at one direction and at each row of a stack in one call."""
+    ideal = ideal_instrument()
+    stacked = ideal_probability(obs, stack)
+    assert stacked.shape == (len(stack),)
+    for p, row in zip(stacked, stack):
+        assert float(p).hex() == ideal_probability(obs, row).hex() == model_probability(ideal, obs, row).hex()
     inst = Instrument.from_array(components[0] + 1j * components[1])
     if normalize:
         try:
@@ -293,8 +313,7 @@ def test_property_model_probability_equals_object_path(components, normalize, ob
     rotated = rotate_instrument(inst, cyclic_rotation(obs.m))
     oracle = float(_probability_array(inst.as_array(), rotated.as_array(), obs, BlochState(k).r))
     assert model_probability(inst, obs, k).hex() == oracle.hex()
-    ideal = model_probability(ideal_instrument(), obs, k)
-    assert ideal_probability(obs, k).hex() == ideal.hex()
+    assert ideal_probability(obs, k).hex() == model_probability(ideal, obs, k).hex()
 
 
 def _exact_groups(grid) -> dict:
@@ -345,6 +364,30 @@ def test_fit_baseline_rotates_nothing(monkeypatch, grid):
     for records in groups.values():
         estimate.fit_affine(records)
     assert len(calls) == 0
+
+
+@pytest.mark.parametrize("grid", [(4, 8), (8, 16)])
+def test_fit_baseline_is_one_array_call_per_observable(monkeypatch, grid):
+    """Fitting every observable evaluates each one's ideal baseline in a single
+    ``_probability_array`` call on its stacked directions, on any grid."""
+    groups = _exact_groups(grid)
+    calls = []
+    probability = linearize._probability_array
+    monkeypatch.setattr(linearize, "_probability_array", lambda *args: calls.append(args) or probability(*args))
+    for records in groups.values():
+        estimate.fit_affine(records)
+    assert len(groups) == 9
+    assert len(calls) == 9
+    assert sorted(len(args[3]) for args in calls) == [grid[0] * grid[1]] * 9
+
+
+def test_ideal_probability_rejects_a_stack_with_one_long_row(rng):
+    """The norm check covers every row of a stack: one of norm 1 + 1e-9 raises."""
+    stack = np.array([random_unit(rng) for _ in range(8)])
+    assert ideal_probability(SINGLE_UP0, stack).shape == (8,)
+    stack[5] *= 1.0 + 1e-9
+    with pytest.raises(ValueError, match="norm exceeds 1"):
+        ideal_probability(SINGLE_UP0, stack)
 
 
 def test_first_order_accuracy_halving_ratio(rng):
