@@ -16,7 +16,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import argparse
 import gc
 import json
-import math
 import sys
 import tempfile
 from pathlib import Path
@@ -27,6 +26,10 @@ import numpy as np
 # Each command imports the sgkit modules it runs when it runs: `sgkit verify`
 # loads neither experiment nor estimate, and no other command loads verify.
 from .errors import RankDeficientFit
+from .fields import (
+    EXACT_INTEGERS, N_PHI, N_THETA, NONNEGATIVE, SEED, SHOTS, STRICT_NORMALIZATION, Field, integer, number, of_type,
+    read_fields,
+)
 from .linearize import (
     ObservableSpec,
     Outcome,
@@ -47,6 +50,7 @@ CONFIG_SCHEMA = "sgkit-config-v1"
 FITS_SCHEMA = "sgkit-fits-v1"
 RECOVERY_SCHEMA = "sgkit-recovery-v1"
 
+CONSTRAINTS = ("derived", "paper")
 DEFAULT_RESIDUAL_THRESHOLD = 1e-4
 # Fits covariances may miss symmetry and semidefiniteness by rounding, relative
 # to their largest entry: `sgkit fit` output is asymmetric by about 1e-17.
@@ -57,51 +61,29 @@ class ConfigError(ValueError):
     pass
 
 
-def _is_number(value) -> bool:
-    """A finite int or float; bools and ints beyond float range are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
+def _config_error(message: str, _key: str) -> ConfigError:
+    return ConfigError(message)
 
 
-def _require(config: dict, key: str, kind, what: str):
-    """``config[key]`` of the given kind; ``float`` accepts only finite numbers."""
-    if key not in config:
-        raise ConfigError(f"missing key '{key}'")
-    value = config[key]
-    if kind is float:
-        if not _is_number(value):
-            raise ConfigError(f"key '{key}' must be {what}")
-        return float(value)
-    if kind is int and isinstance(value, bool):
-        raise ConfigError(f"key '{key}' must be {what}")
-    if not isinstance(value, kind):
-        raise ConfigError(f"key '{key}' must be {what}")
-    return value
-
-
-def _residual_threshold(value, where: str) -> float:
-    if not _is_number(value) or value <= 0:
-        raise ConfigError(f"{where} must be a positive finite number")
-    return float(value)
-
-
-def _reject_unknown(document: dict, known, prefix: str = "") -> None:
-    for key in document:
-        if key not in known:
-            raise ConfigError(f"unknown key '{prefix}{key}'")
+def _unique_keys(pairs) -> dict:
+    """A JSON object's pairs as a dict; a key given twice is an error, never a silent overwrite."""
+    document = {}
+    for key, value in pairs:
+        if key in document:
+            raise ConfigError(f"repeated key '{key}'")
+        document[key] = value
+    return document
 
 
 def _read_json_object(path, document: str) -> dict:
     """The JSON object stored at ``path``; ``document`` names it in every error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read {document}: {exc}") from exc
+    except ConfigError:
+        raise
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, int digit limit
         raise ConfigError(f"{document} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -109,68 +91,81 @@ def _read_json_object(path, document: str) -> dict:
     return raw
 
 
+def _array(shape: tuple[int, ...]):
+    """A parser of nested lists of finite JSON numbers with the given shape, to a float array."""
+
+    def nested(value, dims):
+        if not dims:
+            return number(value)
+        if type(value) is not list or len(value) != dims[0]:
+            raise ValueError(f"not a list of {dims[0]}")
+        return [nested(x, dims[1:]) for x in value]
+
+    return lambda value: np.array(nested(value, shape), dtype=float)
+
+
+def _observable(value) -> ObservableSpec:
+    if of_type(dict)(value).keys() != {"protocol", "outcome", "m"}:
+        raise ValueError("not the keys of an observable")
+    return ObservableSpec(Protocol(value["protocol"]), Outcome(value["outcome"]), integer(value["m"]))
+
+
+def _covariance(covariance: np.ndarray) -> bool:
+    """Symmetric and positive semidefinite, to COVARIANCE_RTOL of the largest entry."""
+    largest = float(np.max(np.abs(covariance)))
+    unit = covariance / largest if largest > 0.0 else covariance
+    return bool(
+        np.max(np.abs(unit - unit.T)) <= COVARIANCE_RTOL
+        and np.linalg.eigvalsh(0.5 * (unit + unit.T))[0] >= -COVARIANCE_RTOL
+    )
+
+
+CONFIG_FIELDS = {
+    "schema": Field(of_type(str), f"'{CONFIG_SCHEMA}'", lambda value: value == CONFIG_SCHEMA),
+    "eta": NONNEGATIVE,
+    "perturbation": Field(_array((16,)), "a list of 16 finite numbers"),
+    "grid": Field(of_type(dict), "an object"),
+    "protocols": Field(
+        lambda value: tuple(map(Protocol, of_type(list)(value))), "a non-empty list of 'single' and 'successive'", bool
+    ),
+    "shots": SHOTS,
+    "seed": SEED,
+    "strict_normalization": STRICT_NORMALIZATION,
+    "constraints": Field(of_type(str), "'derived' or 'paper'", lambda value: value in CONSTRAINTS, "derived"),
+    "residual_threshold": Field(
+        number, "a positive finite number", lambda x: x > 0.0, DEFAULT_RESIDUAL_THRESHOLD
+    ),
+}
+GRID_FIELDS = {"n_theta": N_THETA, "n_phi": N_PHI}
+FITS_FIELDS = {
+    "schema": Field(of_type(str), f"'{FITS_SCHEMA}'", lambda value: value == FITS_SCHEMA),
+    "eta": NONNEGATIVE,
+    "strict_normalization": STRICT_NORMALIZATION,
+    "fits": Field(
+        lambda value: [of_type(dict)(item) for item in of_type(list)(value)], "a non-empty list of objects", bool
+    ),
+}
+FIT_FIELDS = {
+    "observable": Field(_observable, "an object with a protocol, an outcome and m in 0..2"),
+    "coefficients": Field(_array((4,)), "a list of 4 finite numbers"),
+    "covariance": Field(
+        _array((4, 4)), "a symmetric positive semidefinite 4 x 4 matrix of finite numbers", _covariance
+    ),
+    "chi_square": NONNEGATIVE,
+    "degrees_of_freedom": Field(integer, "an integer in [1, 2**53]", lambda n: 1 <= n <= EXACT_INTEGERS),
+}
+
+
 def load_config(path) -> tuple[ExperimentConfig, dict]:
-    """Parse and validate a run configuration; unknown keys are rejected."""
+    """Read a run configuration through CONFIG_FIELDS and GRID_FIELDS."""
     from .experiment import ExperimentConfig
 
-    raw = _read_json_object(path, "config")
-
-    known = {
-        "schema", "eta", "perturbation", "grid", "protocols", "shots", "seed",
-        "strict_normalization", "constraints", "residual_threshold",
-    }
-    _reject_unknown(raw, known)
-
-    if _require(raw, "schema", str, "a string") != CONFIG_SCHEMA:
-        raise ConfigError(f"key 'schema' must equal '{CONFIG_SCHEMA}'")
-    eta = _require(raw, "eta", float, "a finite number")
-    if eta < 0:
-        raise ConfigError("key 'eta' must be nonnegative")
-    perturbation = _require(raw, "perturbation", list, "a list of 16 finite numbers")
-    if len(perturbation) != 16 or not all(_is_number(x) for x in perturbation):
-        raise ConfigError("key 'perturbation' must be a list of 16 finite numbers")
-    grid = _require(raw, "grid", dict, "an object")
-    _reject_unknown(grid, ("n_theta", "n_phi"), "grid.")
-    n_theta = _require(grid, "n_theta", int, "an integer")
-    n_phi = _require(grid, "n_phi", int, "an integer")
-    if n_theta < 2:
-        raise ConfigError("key 'grid.n_theta' must be >= 2")
-    if n_phi < 3:
-        raise ConfigError("key 'grid.n_phi' must be >= 3")
-    protocol_names = _require(raw, "protocols", list, "a list")
-    try:
-        protocols = tuple(Protocol(name) for name in protocol_names)
-    except ValueError as exc:
-        raise ConfigError(f"key 'protocols' has an invalid entry: {exc}") from exc
-    if not protocols:
-        raise ConfigError("key 'protocols' must not be empty")
-    shots = _require(raw, "shots", int, "an integer")
-    if not 0 <= shots < 2 ** 63:  # the binomial sampler takes a C long
-        raise ConfigError("key 'shots' must be nonnegative and below 2**63")
-    seed = _require(raw, "seed", int, "an integer")
-    if not 0 <= seed < 2 ** 64:
-        raise ConfigError("key 'seed' must fit in 64 bits")
-    strict = raw.get("strict_normalization", False)
-    if not isinstance(strict, bool):
-        raise ConfigError("key 'strict_normalization' must be a boolean")
-    constraints = raw.get("constraints", "derived")
-    if constraints not in ("derived", "paper"):
-        raise ConfigError("key 'constraints' must be 'derived' or 'paper'")
-    threshold = _residual_threshold(
-        raw.get("residual_threshold", DEFAULT_RESIDUAL_THRESHOLD), "key 'residual_threshold'"
-    )
-
-    config = ExperimentConfig(
-        perturbation=PerturbationParams.from_vector(perturbation, eta),
-        n_theta=n_theta,
-        n_phi=n_phi,
-        protocols=protocols,
-        shots=shots,
-        seed=seed,
-        strict_normalization=strict,
-    )
-    modes = {"constraints": constraints, "residual_threshold": threshold}
-    return config, modes
+    values = read_fields(CONFIG_FIELDS, _read_json_object(path, "config"), _config_error)
+    grid = read_fields(GRID_FIELDS, values["grid"], _config_error, "grid.")
+    perturbation = PerturbationParams.from_vector(values["perturbation"], values["eta"])
+    run = {key: values[key] for key in ("protocols", "shots", "seed", "strict_normalization")}
+    modes = {key: values[key] for key in ("constraints", "residual_threshold")}
+    return ExperimentConfig(perturbation, **grid, **run), modes
 
 
 def cmd_simulate(config_path, out_path) -> int:
@@ -189,33 +184,6 @@ def _group_records(dataset):
     return groups
 
 
-def _observable_dict(obs: ObservableSpec) -> dict:
-    return {"protocol": obs.protocol.value, "m": obs.m, "outcome": obs.outcome.value}
-
-
-def _observable_from_dict(data, where: str) -> ObservableSpec:
-    try:
-        m = data["m"]
-        if isinstance(m, int) and not isinstance(m, bool):
-            return ObservableSpec(Protocol(data["protocol"]), Outcome(data["outcome"]), m)
-    except (KeyError, TypeError, ValueError):
-        pass
-    raise ConfigError(f"{where} must be an object with a protocol, an outcome and m in 0..2")
-
-
-def _numbers(value, shape: tuple[int, ...], where: str) -> np.ndarray:
-    """Nested lists of finite numbers with the given shape, as a float array."""
-
-    def fits_shape(v, dims) -> bool:
-        if not dims:
-            return _is_number(v)
-        return isinstance(v, list) and len(v) == dims[0] and all(fits_shape(x, dims[1:]) for x in v)
-
-    if not fits_shape(value, shape):
-        raise ConfigError(f"{where} must be {' x '.join(map(str, shape))} finite numbers")
-    return np.array(value, dtype=float)
-
-
 def cmd_fit(data_path, out_path) -> int:
     from .estimate import fit_affine
     from .experiment import FormatError, read_dataset
@@ -231,7 +199,8 @@ def cmd_fit(data_path, out_path) -> int:
         "strict_normalization": dataset.meta.strict_normalization,
         "fits": [
             {
-                "observable": _observable_dict(fit.observable),
+                "observable": {"protocol": fit.observable.protocol.value, "m": fit.observable.m,
+                               "outcome": fit.observable.outcome.value},
                 "coefficients": fit.coefficients.tolist(),
                 "covariance": fit.covariance.tolist(),
                 "chi_square": fit.chi_square,
@@ -257,69 +226,25 @@ def _write_json(document: dict, path) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def _load_fits(path) -> tuple[list[FitResult], float]:
+def _load_fits(path) -> tuple[list[FitResult], float, bool]:
+    """The fits, eta and strict_normalization of a fits document, read through
+    FITS_FIELDS and FIT_FIELDS; no observable may have two entries."""
     from .estimate import FitResult
 
-    raw = _read_json_object(path, "fits document")
-    _reject_unknown(raw, ("schema", "eta", "strict_normalization", "fits"))
-    if raw.get("schema") != FITS_SCHEMA:
-        raise ConfigError(f"fits document must declare schema '{FITS_SCHEMA}'")
-    if not isinstance(raw.get("strict_normalization", False), bool):
-        raise ConfigError("key 'strict_normalization' must be a boolean")
-    eta = raw.get("eta")
-    if not _is_number(eta) or eta < 0:
-        raise ConfigError("key 'eta' must be a nonnegative number")
-    items = raw.get("fits")
-    if not isinstance(items, list) or not items:
-        raise ConfigError("key 'fits' must be a non-empty list")
+    document = read_fields(FITS_FIELDS, _read_json_object(path, "fits document"), _config_error)
     fits = []
     first_index = {}
-    for n, item in enumerate(items):
-        where = f"fits[{n}]"
-        if not isinstance(item, dict):
-            raise ConfigError(f"{where} must be an object")
-        _reject_unknown(
-            item, ("observable", "coefficients", "covariance", "chi_square", "degrees_of_freedom"), f"{where}."
-        )
-        chi_square = item.get("chi_square")
-        if not _is_number(chi_square) or chi_square < 0:
-            raise ConfigError(f"{where}.chi_square must be a nonnegative number")
-        dof = item.get("degrees_of_freedom")
-        # Beyond 2**53 a count is no longer an exact float, and beyond 2**1024 no float.
-        if not isinstance(dof, int) or isinstance(dof, bool) or not 1 <= dof <= 2 ** 53:
-            raise ConfigError(f"{where}.degrees_of_freedom must be an integer in 1..2**53")
-        observable = _observable_from_dict(item.get("observable"), f"{where}.observable")
-        if observable in first_index:
-            raise ConfigError(
-                f"{where}.observable {observable.label()} repeats fits[{first_index[observable]}]"
-            )
-        first_index[observable] = n
-        fits.append(
-            FitResult(
-                observable=observable,
-                coefficients=_numbers(item.get("coefficients"), (4,), f"{where}.coefficients"),
-                covariance=_covariance(item.get("covariance"), f"{where}.covariance"),
-                chi_square=float(chi_square),
-                degrees_of_freedom=dof,
-            )
-        )
+    for n, entry in enumerate(document["fits"]):
+        fit = FitResult(**read_fields(FIT_FIELDS, entry, _config_error, f"fits[{n}]."))
+        first = first_index.setdefault(fit.observable, n)
+        if first != n:
+            raise ConfigError(f"fits[{n}].observable {fit.observable.label()} repeats fits[{first}]")
+        fits.append(fit)
     _require_one_kind(fits, ConfigError, "fits document")
-    return fits, float(eta)
+    return fits, document["eta"], document["strict_normalization"]
 
 
-def _covariance(value, where: str) -> np.ndarray:
-    """A 4 x 4 symmetric positive semidefinite matrix, to COVARIANCE_RTOL of its largest entry."""
-    covariance = _numbers(value, (4, 4), where)
-    largest = float(np.max(np.abs(covariance)))
-    unit = covariance / largest if largest > 0.0 else covariance
-    if np.max(np.abs(unit - unit.T)) > COVARIANCE_RTOL:
-        raise ConfigError(f"{where} must be symmetric")
-    if np.linalg.eigvalsh(0.5 * (unit + unit.T))[0] < -COVARIANCE_RTOL:
-        raise ConfigError(f"{where} must be positive semidefinite")
-    return covariance
-
-
-def _recovery_report(fits, eta, constraints, residual_threshold) -> dict:
+def _recovery_report(fits, eta, strict_normalization, constraints, residual_threshold) -> dict:
     """The recovery report as the JSON document that ``sgkit recover`` writes."""
     from .estimate import FIT_CHI2_THRESHOLD, goodness_of_fit, recover_parameters
 
@@ -329,7 +254,7 @@ def _recovery_report(fits, eta, constraints, residual_threshold) -> dict:
         system = design_matrix([fit.observable for fit in fits])
     result = recover_parameters(fits, system, eta=eta)
     quality = goodness_of_fit(fits)
-    if result.chi_square is not None and result.degrees_of_freedom:
+    if result.chi_square is not None:
         recovery_ok = result.chi_square <= FIT_CHI2_THRESHOLD * result.degrees_of_freedom
     else:
         recovery_ok = result.residual_norm <= residual_threshold
@@ -337,6 +262,7 @@ def _recovery_report(fits, eta, constraints, residual_threshold) -> dict:
         "schema": RECOVERY_SCHEMA,
         "constraints": constraints,
         "eta": eta,
+        "strict_normalization": strict_normalization,
         "parameter_labels": list(PARAM_LABELS),
         "parameters": result.parameters.tolist(),
         "rank": result.rank,
@@ -364,6 +290,7 @@ def _report_text(document: dict) -> str:
         "parameter recovery report",
         f"constraint system: {document['constraints']}",
         f"eta: {document['eta']:.6g}",
+        f"strict normalization: {'yes' if document['strict_normalization'] else 'no'}",
         "",
         "recovered parameters (minimum-norm):",
     ]
@@ -377,6 +304,8 @@ def _report_text(document: dict) -> str:
             f"recovery chi-square: {document['recovery_chi_square']:.4g}"
             f" over {document['recovery_degrees_of_freedom']} dof"
         )
+    elif document["covariance"] is not None:
+        lines.append("recovery chi-square: none, no degrees of freedom left")
     lines.append("unidentifiable directions:")
     for vec in document["nullspace"]:
         lines.append(f"  {render_combination(vec, zero_tol=1e-8)}")
@@ -397,9 +326,9 @@ def _report_text(document: dict) -> str:
 
 
 def cmd_recover(fits_path, out_path, constraints="derived", residual_threshold=DEFAULT_RESIDUAL_THRESHOLD) -> int:
-    residual_threshold = _residual_threshold(residual_threshold, "option '--residual-threshold'")
-    fits, eta = _load_fits(fits_path)
-    document = _recovery_report(fits, eta, constraints, residual_threshold)
+    option = {"--residual-threshold": CONFIG_FIELDS["residual_threshold"]}
+    read_fields(option, {"--residual-threshold": residual_threshold}, _config_error, noun="option")
+    document = _recovery_report(*_load_fits(fits_path), constraints, residual_threshold)
     _write_json(document, out_path)
     Path(out_path).with_suffix(".txt").write_text(_report_text(document), encoding="utf-8")
     return 0 if document["compatible"] else 4
@@ -429,15 +358,8 @@ def cmd_roundtrip(config_path, out_path) -> int:
         data_path = Path(workdir) / "dataset.csv"
         fits_path = Path(workdir) / "fits.json"
         write_dataset(generate_dataset(config), data_path)
-        status = cmd_fit(data_path, fits_path)
-        if status != 0:
-            return status
-        return cmd_recover(
-            fits_path,
-            out_path,
-            constraints=modes["constraints"],
-            residual_threshold=modes["residual_threshold"],
-        )
+        cmd_fit(data_path, fits_path)
+        return cmd_recover(fits_path, out_path, **modes)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -455,7 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recover", help="recover instrument parameters from fits")
     p.add_argument("--fits", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--constraints", choices=("derived", "paper"), default="derived")
+    p.add_argument("--constraints", choices=CONSTRAINTS, default="derived")
     p.add_argument("--residual-threshold", type=float, default=DEFAULT_RESIDUAL_THRESHOLD)
 
     p = sub.add_parser("verify", help="run the oracle and invariant suites")
@@ -474,11 +396,7 @@ def main(argv=None) -> int:
         if args.command == "fit":
             return cmd_fit(args.data, args.out)
         if args.command == "recover":
-            return cmd_recover(
-                args.fits, args.out,
-                constraints=args.constraints,
-                residual_threshold=args.residual_threshold,
-            )
+            return cmd_recover(args.fits, args.out, args.constraints, args.residual_threshold)
         if args.command == "verify":
             return cmd_verify()
         if args.command == "roundtrip":

@@ -68,7 +68,8 @@ class RecoveryResult:
     scaled-system residual multiplied back by eta) so it can be compared
     with statistical noise and truncation error.  ``chi_square`` is the
     standard-error-weighted residual over the data rows, present only when
-    the fits carry sampling variance.
+    the fits carry sampling variance and the data rows outnumber the rank;
+    ``degrees_of_freedom`` is their difference.
     """
 
     parameters: np.ndarray
@@ -258,11 +259,13 @@ def recover_parameters(fits, system: LinearSystem, eta: float) -> RecoveryResult
     variances = np.diag(cov_rhs)[data_rows]
     if np.all((variances > 0.0) & (variances < np.inf)):
         covariance = pseudo @ cov_rhs @ pseudo.T
-        with np.errstate(over="ignore"):
-            chi_square = float(np.sum(residual_vec[data_rows] ** 2 / variances))
-        if not np.isfinite(chi_square):
-            raise ValueError("the recovery chi-square overflows")
-        dof = int(np.sum(data_rows)) - rank
+        # With no more data rows than the rank, no degree of freedom is left to test.
+        if np.sum(data_rows) > rank:
+            with np.errstate(over="ignore"):
+                chi_square = float(np.sum(residual_vec[data_rows] ** 2 / variances))
+            if not np.isfinite(chi_square):
+                raise ValueError("the recovery chi-square overflows")
+            dof = int(np.sum(data_rows)) - rank
 
     return RecoveryResult(
         parameters=solution,

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fields import N_PHI, N_THETA, NONNEGATIVE, REQUIRED, SEED, SHOTS, STRICT_NORMALIZATION, Field, number, read_fields
 from .instrument import Direction, exact_normalize
 from .linearize import (
     ObservableSpec,
@@ -90,7 +91,7 @@ class ExperimentConfig:
             raise InvalidGrid("grid needs n_theta >= 2 and n_phi >= 3")
         if self.shots < 0:
             raise ValueError("shots must be nonnegative")
-        if not 0 <= self.seed < 2 ** 64:
+        if not SEED.admits(self.seed):
             raise ValueError("seed must fit in 64 bits")
         if not self.protocols:
             raise ValueError("at least one protocol required")
@@ -218,35 +219,19 @@ def write_dataset(dataset: Dataset, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-# Each metadata key: its parser, the values it admits, and how an error states them.
-# Beyond 2**53 grid indices are no longer exact floats, so nodes stop being distinct.
+# Each metadata key's row: the config's rules, read from the key's text.
 _META_FIELDS = {
-    "eta": (float, lambda x: math.isfinite(x) and x >= 0.0, "a finite nonnegative number"),
-    "strict_normalization": (lambda text: ("false", "true").index(text) == 1, lambda _: True, "true or false"),
-    "seed": (int, lambda x: 0 <= x < 2 ** 64, "an integer in [0, 2**64)"),
-    "grid": (
+    "eta": NONNEGATIVE._replace(parse=lambda text: number(float(text))),
+    "strict_normalization": STRICT_NORMALIZATION._replace(
+        parse=lambda text: ("false", "true").index(text) == 1, default=REQUIRED
+    ),
+    "seed": SEED._replace(parse=int),
+    "grid": Field(
         lambda text: tuple(map(int, text.split(","))),
-        lambda g: len(g) == 2 and 2 <= g[0] <= 2 ** 53 and 3 <= g[1] <= 2 ** 53,
-        "n_theta,n_phi with 2 <= n_theta <= 2**53 and 3 <= n_phi <= 2**53",
+        f"n_theta,n_phi with n_theta {N_THETA.what} and n_phi {N_PHI.what}",
+        lambda g: len(g) == 2 and N_THETA.admits(g[0]) and N_PHI.admits(g[1]),
     ),
 }
-
-
-def _parse_meta(raw: dict[str, tuple[str, int]]) -> DatasetMeta:
-    """The metadata block, from each key's text and line number."""
-    values = {}
-    for key, (parse, admits, what) in _META_FIELDS.items():
-        if key not in raw:
-            raise FormatError(f"missing metadata key '{key}'")
-        text, line = raw[key]
-        try:
-            values[key] = parse(text)
-        except ValueError:
-            values[key] = None
-        if values[key] is None or not admits(values[key]):
-            raise FormatError(f"bad metadata: {key} must be {what}", line=line)
-    n_theta, n_phi = values.pop("grid")
-    return DatasetMeta(n_theta=n_theta, n_phi=n_phi, **values)
 
 
 def read_dataset(path) -> Dataset:
@@ -259,7 +244,8 @@ def read_dataset(path) -> Dataset:
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    meta_raw: dict[str, tuple[str, int]] = {}
+    texts: dict[str, str] = {}
+    lines_of: dict[str, int] = {}
     tag_line = None
     body_start = None
     for i, line in enumerate(lines):
@@ -275,17 +261,18 @@ def read_dataset(path) -> Dataset:
             raise FormatError("metadata line is neither the format tag nor key=value", line=i + 1)
         else:
             key, _, value = (part.strip() for part in content.partition("="))
-            if key not in _META_FIELDS:
-                raise FormatError(f"unknown metadata key '{key}'", line=i + 1)
-            if key in meta_raw:
-                first = meta_raw[key][1]
-                raise FormatError(f"repeated metadata key '{key}', first on line {first}", line=i + 1)
-            meta_raw[key] = (value, i + 1)
+            if key in texts:
+                raise FormatError(f"repeated metadata key '{key}', first on line {lines_of[key]}", line=i + 1)
+            texts[key], lines_of[key] = value, i + 1
     if tag_line is None:
         raise FormatError(f"missing format tag '{FORMAT_TAG}'")
     if body_start is None or lines[body_start] != CSV_HEADER:
         raise FormatError("header mismatch", line=(body_start or 0) + 1)
-    meta = _parse_meta(meta_raw)
+    values = read_fields(
+        _META_FIELDS, texts, lambda message, key: FormatError(message, lines_of.get(key)), noun="metadata key"
+    )
+    n_theta, n_phi = values.pop("grid")
+    meta = DatasetMeta(n_theta=n_theta, n_phi=n_phi, **values)
     records = []
     first_line: dict[MeasurementSetting, int] = {}
     for lineno, line in enumerate(lines[body_start + 1 :], start=body_start + 2):
@@ -300,8 +287,8 @@ def read_dataset(path) -> Dataset:
             outcome = Outcome(parts[2])
             direction = Direction(float(parts[3]), float(parts[4]))
             shots = int(parts[5])
-            if shots >= 2 ** 63:  # a config's bound; counts beyond float range break the fit
-                raise ValueError("shots must be below 2**63")
+            if not SHOTS.admits(shots):
+                raise ValueError(f"shots must be {SHOTS.what}")
             successes = int(parts[6])
             probability = float(parts[7]) if parts[7] != "" else None
             record = MeasurementRecord(

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import sgkit.cli
 from sgkit.cli import ConfigError, _report_text, load_config, main
+from sgkit.fields import Field
 
 REPO = Path(__file__).resolve().parent.parent
 EXACT_CONFIG = REPO / "configs" / "exact.json"
@@ -58,6 +59,7 @@ JSON_VALUES = st.recursive(
     lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=8), children, max_size=3),
     max_leaves=8,
 )
+NAN, INF = float("nan"), float("inf")
 # Edge numbers are drawn as often as any other number or JSON value.
 EDGE_NUMBERS = st.sampled_from([float("nan"), float("inf"), float("-inf"), 10 ** 400, -1, 0, 1.5])
 REPLACEMENTS = st.one_of(EDGE_NUMBERS, st.floats(), st.integers(), JSON_VALUES)
@@ -156,12 +158,96 @@ def test_property_load_fits_accepts_or_raises_config_error(tmp_path_factory, bun
     path = tmp_path_factory.getbasetemp() / "mutated_fits.json"
     path.write_text(json.dumps(data.draw(mutated_documents(bundled_fits))))
     try:
-        fits, eta = sgkit.cli._load_fits(path)
+        fits, eta, strict_normalization = sgkit.cli._load_fits(path)
     except ConfigError:
         return
     assert np.isfinite(eta) and eta >= 0
+    assert isinstance(strict_normalization, bool)
     for fit in fits:
         assert np.isfinite(fit.coefficients).all() and np.isfinite(fit.covariance).all()
+
+
+def json_kind(value) -> str:
+    """The JSON type of a decoded value: an int and a float are both a number."""
+    kinds = {bool: "boolean", int: "number", float: "number", str: "string", list: "array", dict: "object"}
+    return kinds.get(type(value), "null")
+
+
+# Every row of the config, grid, fits and fit-entry tables: the command that reads
+# it, the path of its object in the bundled exact config or fits, and its prefix.
+TABLE_ROWS = [
+    (command, parents, prefix, key, field)
+    for command, parents, prefix, table in [
+        ("simulate", (), "", sgkit.cli.CONFIG_FIELDS),
+        ("simulate", ("grid",), "grid.", sgkit.cli.GRID_FIELDS),
+        ("recover", (), "", sgkit.cli.FITS_FIELDS),
+        ("recover", ("fits", 0), "fits[0].", sgkit.cli.FIT_FIELDS),
+    ]
+    for key, field in table.items()
+]
+# Values just outside a row's admitted range, by key, for every row whose test admits
+# fewer values than its parser returns. A new row with a range needs an entry here.
+JUST_OUTSIDE = {
+    "schema": ["sgkit-v0"],
+    "eta": [-5e-324],
+    "perturbation": [[0.0] * 15 + [INF]],
+    "protocols": [[]],
+    "shots": [2 ** 63],
+    "seed": [2 ** 64],
+    "constraints": ["derive"],
+    "residual_threshold": [0.0],
+    "n_theta": [1, 2 ** 53 + 1],
+    "n_phi": [2, 2 ** 53 + 1],
+    "fits": [[]],
+    "observable": [{"protocol": "single", "outcome": "up", "m": 3}],
+    "coefficients": [[0.0] * 3 + [NAN]],
+    # Asymmetric by twice the tolerance, relative to the largest entry.
+    "covariance": [(np.eye(4) + 2e-9 * np.eye(4, k=1)).tolist()],
+    "chi_square": [-5e-324],
+    "degrees_of_freedom": [0, 2 ** 53 + 1],
+}
+
+
+def test_every_table_row_with_a_range_has_values_just_outside_it():
+    ranged = {key for *_, key, field in TABLE_ROWS if field.admits is not Field._field_defaults["admits"]}
+    assert ranged <= JUST_OUTSIDE.keys() <= {key for *_, key, _ in TABLE_ROWS}
+
+
+@pytest.mark.parametrize(
+    "command, parents, prefix, key, field", TABLE_ROWS, ids=[f"{row[0]}-{row[2]}{row[3]}" for row in TABLE_ROWS]
+)
+def test_property_each_table_row_refuses_another_type_and_its_range(
+    tmp_path_factory, bundled_outputs, command, parents, prefix, key, field
+):
+    """A value of another JSON type, and each value just outside the row's range,
+    exit 2 with one `error:` line that names the key."""
+    flag, base = ("--config", EXACT_CONFIG) if command == "simulate" else ("--fits", bundled_outputs["exact"]["fits"])
+    workdir = tmp_path_factory.getbasetemp()
+    source, out = workdir / "row_edit.json", workdir / "row_edit_out"
+
+    def row_object(document: dict) -> dict:
+        for parent in parents:
+            document = document[parent]
+        return document
+
+    def refused(value) -> None:
+        document = json.loads(base.read_text())
+        row_object(document)[key] = value
+        source.write_text(json.dumps(document))
+        status, err = run_main(command, flag, source, "--out", out)
+        assert status == 2 and len(err) == 1 and err[0].startswith("error: "), (status, err)
+        assert f"'{prefix}{key}'" in err[0], err
+
+    for value in JUST_OUTSIDE.get(key, ()):
+        refused(value)
+    kind = json_kind(row_object(json.loads(base.read_text())).get(key, field.default))
+
+    @settings(deadline=None, max_examples=5)
+    @given(JSON_VALUES.filter(lambda value: json_kind(value) != kind))
+    def another_type(value):
+        refused(value)
+
+    another_type()
 
 
 def test_fit_zero_eta_gives_zero_coefficients(tmp_path):
@@ -251,6 +337,21 @@ def test_recover_paper_constraints(tmp_path, bundled_outputs):
     assert "SignDiscrepancy" in verdicts and "StructureDiscrepancy" in verdicts
 
 
+def test_recover_reports_strict_normalization_and_no_dof(tmp_path, bundled_outputs):
+    """The paper's system leaves the sampled fits no degree of freedom (10 data rows,
+    rank 11): no chi-square, and the residual test decides. The fits document's
+    strict_normalization reaches the report."""
+    fits, report = tmp_path / "fits.json", tmp_path / "r.json"
+    document = json.loads(bundled_outputs["sampled"]["fits"].read_text())
+    fits.write_text(json.dumps({**document, "strict_normalization": True}))
+    assert main(["recover", "--fits", str(fits), "--out", str(report), "--constraints", "paper"]) == 4
+    document = json.loads(report.read_text())
+    assert document["recovery_chi_square"] is None and document["recovery_degrees_of_freedom"] is None
+    assert document["residual_norm"] > 1e-4 and document["strict_normalization"] is True
+    text = report.with_suffix(".txt").read_text()
+    assert "no degrees of freedom left" in text and "strict normalization: yes" in text
+
+
 @pytest.mark.parametrize("constraints", ["derived", "paper"])
 @pytest.mark.parametrize("config", ["exact", "sampled"])
 def test_txt_report_is_rendered_from_the_json(tmp_path, bundled_outputs, config, constraints):
@@ -301,6 +402,11 @@ def fits_entries(selection: slice, **values):
     return edit
 
 
+def repeated_key(key, value):
+    """A config or fits edit, as JSON text, that gives the first ``key`` an earlier ``value``."""
+    return lambda document: json.dumps(document).replace(key, f"{key}{value}, {key}", 1)
+
+
 def metadata(line):
     """A dataset edit that replaces the metadata line of ``line``'s key."""
     key = line.partition("=")[0]
@@ -334,14 +440,15 @@ def exact_single_m0_up(lines):
 # At eta 10 the branch sum S of this instrument is positive definite but so
 # ill-conditioned that S^(-1/2) leaves a completeness residual near 1.7e-7.
 ILL_CONDITIONED = [9.95, 0, 0, 0, 9.95, 0, 0, 0, -0.0499, 0, 0, 0, 0.05, 0, 0, 0]
-NAN, INF = float("nan"), float("inf")
 
 # Rows by the test that runs them; a test with several rows takes them as parameters.
 TABLE = {
     # configs
     "test_simulate_missing_config": [Row("simulate", lambda document: None, 2, "cannot read config")],
     "test_simulate_unknown_key": [Row("simulate", keys(extra_knob=1), 2, "unknown key 'extra_knob'")],
-    "test_simulate_bad_value": [Row("simulate", keys(eta=-1.0), 2, "key 'eta' must be nonnegative")],
+    # A repeated key is an error at any depth, not a silent overwrite by its last value.
+    "test_simulate_repeated_key_exit_2": [Row("simulate", repeated_key('"eta": ', "5.0"), 2, "repeated key 'eta'")],
+    "test_simulate_bad_value": [Row("simulate", keys(eta=-1.0), 2, "key 'eta' must be a finite nonnegative number")],
     "test_non_finite_config_value_exit_2": [
         Row("roundtrip", keys(eta=NAN), 2, "'eta'", "eta-nan"),
         Row("roundtrip", keys(eta=INF), 2, "'eta'", "eta-inf"),
@@ -379,13 +486,13 @@ TABLE = {
     "test_fit_bad_dataset_metadata_exit_2": [
         Row("fit", metadata(line), 2, fragment, line)
         for line, fragment in [
-            ("# eta=nan", "line 2: bad metadata: eta"),
-            ("# eta=inf", "line 2: bad metadata: eta"),
-            ("# eta=-0.001", "line 2: bad metadata: eta"),
-            ("# strict_normalization=yes", "line 3: bad metadata: strict_normalization"),
-            ("# grid=4,8,1", "line 5: bad metadata: grid"),
-            ("# seed=-1", "line 4: bad metadata: seed"),
-            (f"# seed={2 ** 64}", "line 4: bad metadata: seed"),
+            ("# eta=nan", "line 2: metadata key 'eta' must be"),
+            ("# eta=inf", "line 2: metadata key 'eta' must be"),
+            ("# eta=-0.001", "line 2: metadata key 'eta' must be"),
+            ("# strict_normalization=yes", "line 3: metadata key 'strict_normalization' must be"),
+            ("# grid=4,8,1", "line 5: metadata key 'grid' must be"),
+            ("# seed=-1", "line 4: metadata key 'seed' must be"),
+            (f"# seed={2 ** 64}", "line 4: metadata key 'seed' must be"),
         ]
     ] + [
         Row("fit", lambda lines: [*lines[:2], "# eta=0.002", *lines[2:]], 2,
@@ -443,9 +550,9 @@ TABLE = {
     # The exact fits' covariances are zero.
     "test_recover_fits_bad_covariance_exit_2": [
         Row("recover", fits_entries(slice(3, 4), covariance=np.diag([-1.0, 0, 0, 0]).tolist()), 2,
-            "fits[3].covariance must be positive semidefinite", "entry0-positive semidefinite"),
+            "key 'fits[3].covariance' must be a symmetric positive semidefinite", "entry0-positive semidefinite"),
         Row("recover", fits_entries(slice(3, 4), covariance=(-np.eye(4, k=1)).tolist()), 2,
-            "fits[3].covariance must be symmetric", "entry1-symmetric"),
+            "key 'fits[3].covariance' must be a symmetric positive semidefinite", "entry1-symmetric"),
     ],
     # Scaling the fitted variances by 1/eta overflows neither way.
     "test_recover_extreme_fits_eta_no_traceback": [
@@ -466,6 +573,9 @@ TABLE = {
         Row("recover", fits_entries(slice(0, 1), covariance=np.zeros((4, 4)).tolist()), 2,
             "fits document mixes exact (single/m0/up) and sampled", base="sampled")
     ],
+    "test_recover_fits_repeated_entry_key_exit_2": [
+        Row("recover", repeated_key('"chi_square": ', "0.0"), 2, "repeated key 'chi_square'")
+    ],
     "test_recover_fits_unknown_or_invalid_key_exit_2": [
         Row("recover", keys(strict_normalization="maybe"), 2, "key 'strict_normalization'", "strict_normalization=maybe"),
         Row("recover", keys(bogus=1), 2, "unknown key 'bogus'", "bogus"),
@@ -483,7 +593,9 @@ def run_row(row: Row, tmp_path, capsys, bundled_outputs) -> None:
         flag, document = "--config", json.loads((REPO / "configs" / f"{row.base}.json").read_text())
     document = row.edit(document)
     source, out = tmp_path / "input", tmp_path / "out.json"
-    if document is not None:  # json writes NaN and Infinity as JSON extensions
+    if isinstance(document, str):
+        source.write_text(document)
+    elif document is not None:  # json writes NaN and Infinity as JSON extensions
         source.write_text("\n".join(document) + "\n" if row.command == "fit" else json.dumps(document))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy warning fails the row, as it would show on stderr
@@ -853,20 +965,20 @@ def test_cli_import_sets_one_blas_thread(preset, expected):
 ARTIFACT_DIGESTS = {
     "exact.csv": "d6877b82d902de7836a9b07cdf721fa47ef6e061800a2f007395490c4f07a8cb",
     "exact-fits.json": "e00ae3c0df8542bd09e28a38007d688c3babd6055051b2e00fba7de30a66a5c0",
-    "exact-rec-derived.json": "e9c9a6662a09c3b664e776e7ab9cca123f8ab655d6ba60d509b21e6214c63e81",
-    "exact-rec-derived.txt": "cddaf68a278271890178629b25218efc04668d845cf1d4d9bab76c78015391be",
-    "exact-rec-paper.json": "7ba99e000b14f6d3ea47a646d01230e803c2e0f5ae9b76c3e735f0139c4a0c93",
-    "exact-rec-paper.txt": "9a16ddb4d3f87e7cb0598fa6cb68b92a66c17441f4ccb472c883cca4c1daeb44",
-    "exact-rt.json": "e9c9a6662a09c3b664e776e7ab9cca123f8ab655d6ba60d509b21e6214c63e81",
-    "exact-rt.txt": "cddaf68a278271890178629b25218efc04668d845cf1d4d9bab76c78015391be",
+    "exact-rec-derived.json": "dce6d42f8eb64e523cab9dd3d741eceb7fa01ce0491544a69f6170a88bf68c36",
+    "exact-rec-derived.txt": "9c0e985c17c0e51227b8a21798dea4941deb541369b34f9acc6bbd1a468342e7",
+    "exact-rec-paper.json": "a0adaf1898d71c443c86f110c06fbfb24f61bdc80d0655d7c552dc881b133d95",
+    "exact-rec-paper.txt": "7c30630fdcc5f09275a327900cabb4da0692c72bb25b1ea6486cc180d6bbd81c",
+    "exact-rt.json": "dce6d42f8eb64e523cab9dd3d741eceb7fa01ce0491544a69f6170a88bf68c36",
+    "exact-rt.txt": "9c0e985c17c0e51227b8a21798dea4941deb541369b34f9acc6bbd1a468342e7",
     "sampled.csv": "1b2fffce9c451f2c9758a63aae8fde56a2fd97817d7ada1f537d636b96b261fc",
     "sampled-fits.json": "bb62c1291277c2a9e90a8a57653c8aca0ca06810be0bd1b8021233576c8af6c3",
-    "sampled-rec-derived.json": "a5489ab405f5d31e10eb044781aa1abec5271b3ce0795399f8528ca93f9f80cc",
-    "sampled-rec-derived.txt": "d78303d99a56d8c6bcf89f9ccf48389a18f47a41b8f580d77e1e7b46feb9e0db",
-    "sampled-rec-paper.json": "508ffd3a1bef22257915299298bf36812ea849cca386ceea246d81e5e4d324d1",
-    "sampled-rec-paper.txt": "8d18991ed1807a81ce6a8c573ca39a0c7d75d21db0b8422aa0baa839fc48c0fa",
-    "sampled-rt.json": "a5489ab405f5d31e10eb044781aa1abec5271b3ce0795399f8528ca93f9f80cc",
-    "sampled-rt.txt": "d78303d99a56d8c6bcf89f9ccf48389a18f47a41b8f580d77e1e7b46feb9e0db",
+    "sampled-rec-derived.json": "c42ee4cfc93551805e34e68060a425431234c975b0af071cd3c907321eaf5ee8",
+    "sampled-rec-derived.txt": "1ef9d97e045ae75e86153d199a037e5aaa12e2415372de4b7f211245e35a9142",
+    "sampled-rec-paper.json": "5eefadfb70a5e130a363c562d7d79d8f7da141a855f5065215f99e57dbc3e686",
+    "sampled-rec-paper.txt": "82cdf1c829354f3eda99f47d1299c41ff7627b2ab6b1e2a9e935c93327c5b45f",
+    "sampled-rt.json": "c42ee4cfc93551805e34e68060a425431234c975b0af071cd3c907321eaf5ee8",
+    "sampled-rt.txt": "1ef9d97e045ae75e86153d199a037e5aaa12e2415372de4b7f211245e35a9142",
 }
 
 

@@ -201,6 +201,18 @@ def test_recover_identity_system(rng):
     assert result.residual_norm < 1e-12
 
 
+def test_recover_without_degrees_of_freedom_reports_no_chi_square(rng):
+    """Four sampled data rows and two constraint rows have rank 6: no degree of
+    freedom is left, so neither a chi-square nor a dof is reported."""
+    fit = FitResult(SINGLE_UP0, rng.normal(size=4), 1e-6 * np.eye(4), 1.0, 1)
+    keys = (*((SINGLE_UP0, j, 1.0) for j in range(4)), None, None)
+    system = LinearSystem(np.eye(16)[:6], tuple(f"row {i}" for i in range(6)), keys)
+    result = recover_parameters([fit], system, eta=1e-3)
+    assert result.rank == 6
+    assert result.chi_square is None and result.degrees_of_freedom is None
+    assert result.covariance is not None
+
+
 def _roundtrip(truth_vec, eta, shots, seed):
     config = ExperimentConfig(
         PerturbationParams.from_vector(truth_vec, eta), 4, 8, shots=shots, seed=seed
