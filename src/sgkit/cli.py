@@ -326,8 +326,7 @@ def _report_text(document: dict) -> str:
 
 
 def cmd_recover(fits_path, out_path, constraints="derived", residual_threshold=DEFAULT_RESIDUAL_THRESHOLD) -> int:
-    option = {"--residual-threshold": CONFIG_FIELDS["residual_threshold"]}
-    read_fields(option, {"--residual-threshold": residual_threshold}, _config_error, noun="option")
+    CONFIG_FIELDS["residual_threshold"].read("option '--residual-threshold'", residual_threshold)
     document = _recovery_report(*_load_fits(fits_path), constraints, residual_threshold)
     _write_json(document, out_path)
     Path(out_path).with_suffix(".txt").write_text(_report_text(document), encoding="utf-8")
@@ -362,46 +361,42 @@ def cmd_roundtrip(config_path, out_path) -> int:
         return cmd_recover(fits_path, out_path, **modes)
 
 
+# Each command's help, required flags and call on the parsed arguments. A call
+# looks its cmd_* function up when it runs, so replacing one replaces the command.
+COMMANDS = {
+    "simulate": (
+        "generate a dataset from a config", ("--config", "--out"), lambda a: cmd_simulate(a.config, a.out)
+    ),
+    "fit": ("fit affine deviation coefficients", ("--data", "--out"), lambda a: cmd_fit(a.data, a.out)),
+    "recover": (
+        "recover instrument parameters from fits", ("--fits", "--out"),
+        lambda a: cmd_recover(a.fits, a.out, a.constraints, a.residual_threshold),
+    ),
+    "verify": ("run the oracle and invariant suites", (), lambda a: cmd_verify()),
+    "roundtrip": (
+        "simulate, fit and recover in one run", ("--config", "--out"), lambda a: cmd_roundtrip(a.config, a.out)
+    ),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sgkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="generate a dataset from a config")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("fit", help="fit affine deviation coefficients")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("recover", help="recover instrument parameters from fits")
-    p.add_argument("--fits", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--constraints", choices=CONSTRAINTS, default="derived")
-    p.add_argument("--residual-threshold", type=float, default=DEFAULT_RESIDUAL_THRESHOLD)
-
-    p = sub.add_parser("verify", help="run the oracle and invariant suites")
-
-    p = sub.add_parser("roundtrip", help="simulate, fit and recover in one run")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
+    for name, (help_text, flags, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(flag, required=True)
+    # recover's two optional flags follow its required ones
+    recover = sub.choices["recover"]
+    recover.add_argument("--constraints", choices=CONSTRAINTS, default="derived")
+    recover.add_argument("--residual-threshold", type=float, default=DEFAULT_RESIDUAL_THRESHOLD)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            return cmd_simulate(args.config, args.out)
-        if args.command == "fit":
-            return cmd_fit(args.data, args.out)
-        if args.command == "recover":
-            return cmd_recover(args.fits, args.out, args.constraints, args.residual_threshold)
-        if args.command == "verify":
-            return cmd_verify()
-        if args.command == "roundtrip":
-            return cmd_roundtrip(args.config, args.out)
-        raise AssertionError("unreachable")
+        return COMMANDS[args.command][2](args)
     except RankDeficientFit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -15,14 +15,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import N_PHI, N_THETA, NONNEGATIVE, REQUIRED, SEED, SHOTS, STRICT_NORMALIZATION, Field, number, read_fields
+from .fields import (
+    INTEGER_TEXT, N_PHI, N_THETA, NONNEGATIVE, NUMBER_TEXT, REQUIRED, SEED, SHOTS, STRICT_NORMALIZATION, Field,
+    read_fields,
+)
 from .instrument import Direction, exact_normalize
 from .linearize import (
+    OBSERVABLES,
     ObservableSpec,
-    Outcome,
     PerturbationParams,
     Protocol,
     build_perturbed,
+    default_observables,
     model_probability,
 )
 
@@ -31,7 +35,7 @@ CSV_HEADER = "protocol,m,outcome,theta,phi_az,shots,successes,probability"
 
 
 class InvalidGrid(ValueError):
-    """Grid parameters below the admissible minimum."""
+    """Grid parameters outside the admissible range."""
 
 
 class FormatError(ValueError):
@@ -60,8 +64,7 @@ class MeasurementRecord:
     probability: float | None
 
     def __post_init__(self):
-        if self.shots < 0:
-            raise ValueError("shots must be nonnegative")
+        SHOTS.require("shots", self.shots)
         if not 0 <= self.successes <= max(self.shots, 0):
             raise ValueError("successes must lie in [0, shots]")
         if self.shots == 0:
@@ -87,12 +90,10 @@ class ExperimentConfig:
     strict_normalization: bool = False
 
     def __post_init__(self):
-        if self.n_theta < 2 or self.n_phi < 3:
-            raise InvalidGrid("grid needs n_theta >= 2 and n_phi >= 3")
-        if self.shots < 0:
-            raise ValueError("shots must be nonnegative")
-        if not SEED.admits(self.seed):
-            raise ValueError("seed must fit in 64 bits")
+        N_THETA.require("n_theta", self.n_theta, InvalidGrid)
+        N_PHI.require("n_phi", self.n_phi, InvalidGrid)
+        SHOTS.require("shots", self.shots)
+        SEED.require("seed", self.seed)
         if not self.protocols:
             raise ValueError("at least one protocol required")
         object.__setattr__(self, "protocols", tuple(self.protocols))
@@ -123,8 +124,8 @@ def _grid_phi(j: int, n_phi: int) -> float:
 
 def make_grid(n_theta: int, n_phi: int) -> tuple[Direction, ...]:
     """Midpoint-theta by uniform-phi grid; never touches the poles."""
-    if n_theta < 2 or n_phi < 3:
-        raise InvalidGrid("grid needs n_theta >= 2 and n_phi >= 3")
+    N_THETA.require("n_theta", n_theta, InvalidGrid)
+    N_PHI.require("n_phi", n_phi, InvalidGrid)
     return tuple(
         Direction(_grid_theta(i, n_theta), _grid_phi(j, n_phi))
         for i in range(n_theta)
@@ -145,20 +146,14 @@ def _on_grid(direction: Direction, n_theta: int, n_phi: int) -> bool:
 
 
 def plan_settings(config: ExperimentConfig) -> tuple[MeasurementSetting, ...]:
-    """Deterministic plan ordered by (protocol, m, outcome, grid index)."""
+    """Each of ``default_observables()`` in the config's protocols, at each grid node in order."""
     grid = make_grid(config.n_theta, config.n_phi)
-    settings = []
-    for protocol in (Protocol.SINGLE, Protocol.SUCCESSIVE):
-        if protocol not in config.protocols:
-            continue
-        outcomes = (Outcome.UP, Outcome.DOWN) if protocol is Protocol.SINGLE else (Outcome.UP,)
-        for m in range(3):
-            for outcome in outcomes:
-                for direction in grid:
-                    settings.append(
-                        MeasurementSetting(ObservableSpec(protocol, outcome, m), direction)
-                    )
-    return tuple(settings)
+    return tuple(
+        MeasurementSetting(obs, direction)
+        for obs in default_observables()
+        if obs.protocol in config.protocols
+        for direction in grid
+    )
 
 
 def generate_dataset(config: ExperimentConfig) -> Dataset:
@@ -197,6 +192,11 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+# Each observable's first three CSV fields, protocol,m,outcome, and back.
+_CSV_TEXT = {obs: f"{obs.protocol.value},{obs.m},{obs.outcome.value}" for obs in OBSERVABLES}
+_CSV_OBSERVABLE = {text: obs for obs, text in _CSV_TEXT.items()}
+
+
 def write_dataset(dataset: Dataset, path) -> None:
     meta = dataset.meta
     lines = [
@@ -208,11 +208,10 @@ def write_dataset(dataset: Dataset, path) -> None:
         CSV_HEADER,
     ]
     for rec in dataset.records:
-        obs = rec.setting.observable
         d = rec.setting.direction
         prob = "" if rec.probability is None else _fmt(rec.probability)
         lines.append(
-            f"{obs.protocol.value},{obs.m},{obs.outcome.value},"
+            f"{_CSV_TEXT[rec.setting.observable]},"
             f"{_fmt(d.theta)},{_fmt(d.phi_az)},{rec.shots},{rec.successes},{prob}"
         )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -221,13 +220,13 @@ def write_dataset(dataset: Dataset, path) -> None:
 
 # Each metadata key's row: the config's rules, read from the key's text.
 _META_FIELDS = {
-    "eta": NONNEGATIVE._replace(parse=lambda text: number(float(text))),
+    "eta": NONNEGATIVE._replace(parse=NUMBER_TEXT.parse),
     "strict_normalization": STRICT_NORMALIZATION._replace(
         parse=lambda text: ("false", "true").index(text) == 1, default=REQUIRED
     ),
-    "seed": SEED._replace(parse=int),
+    "seed": SEED._replace(parse=INTEGER_TEXT.parse),
     "grid": Field(
-        lambda text: tuple(map(int, text.split(","))),
+        lambda text: tuple(map(INTEGER_TEXT.parse, text.split(","))),
         f"n_theta,n_phi with n_theta {N_THETA.what} and n_phi {N_PHI.what}",
         lambda g: len(g) == 2 and N_THETA.admits(g[0]) and N_PHI.admits(g[1]),
     ),
@@ -239,8 +238,9 @@ def read_dataset(path) -> Dataset:
 
     The metadata block holds the format tag and eta, strict_normalization,
     seed and grid once each, and no other line.  Every record must sit on the
-    metadata's ``grid=`` nodes, no setting (observable and direction) may
-    appear twice, and shots lie below 2**63.
+    metadata's ``grid=`` nodes and no setting (observable and direction) may
+    appear twice.  A record's first three fields are one of OBSERVABLES as
+    ``write_dataset`` writes it, and its numbers are plain decimal text.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -260,7 +260,7 @@ def read_dataset(path) -> Dataset:
         elif "=" not in content:
             raise FormatError("metadata line is neither the format tag nor key=value", line=i + 1)
         else:
-            key, _, value = (part.strip() for part in content.partition("="))
+            key, _, value = content.partition("=")
             if key in texts:
                 raise FormatError(f"repeated metadata key '{key}', first on line {lines_of[key]}", line=i + 1)
             texts[key], lines_of[key] = value, i + 1
@@ -282,20 +282,15 @@ def read_dataset(path) -> Dataset:
         if len(parts) != 8:
             raise FormatError("expected 8 fields", line=lineno)
         try:
-            protocol = Protocol(parts[0])
-            m = int(parts[1])
-            outcome = Outcome(parts[2])
-            direction = Direction(float(parts[3]), float(parts[4]))
-            shots = int(parts[5])
-            if not SHOTS.admits(shots):
-                raise ValueError(f"shots must be {SHOTS.what}")
-            successes = int(parts[6])
-            probability = float(parts[7]) if parts[7] != "" else None
+            observable = _CSV_OBSERVABLE.get(",".join(parts[:3]))
+            if observable is None:
+                raise ValueError(f"protocol,m,outcome must be one of the {len(OBSERVABLES)} observables")
+            direction = Direction(NUMBER_TEXT.read("theta", parts[3]), NUMBER_TEXT.read("phi_az", parts[4]))
             record = MeasurementRecord(
-                MeasurementSetting(ObservableSpec(protocol, outcome, m), direction),
-                shots,
-                successes,
-                probability,
+                MeasurementSetting(observable, direction),
+                INTEGER_TEXT.read("shots", parts[5]),
+                INTEGER_TEXT.read("successes", parts[6]),
+                NUMBER_TEXT.read("probability", parts[7]) if parts[7] != "" else None,
             )
         except ValueError as exc:
             raise FormatError(str(exc), line=lineno) from exc

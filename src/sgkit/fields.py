@@ -3,12 +3,14 @@
 A table maps each key to a ``Field``.  ``read_fields`` reads the config, the
 fits document and its entries (``sgkit.cli``) and the dataset metadata
 (``sgkit.experiment``) through their tables; the rules they share are the
-constants below, each written once.
+constants below, each written once.  The dataset's numbers are text, read by
+``INTEGER_TEXT`` and ``NUMBER_TEXT`` only in the form the dataset writer writes.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from typing import Any, Callable, NamedTuple
 
 REQUIRED = object()
@@ -25,6 +27,19 @@ class Field(NamedTuple):
     what: str
     admits: Callable[[Any], bool] = lambda _: True
     default: Any = REQUIRED
+
+    def require(self, name: str, value, error: type[ValueError] = ValueError):
+        """``value``, if this row admits it; else ``error`` "{name} must be {what}"."""
+        if not self.admits(value):
+            raise error(f"{name} must be {self.what}")
+        return value
+
+    def read(self, name: str, value):
+        """``value`` parsed, if this row parses and admits it; else ValueError as ``require``."""
+        try:
+            return self.require(name, self.parse(value))
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"{name} must be {self.what}") from None
 
 
 def of_type(*types: type) -> Callable[[Any], Any]:
@@ -50,6 +65,13 @@ def number(value) -> float:
     return value
 
 
+# Text as str(int) and f"{x:.17g}" write it for a finite x: no sign but '-', no
+# space, no '_'. Other text does not match, and None[0] raises TypeError. re
+# compiles each pattern at its first use, not at import.
+_INTEGER_TEXT = r"-?[0-9]+"
+_NUMBER_TEXT = r"-?[0-9]+(\.[0-9]+)?(e[+-][0-9]+)?"
+INTEGER_TEXT = Field(lambda text: int(re.fullmatch(_INTEGER_TEXT, text)[0]), "a decimal integer")
+NUMBER_TEXT = Field(lambda text: number(float(re.fullmatch(_NUMBER_TEXT, text)[0])), "a finite decimal number")
 NONNEGATIVE = Field(number, "a finite nonnegative number", lambda x: x >= 0.0)
 SEED = Field(integer, "an integer in [0, 2**64)", lambda n: 0 <= n < 2 ** 64)
 STRICT_NORMALIZATION = Field(of_type(bool), "true or false", default=False)
@@ -77,10 +99,7 @@ def read_fields(table: dict[str, Field], document: dict, error: Callable, prefix
             values[key] = field.default
             continue
         try:
-            values[key] = field.parse(document[key])
-            admitted = field.admits(values[key])
-        except (TypeError, ValueError, OverflowError):
-            admitted = False
-        if not admitted:
-            raise error(f"{noun} '{prefix}{key}' must be {field.what}", key)
+            values[key] = field.read(f"{noun} '{prefix}{key}'", document[key])
+        except ValueError as exc:
+            raise error(str(exc), key) from None
     return values

@@ -79,6 +79,12 @@ class ObservableSpec:
         return f"{self.protocol.value}/m{self.m}/{self.outcome.value}"
 
 
+# Every observable, in the plan's order: protocol, then m, then outcome.
+OBSERVABLES = tuple(
+    ObservableSpec(protocol, outcome, m) for protocol in Protocol for m in range(3) for outcome in Outcome
+)
+
+
 PARAM_LABELS = (
     "a_r_up", "a_i_up",
     "b_rx_up", "b_ry_up", "b_rz_up",
@@ -272,10 +278,8 @@ def affine_coefficients(params: PerturbationParams, obs: ObservableSpec) -> np.n
 
 
 def default_observables() -> tuple[ObservableSpec, ...]:
-    """Deterministic observable set: up/down x m for single, up x m for successive."""
-    single = (ObservableSpec(Protocol.SINGLE, outcome, m) for m in range(3) for outcome in Outcome)
-    successive = (ObservableSpec(Protocol.SUCCESSIVE, Outcome.UP, m) for m in range(3))
-    return (*single, *successive)
+    """The measured observables in OBSERVABLES order: single up and down, successive up."""
+    return tuple(obs for obs in OBSERVABLES if obs.protocol is Protocol.SINGLE or obs.outcome is Outcome.UP)
 
 
 # --- closed-form first-order responses -----------------------------------------
@@ -283,9 +287,8 @@ def default_observables() -> tuple[ObservableSpec, ...]:
 # axis of 16 holds the derivatives with respect to the 16 parameters.
 
 
-def _unit_perturbations() -> np.ndarray:
-    """d(alpha, beta)/d(parameter_i) of the up and the down branch, shape (2, 16, 4)."""
-    return np.stack([PerturbationParams.unit(i).array for i in range(16)], axis=1)
+# d(alpha, beta)/d(parameter_i) of the up and the down branch, shape (2, 16, 4).
+_UNITS = np.stack([PerturbationParams.unit(i).array for i in range(16)], axis=1)
 
 
 def _effect_derivative(b0: np.ndarray, db: np.ndarray) -> np.ndarray:
@@ -293,12 +296,11 @@ def _effect_derivative(b0: np.ndarray, db: np.ndarray) -> np.ndarray:
     return pauli_mul_array(db, b0.conj()) + pauli_mul_array(b0, db.conj())
 
 
-def _response_block(obs: ObservableSpec, ideal: np.ndarray, units: np.ndarray) -> np.ndarray:
+def _response_block(obs: ObservableSpec) -> np.ndarray:
     """4x16 block of d(coefficient_j)/d(parameter_i) for one observable.
 
-    ``ideal`` (2, 4) holds the unrotated ideal branches and ``units`` (2, 16, 4)
-    their unit perturbations.  The measured branch is rotated by
-    ``rotate_array`` with ``cyclic_rotation(obs.m)``, as in ``model_probability``.
+    The measured branch is the ideal one of ``_IDEAL_ROTATED[obs.m]``, and its
+    ``_UNITS`` are rotated by ``cyclic_rotation(obs.m)`` too, as in ``model_probability``.
 
     tr(rho H) = h0 + h . k for rho = (1 + k . sigma)/2 and Hermitian H, so the
     affine coefficients are the Pauli coefficients of the effect's derivative.
@@ -308,36 +310,23 @@ def _response_block(obs: ObservableSpec, ideal: np.ndarray, units: np.ndarray) -
     """
     branch = 0 if obs.outcome is Outcome.UP else 1
     rot = _ROTATIONS[obs.m]
-    b0 = rotate_array(ideal[branch], rot.axis, rot.angle)
-    d_effect = _effect_derivative(b0, rotate_array(units[branch], rot.axis, rot.angle))
+    b0 = _IDEAL_ROTATED[obs.m][branch]
+    d_effect = _effect_derivative(b0, rotate_array(_UNITS[branch], rot.axis, rot.angle))
     if obs.protocol is Protocol.SUCCESSIVE:
         f0 = pauli_mul_array(b0, b0.conj())
         d_effect = sum(
             pauli_mul_array(pauli_mul_array(da, f0), a0.conj())
             + pauli_mul_array(pauli_mul_array(a0, d_effect), a0.conj())
             + pauli_mul_array(pauli_mul_array(a0, f0), da.conj())
-            for a0, da in zip(ideal, units)
+            for a0, da in zip(_IDEAL, _UNITS)
         )
     block = np.ascontiguousarray(d_effect.real.T)
     block.setflags(write=False)
     return block
 
 
-def _response_blocks() -> MappingProxyType:
-    """Read-only blocks of every observable: 2 protocols x 2 outcomes x 3 rotations."""
-    units = _unit_perturbations()
-    observables = (
-        ObservableSpec(protocol, outcome, m)
-        for protocol in Protocol
-        for outcome in Outcome
-        for m in range(3)
-    )
-    return MappingProxyType(
-        {obs: _response_block(obs, _IDEAL, units) for obs in observables}
-    )
-
-
-_RESPONSE_BLOCKS = _response_blocks()
+# Read-only blocks of every observable.
+_RESPONSE_BLOCKS = MappingProxyType({obs: _response_block(obs) for obs in OBSERVABLES})
 
 
 def design_matrix(observables) -> LinearSystem:
@@ -358,9 +347,8 @@ def design_matrix(observables) -> LinearSystem:
             rows.append(block[j])
             labels.append(f"{obs.label()}:{COEFF_LABELS[j]}")
             keys.append((obs, j, 1.0))
-    for m in range(3):
-        up = _RESPONSE_BLOCKS[ObservableSpec(Protocol.SINGLE, Outcome.UP, m)]
-        down = _RESPONSE_BLOCKS[ObservableSpec(Protocol.SINGLE, Outcome.DOWN, m)]
+    single = [_RESPONSE_BLOCKS[obs] for obs in OBSERVABLES if obs.protocol is Protocol.SINGLE]
+    for m, (up, down) in enumerate(zip(single[0::2], single[1::2])):
         for j in range(4):
             rows.append(up[j] + down[j])
             labels.append(f"norm/m{m}:{COEFF_LABELS[j]}")
@@ -402,7 +390,7 @@ _PAPER_EQUATIONS = (
 )
 
 _TERM = re.compile(r"\s*([+-]?)\s*(?:\(([^)]*)\)_(up|down)|(\w+))")
-_RHS = re.compile(r"(?:(\d+)\*)?c([0-3])\[(\w+)/m(\d)/(\w+)\]")
+_RHS = re.compile(r"(?:(\d+)\*)?c([0-3])\[(.*)\]")
 
 
 def _combination(text: str, branch: str = "") -> np.ndarray:
@@ -425,10 +413,11 @@ def _rhs_key(text: str) -> tuple[ObservableSpec, int, float] | None:
     if text == "0":
         return None
     match = _RHS.fullmatch(text)
-    if match is None:
+    by_label = {obs.label(): obs for obs in OBSERVABLES}
+    if match is None or match[3] not in by_label:
         raise ValueError(f"cannot read right-hand side {text!r}")
-    scale, j, protocol, m, outcome = match.groups()
-    return ObservableSpec(Protocol(protocol), Outcome(outcome), int(m)), int(j), float(scale or 1)
+    scale, j, label = match.groups()
+    return by_label[label], int(j), float(scale or 1)
 
 
 def transcribed_system() -> LinearSystem:

@@ -106,6 +106,49 @@ def test_property_load_config_accepts_or_raises_config_error(tmp_path_factory, c
     assert np.isfinite(modes["residual_threshold"]) and modes["residual_threshold"] > 0
 
 
+# Each bounded integer of a config: its lowest and highest admitted value.
+BOUNDS = {"n_theta": (2, 2 ** 53), "n_phi": (3, 2 ** 53), "shots": (0, 2 ** 63 - 1), "seed": (0, 2 ** 64 - 1)}
+
+
+@pytest.mark.parametrize("key", BOUNDS)
+def test_property_experiment_config_refuses_what_load_config_refuses(tmp_path_factory, key):
+    """At each bound, just past it and at drawn integers, ``ExperimentConfig`` raises
+    exactly when ``load_config`` raises ConfigError (exit 2) for the key."""
+    from sgkit.experiment import ExperimentConfig, InvalidGrid
+    from sgkit.linearize import PerturbationParams
+
+    grid = key in ("n_theta", "n_phi")
+    path = tmp_path_factory.getbasetemp() / f"bounds_{key}.json"
+
+    def agree(value):
+        config = json.loads(EXACT_CONFIG.read_text())
+        (config["grid"] if grid else config)[key] = value
+        path.write_text(json.dumps(config))
+        try:
+            load_config(path)
+            refused = False
+        except ConfigError as exc:
+            refused = True
+            assert f"'{'grid.' if grid else ''}{key}'" in str(exc), exc
+        try:
+            ExperimentConfig(PerturbationParams.zero(), **{key: value})
+        except (InvalidGrid if grid else ValueError) as exc:
+            assert refused and str(exc).startswith(f"{key} must be "), (value, exc)
+        else:
+            assert not refused, value
+
+    low, high = BOUNDS[key]
+    for value in (low - 1, low, high, high + 1):
+        agree(value)
+
+    @settings(deadline=None, max_examples=20)
+    @given(st.integers(low - 2 ** 66, high + 2 ** 66))
+    def drawn(value):
+        agree(value)
+
+    drawn()
+
+
 @pytest.fixture(scope="module")
 def bundled_outputs(tmp_path_factory) -> dict:
     """The dataset and the fits file of each bundled config, by config stem."""
@@ -416,7 +459,7 @@ def metadata(line):
 def first_record(**by_column):
     """A dataset edit that sets fields of the first record: line 7, after 5 metadata
     lines and the header."""
-    columns = {"shots": 5, "successes": 6, "probability": 7}
+    columns = {"protocol": 0, "m": 1, "outcome": 2, "shots": 5, "successes": 6, "probability": 7}
 
     def edit(lines):
         parts = lines[6].split(",")
@@ -516,6 +559,26 @@ TABLE = {
     # A count that overflows the fit's weights.
     "test_fit_shots_beyond_float_range_exit_2": [
         Row("fit", first_record(shots=str(10 ** 400), successes=str(10 ** 399)), 2, "line 7: shots", base="sampled")
+    ],
+    # Numbers are read only as the writer writes them: no '_', no '+', no space.
+    "test_fit_numbers_not_plain_decimal_text_exit_2": [
+        Row("fit", metadata("# seed=3_10"), 2, "line 4: metadata key 'seed' must be", "seed=3_10"),
+        Row("fit", metadata("# seed= 310"), 2, "line 4: metadata key 'seed' must be", "seed= 310"),
+        Row("fit", first_record(shots="1_000_000"), 2, "line 7: shots must be a decimal integer", "shots=1_000_000",
+            base="sampled"),
+        Row("fit", first_record(successes=" 962062"), 2, "line 7: successes must be a decimal integer",
+            "successes= 962062", base="sampled"),
+    ],
+    # The first three fields are one of the 12 observables exactly as written.
+    "test_fit_record_observable_not_as_written_exit_2": [
+        Row("fit", first_record(**fields), 2, "line 7: protocol,m,outcome must be one of the 12 observables", id_)
+        for id_, fields in [
+            ("single,00,up", dict(m="00")),
+            ("single,+0,up", dict(m="+0")),
+            ("single, 0,up", dict(m=" 0")),
+            ("successive,3,up", dict(protocol="successive", m="3")),
+            ("single,0,UP", dict(outcome="UP")),
+        ]
     ],
     "test_fit_mixed_exact_and_sampled_records_exit_2": [
         Row(

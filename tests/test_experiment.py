@@ -20,12 +20,15 @@ from sgkit.experiment import (
     write_dataset,
 )
 from sgkit.instrument import exact_normalize, residual_array
+from sgkit.fields import INTEGER_TEXT, NUMBER_TEXT
 from sgkit.linearize import (
+    OBSERVABLES,
     ObservableSpec,
     Outcome,
     PerturbationParams,
     Protocol,
     build_perturbed,
+    default_observables,
 )
 
 from conftest import kraus_mat
@@ -82,6 +85,34 @@ def test_plan_is_deterministic_and_ordered():
         for s in plan_a
     ]
     assert keys == sorted(keys, key=lambda t: (t[0], t[1], {"up": 0, "down": 1}[t[2]]))
+
+
+def test_observables_are_listed_once_in_plan_order():
+    assert [obs.label() for obs in OBSERVABLES] == [
+        f"{protocol}/m{m}/{outcome}"
+        for protocol in ("single", "successive")
+        for m in range(3)
+        for outcome in ("up", "down")
+    ]
+    assert [obs.label() for obs in default_observables()] == [
+        "single/m0/up", "single/m0/down", "single/m1/up", "single/m1/down", "single/m2/up", "single/m2/down",
+        "successive/m0/up", "successive/m1/up", "successive/m2/up",
+    ]
+
+
+SINGLE, SUCCESSIVE = Protocol.SINGLE, Protocol.SUCCESSIVE
+
+
+@pytest.mark.parametrize("protocols", [(SINGLE,), (SUCCESSIVE,), (SINGLE, SUCCESSIVE), (SUCCESSIVE, SINGLE)])
+def test_plan_is_default_observables_times_the_grid(protocols):
+    grid = make_grid(2, 3)
+    expected = [
+        MeasurementSetting(obs, direction)
+        for obs in default_observables()
+        if obs.protocol in protocols
+        for direction in grid
+    ]
+    assert list(plan_settings(config_of(ZERO, 0.0, n_theta=2, n_phi=3, protocols=protocols))) == expected
 
 
 # --- exact data ----------------------------------------------------------------
@@ -212,6 +243,35 @@ def test_write_read_round_trip_sampled(tmp_path):
     path = tmp_path / "data.csv"
     write_dataset(dataset, path)
     assert read_dataset(path).records == dataset.records
+
+
+def test_every_observable_round_trips(tmp_path):
+    """One record of each of the 12 observables, the successive/.../down ones no plan
+    writes included, reads back equal, its first three fields as the label says."""
+    direction = make_grid(2, 3)[0]
+    counts = [(0, 0, 0.25), (10, 3, None)]  # exact and sampled records by turns
+    records = [
+        MeasurementRecord(MeasurementSetting(obs, direction), *counts[i % 2]) for i, obs in enumerate(OBSERVABLES)
+    ]
+    dataset = Dataset(DatasetMeta(eta=0.0, strict_normalization=False, seed=0, n_theta=2, n_phi=3), records)
+    path = tmp_path / "data.csv"
+    write_dataset(dataset, path)
+    assert read_dataset(path) == dataset
+    written = [line.split(",")[:3] for line in path.read_text().splitlines()[6:]]
+    assert written == [[obs.protocol.value, str(obs.m), obs.outcome.value] for obs in OBSERVABLES]
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.floats(allow_nan=False, allow_infinity=False), st.integers(-2 ** 70, 2 ** 70))
+def test_property_numbers_read_back_only_as_written(x, n):
+    """The text the writer makes of a float and an int reads back as it, and
+    an underscore, a leading '+' or a space makes any such text unreadable."""
+    number, integer = f"{x:.17g}", str(n)
+    assert NUMBER_TEXT.read("x", number) == x and INTEGER_TEXT.read("n", integer) == n
+    for field, text in ((NUMBER_TEXT, number), (INTEGER_TEXT, integer)):
+        for edited in (text[:1] + "_" + text[1:], "+" + text, " " + text, text + " "):
+            with pytest.raises(ValueError, match="must be a"):
+                field.read("x", edited)
 
 
 def test_read_rejects_header_mismatch(tmp_path):
