@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
 from .fields import (
     INTEGER_TEXT, N_PHI, N_THETA, NONNEGATIVE, NUMBER_TEXT, REQUIRED, SEED, SHOTS, STRICT_NORMALIZATION, Field,
-    read_fields,
+    integral, read_fields,
 )
 from .instrument import Direction, exact_normalize
 from .linearize import (
@@ -27,7 +28,7 @@ from .linearize import (
     Protocol,
     build_perturbed,
     default_observables,
-    model_probability,
+    model_probabilities,
 )
 
 FORMAT_TAG = "sgkit-v1"
@@ -65,6 +66,8 @@ class MeasurementRecord:
 
     def __post_init__(self):
         SHOTS.require("shots", self.shots)
+        if not integral(self.successes):
+            raise ValueError("successes must be an integer")
         if not 0 <= self.successes <= max(self.shots, 0):
             raise ValueError("successes must lie in [0, shots]")
         if self.shots == 0:
@@ -161,27 +164,27 @@ def generate_dataset(config: ExperimentConfig) -> Dataset:
 
     With shots = 0 a record carries that probability (the exact sentinel);
     otherwise it carries binomial counts drawn from the setting's own stream
-    ``default_rng([seed, index])``.  A non-finite probability is an error,
-    never clamped.  The instrument is built and evaluated with numpy's
-    overflow and invalid-value warnings off: either ends in that error, or in
-    the finiteness and positive-definiteness checks of the strict-normalization
-    instrument, and never in a warning.
+    ``default_rng([seed, index])``.  ``model_probabilities`` rotates and checks
+    the instrument once per observable.  A non-finite probability is an error,
+    never clamped, and so is any overflow: numpy's overflow and invalid-value
+    warnings are off, since the finiteness checks refuse every non-finite value.
     """
     records = []
     with np.errstate(over="ignore", invalid="ignore"):
         inst = build_perturbed(config.perturbation)
         if config.strict_normalization:
             inst = exact_normalize(inst)
-        for index, setting in enumerate(plan_settings(config)):
-            p = model_probability(inst, setting.observable, setting.direction)
-            if not math.isfinite(p):
-                raise ValueError(f"model probability of {setting.observable.label()} is not finite")
-            p = min(1.0, max(0.0, p))
-            if config.shots == 0:
-                records.append(MeasurementRecord(setting, 0, 0, p))
-            else:
-                successes = int(np.random.default_rng([config.seed, index]).binomial(config.shots, p))
-                records.append(MeasurementRecord(setting, config.shots, successes, None))
+        for obs, group in groupby(plan_settings(config), lambda setting: setting.observable):
+            group = tuple(group)
+            for setting, p in zip(group, model_probabilities(inst, obs, [s.direction for s in group])):
+                if not math.isfinite(p):
+                    raise ValueError(f"model probability of {obs.label()} is not finite")
+                p = min(1.0, max(0.0, p))
+                if config.shots == 0:
+                    records.append(MeasurementRecord(setting, 0, 0, p))
+                else:
+                    successes = int(np.random.default_rng([config.seed, len(records)]).binomial(config.shots, p))
+                    records.append(MeasurementRecord(setting, config.shots, successes, None))
     meta = DatasetMeta(
         config.perturbation.eta, config.strict_normalization, config.seed, config.n_theta, config.n_phi
     )

@@ -10,6 +10,7 @@ constants below, each written once.  The dataset's numbers are text, read by
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from typing import Any, Callable, NamedTuple
 
@@ -57,6 +58,11 @@ integer = of_type(int)
 _real = of_type(int, float)
 
 
+def integral(n) -> bool:
+    """Whether ``n`` is an int or a numpy integer, and so neither a bool nor a float."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
+
+
 def number(value) -> float:
     """A finite JSON int or float as a float; an int beyond float range raises OverflowError."""
     value = float(_real(value))
@@ -73,12 +79,12 @@ _NUMBER_TEXT = r"-?[0-9]+(\.[0-9]+)?(e[+-][0-9]+)?"
 INTEGER_TEXT = Field(lambda text: int(re.fullmatch(_INTEGER_TEXT, text)[0]), "a decimal integer")
 NUMBER_TEXT = Field(lambda text: number(float(re.fullmatch(_NUMBER_TEXT, text)[0])), "a finite decimal number")
 NONNEGATIVE = Field(number, "a finite nonnegative number", lambda x: x >= 0.0)
-SEED = Field(integer, "an integer in [0, 2**64)", lambda n: 0 <= n < 2 ** 64)
+SEED = Field(integer, "an integer in [0, 2**64)", lambda n: integral(n) and 0 <= n < 2 ** 64)
 STRICT_NORMALIZATION = Field(of_type(bool), "true or false", default=False)
 # The binomial sampler takes a C long; far larger counts would overflow the fit.
-SHOTS = Field(integer, "an integer in [0, 2**63)", lambda n: 0 <= n < 2 ** 63)
-N_THETA = Field(integer, "an integer in [2, 2**53]", lambda n: 2 <= n <= EXACT_INTEGERS)
-N_PHI = Field(integer, "an integer in [3, 2**53]", lambda n: 3 <= n <= EXACT_INTEGERS)
+SHOTS = Field(integer, "an integer in [0, 2**63)", lambda n: integral(n) and 0 <= n < 2 ** 63)
+N_THETA = Field(integer, "an integer in [2, 2**53]", lambda n: integral(n) and 2 <= n <= EXACT_INTEGERS)
+N_PHI = Field(integer, "an integer in [3, 2**53]", lambda n: integral(n) and 3 <= n <= EXACT_INTEGERS)
 
 
 def read_fields(table: dict[str, Field], document: dict, error: Callable, prefix="", noun="key") -> dict:

@@ -4,22 +4,17 @@ The instrument is a pair of Kraus branches ``A = alpha * 1 + beta . sigma``.
 A selective measurement maps ``rho -> A^dag rho A`` (normalized by its trace),
 so the effect whose expectation gives the outcome probability is ``A A^dag``
 and the completeness condition is ``sum_m A_m A_m^dag = 1``.  State updates
-are always computed by operator conjugation through the Pauli algebra; the
-2x2 matrix representation exists only as an independent oracle in the tests
-and in ``sgkit verify``.
+are computed by operator conjugation through the Pauli algebra; 2x2 matrices
+are only an independent oracle in the tests and in ``sgkit verify``.
 
-Every formula is written once, as an array form on stacked Pauli coefficients
-built on ``pauli.pauli_mul_array``: a branch is a ``(..., 4)`` complex array
-``[alpha, beta_x, beta_y, beta_z]``, an instrument a ``(..., 2, 4)`` array
-(up, down), a state its ``(..., 3)`` real Bloch vector, a rotation a unit
-``(..., 3)`` axis with a ``(...)`` angle; leading axes broadcast.  The array
-forms are unvalidated: operands are finite, states have ``|r| <= 1`` and
-axes unit length, as the constructors below check (``bloch_array`` checks a
-stack of states at once).  The object functions
-(``effect_expectation``, ``selective_apply``, ``nonselective_apply``,
-``rotate_instrument``, ``exact_normalize``) validate at the boundary, raise
-this module's exceptions and return ``None`` post-states, and otherwise are
-thin calls into the array forms.
+Every formula is written once, as an unvalidated array form on stacked Pauli
+coefficients: a branch is a ``(..., 4)`` complex array ``[alpha, beta]``, an
+instrument ``(..., 2, 4)`` (up, down), a first stage of branches ``(..., s, 4)``,
+a state its ``(..., 3)`` Bloch vector, a rotation a unit ``(..., 3)`` axis and
+a ``(...)`` angle; leading axes broadcast.  Operands are finite with |r| <= 1
+and unit axes, as the constructors below and ``bloch_array`` check.  The
+object functions validate, raise this module's exceptions and return ``None``
+post-states, and otherwise call the array forms.
 """
 
 from __future__ import annotations
@@ -197,8 +192,9 @@ def expectation_array(a: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def _conjugated(a: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """A^dag rho A for rho = (1 + r . sigma) / 2."""
-    rho = np.concatenate([np.full(r.shape[:-1] + (1,), 0.5), 0.5 * r], axis=-1)
+    """A^dag rho A for rho = (1 + r . sigma) / 2, built complex as the products would cast it."""
+    rho = np.empty(r.shape[:-1] + (4,), dtype=complex)
+    rho[..., 0], rho[..., 1:] = 0.5, 0.5 * r
     return pauli_mul_array(pauli_mul_array(a.conj(), rho), a)
 
 
@@ -215,10 +211,9 @@ def selective_array(a: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.minimum(1.0, np.maximum(0.0, prob[..., 0])), post
 
 
-def _conjugation_sum(inst: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Unnormalized sum_m A_m^dag rho A_m of (..., 2, 4) instruments, as (..., 4)."""
-    conj = _conjugated(inst, r[..., None, :])
-    return conj[..., 0, :] + conj[..., 1, :]
+def _conjugation_sum(stage: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Unnormalized sum_A A^dag rho A over the branches A of (..., s, 4) stages, as (..., 4)."""
+    return _conjugated(stage, r[..., None, :]).sum(axis=-2)
 
 
 def nonselective_array(inst: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -227,25 +222,18 @@ def nonselective_array(inst: np.ndarray, r: np.ndarray) -> np.ndarray:
     return total[..., 1:] / total[..., :1]
 
 
-def successive_array(inst: np.ndarray, second: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """tr((sum_m A_m^dag rho A_m) B B^dag) with no intermediate renormalization.
-
-    For normalized instruments this is the probability of B after a non-selective
-    pass; otherwise it stays a polynomial in any perturbation, as linearization needs.
-    """
-    rho1 = _conjugation_sum(inst, r)
+def successive_array(first: np.ndarray, second: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """tr((sum_A A^dag rho A) B B^dag) over the branches A of (..., s, 4) first stages, then
+    the (..., 4) branch B, unnormalized, so polynomial in any perturbation.  Both branches of
+    a normalized instrument are a non-selective pass; the identity alone, a single measurement."""
+    rho1 = _conjugation_sum(first, r)
     f2 = effect_array(second)
     return 2.0 * (rho1[..., 0] * f2[..., 0] + dot_array(rho1[..., 1:], f2[..., 1:])).real
 
 
-def _effect_sum(inst: np.ndarray) -> np.ndarray:
-    f = effect_array(inst)
-    return f[..., 0, :] + f[..., 1, :]
-
-
 def residual_array(inst: np.ndarray) -> np.ndarray:
     """Max deviation over the four component equations of sum_m A_m A_m^dag = 1."""
-    total = _effect_sum(inst)
+    total = effect_array(inst).sum(axis=-2)
     return np.maximum(np.abs(total[..., 0] - 1.0), np.abs(total[..., 1:]).max(axis=-1))
 
 
@@ -277,7 +265,7 @@ def exact_normalize_array(inst: np.ndarray) -> np.ndarray:
     every non-finite intermediate.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        out = pauli_mul_array(_inverse_sqrt(_effect_sum(inst).real)[..., None, :], inst)
+        out = pauli_mul_array(_inverse_sqrt(effect_array(inst).sum(axis=-2).real)[..., None, :], inst)
         residual = residual_array(out)
     if not np.all(residual <= NORMALIZATION_TOL):
         raise SingularNormalization(
@@ -353,10 +341,6 @@ def ideal_instrument() -> Instrument:
 
 
 def exact_normalize(inst: Instrument) -> Instrument:
-    """Left-multiply both branches by S^(-1/2), S = sum_m A_m A_m^dag.
-
-    Restores the completeness condition to rounding.  Raises
-    SingularNormalization when S has an eigenvalue below 1e-12 or is too
-    ill-conditioned for the result to meet NORMALIZATION_TOL.
-    """
+    """The instrument ``exact_normalize_array`` renormalizes to completeness at rounding
+    level, SingularNormalization as it raises."""
     return Instrument.from_array(exact_normalize_array(inst.as_array()))

@@ -1,15 +1,13 @@
 """Small-non-ideality model and the linear identification system.
 
 The perturbed filter is alpha = 1/2 + eta*a, beta = +-e_z/2 + eta*b per
-branch, 16 real parameters in all.  The first-order response of tr(rho F) is
-affine in the probe direction, and its coefficients are the Pauli
-coefficients of the eta-derivative of the Heisenberg-picture effect F: B B^dag
-for a single measurement with branch B, sum_n A_n B B^dag A_n^dag for a
-non-selective pass followed by B.  The module derives these 4x16 blocks in
-closed form, once, at import.  Exact polynomial interpolation in eta
-(``linear_response``; the probabilities are polynomials of degree <= 2 for
-single measurements and <= 4 for successive ones) stays as the independent
-oracle the tests and ``sgkit verify`` compare the closed form against.
+branch, 16 real parameters in all.  Every protocol is one row of
+``FIRST_STAGE``: the branches A that the state passes through before the
+rotated device's branch B, so that p = tr(rho H) with H = sum_A A B B^dag A^dag.
+The probabilities, the closed-form first-order blocks (the Pauli coefficients
+of dH/d eta, built once at import) and the interpolation degree all read that
+table.  Exact polynomial interpolation in eta (``linear_response``) stays as
+the independent oracle the tests and ``sgkit verify`` check the blocks against.
 
 ``PerturbationParams`` holds the 16 parameters as one read-only (2, 4)
 complex array, [a, b_x, b_y, b_z] per branch; only its ``from_vector`` and
@@ -17,12 +15,11 @@ complex array, [a, b_x, b_y, b_z] per branch; only its ``from_vector`` and
 equations are held once, as their printed text, and ``transcribed_system``
 reads both sides of each equation from that text.
 
-``model_probability``, run once per simulated record, checks the rotated
-instrument as an array and rebuilds no ``Instrument`` or ``RotationSpec``:
-the ideal instrument, the three cyclic rotations and the ideal instrument's
-three rotated arrays, all that ``ideal_probability`` reads, are built at import.
-``ideal_probability`` takes an (n, 3) stack of directions too, so a fit's
-baseline is one array call per observable.
+``model_probabilities``, which generates every simulated record, rotates and
+checks the instrument once per observable and builds no ``Instrument`` or
+``RotationSpec``; ``model_probability`` is its per-record form.  The ideal
+instrument's rotations are made at import, so ``ideal_probability`` (a fit's
+baseline, one array call per observable) rotates nothing.
 """
 
 from __future__ import annotations
@@ -32,16 +29,15 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
+from typing import Iterator
 
 import numpy as np
 
 from .instrument import (
-    BlochState,
     Direction,
     Instrument,
     bloch_array,
     cyclic_rotation,
-    expectation_array,
     ideal_instrument,
     rotate_array,
     successive_array,
@@ -61,11 +57,8 @@ class Outcome(Enum):
 
 @dataclass(frozen=True)
 class ObservableSpec:
-    """One measured success frequency: protocol, outcome, device rotation index.
-
-    For the successive protocol the rotation index applies to the selective
-    second stage; the first stage is always the unrotated non-selective pass.
-    """
+    """One measured success frequency: protocol, outcome and the rotation index of the
+    measured branch (the protocol's ``FIRST_STAGE`` is never rotated)."""
 
     protocol: Protocol
     outcome: Outcome
@@ -177,6 +170,9 @@ class LinearSystem:
 
 
 _IDEAL = ideal_instrument().as_array()
+# Each protocol's first stage: the rows of the stack [1, A_up, A_down] of the unrotated
+# instrument that the state passes before the rotated device's branch B.
+FIRST_STAGE = MappingProxyType({Protocol.SINGLE: (0,), Protocol.SUCCESSIVE: (1, 2)})
 _ROTATIONS = tuple(cyclic_rotation(m) for m in range(3))
 _IDEAL_ROTATED = tuple(rotate_array(_IDEAL, rot.axis, rot.angle) for rot in _ROTATIONS)
 
@@ -192,58 +188,65 @@ def _direction_vector(k) -> np.ndarray:
     return np.asarray(k, dtype=float).reshape(3)
 
 
+def _first_stage(inst: np.ndarray, protocol: Protocol, identity=(1.0, 0.0, 0.0, 0.0)) -> np.ndarray:
+    """Rows ``FIRST_STAGE[protocol]`` of [identity, A_up, A_down] of (..., 2, 4) instruments."""
+    stack = np.empty(inst.shape[:-2] + (3, 4), dtype=complex)
+    stack[..., 0, :], stack[..., 1:, :] = identity, inst
+    return stack[..., FIRST_STAGE[protocol], :]
+
+
 def _probability_array(inst: np.ndarray, rotated: np.ndarray, obs: ObservableSpec, r: np.ndarray) -> np.ndarray:
     """The probability of ``obs`` for (..., 2, 4) instruments and their rotations by
-    ``obs.m``: the rotated device's branch, alone or after a pass of the unrotated one."""
+    ``obs.m``: the protocol's first stage of the unrotated device, then the rotated one's branch."""
     branch = rotated[..., 0 if obs.outcome is Outcome.UP else 1, :]
-    if obs.protocol is Protocol.SINGLE:
-        return expectation_array(branch, r)
-    return successive_array(inst, branch, r)
+    return successive_array(_first_stage(inst, obs.protocol), branch, r)
 
 
-def _finite(inst: np.ndarray) -> np.ndarray:
-    if not np.isfinite(inst).all():
+def _rotated(inst: np.ndarray, m: int) -> np.ndarray:
+    """(..., 2, 4) instruments rotated by ``cyclic_rotation(m)``: ValueError unless both are finite."""
+    rot = _ROTATIONS[m]
+    rotated = rotate_array(inst, rot.axis, rot.angle) if np.isfinite(inst).all() else inst
+    if not np.isfinite(rotated).all():
         raise ValueError("instrument components must be finite")
-    return inst
+    return rotated
+
+
+def model_probability_array(inst: np.ndarray, obs: ObservableSpec, r: np.ndarray) -> np.ndarray:
+    """The model probability of ``obs`` for (..., 2, 4) instruments at unchecked (..., 3)
+    Bloch vectors in one pass, the instruments rotated and checked as ``model_probability`` does."""
+    return _probability_array(inst, _rotated(inst, obs.m), obs, r)
+
+
+def model_probabilities(inst: Instrument, obs: ObservableSpec, directions) -> Iterator[float]:
+    """``model_probability`` at each of ``directions`` in turn, bit for bit, ValueErrors included;
+    the instrument is rotated and checked once, and the directions together, before the first."""
+    branches = inst.as_array()
+    rotated = _rotated(branches, obs.m)
+    for r in bloch_array(np.reshape([_direction_vector(k) for k in directions], (-1, 3))):
+        yield float(_probability_array(branches, rotated, obs, r))
 
 
 def model_probability(inst: Instrument, obs: ObservableSpec, k) -> float:
-    """Model success frequency of an observable; unclamped and polynomial in
-    any perturbation of the instrument (no intermediate renormalization).
-    The rotated instrument is checked as an array: ValueError if not finite."""
-    state = BlochState(_direction_vector(k))
-    rot = _ROTATIONS[obs.m]
-    branches = inst.as_array()
-    rotated = _finite(rotate_array(branches, rot.axis, rot.angle))
-    return float(_probability_array(branches, rotated, obs, state.r))
+    """Model success frequency of an observable, unclamped and polynomial in any perturbation
+    of the instrument (no intermediate renormalization); ValueError unless all is finite."""
+    return next(model_probabilities(inst, obs, (k,)))
 
 
 def ideal_probability(obs: ObservableSpec, k) -> float | np.ndarray:
     """``model_probability`` of the ideal instrument, bit for bit, at one Direction
-    or 3-vector (a float) or at each row of an (n, 3) stack (an (n,) array).
-
-    One ``_probability_array`` call on the rotations made at import covers the
-    whole stack; ValueError unless every vector passes ``bloch_array``.
-    """
+    or 3-vector (a float) or at each row of an (n, 3) stack (an (n,) array), from one
+    array call on the rotations made at import; ValueError unless ``bloch_array`` passes."""
     r = bloch_array(k.unit_vector() if isinstance(k, Direction) else k)
     p = _probability_array(_IDEAL, _IDEAL_ROTATED[obs.m], obs, r)
     return p if r.ndim == 2 else float(p)
 
 
 def perturbed_probabilities(params: PerturbationParams, obs: ObservableSpec, k, etas) -> np.ndarray:
-    """The model probability of ``obs`` at ``k`` for ``build_perturbed(params)``
-    with its eta replaced by each of ``etas`` (negative ones too), in one pass
-    of the array forms over the stacked (n, 2, 4) instruments: bit for bit
-    ``model_probability`` per eta, ValueErrors included."""
+    """The model probability of ``obs`` at ``k`` for ``build_perturbed(params)`` with its
+    eta replaced by each of ``etas`` (negative ones too), in one pass over the stacked
+    instruments: bit for bit ``model_probability`` per eta, ValueErrors included."""
     scale = np.asarray(etas, dtype=float)[:, None, None]
-    inst = _finite(_IDEAL + scale * params.array)
-    rot = _ROTATIONS[obs.m]
-    rotated = _finite(rotate_array(inst, rot.axis, rot.angle))
-    return _probability_array(inst, rotated, obs, BlochState(_direction_vector(k)).r)
-
-
-_SINGLE_NODES = (-1.0, 0.0, 1.0)
-_SUCCESSIVE_NODES = (-2.0, -1.0, 0.0, 1.0, 2.0)
+    return model_probability_array(_IDEAL + scale * params.array, obs, bloch_array(_direction_vector(k)))
 
 
 def linear_response(
@@ -258,7 +261,8 @@ def linear_response(
     ``perturbed_probabilities`` pass, and interpolates the polynomial; any
     node set of the right size gives the same answer up to rounding.
     """
-    fewest = _SINGLE_NODES if obs.protocol is Protocol.SINGLE else _SUCCESSIVE_NODES
+    # Degree 2 in eta from the branch B, plus 2 from a first stage other than the identity.
+    fewest = (-1.0, 0.0, 1.0) if FIRST_STAGE[obs.protocol] == (0,) else (-2.0, -1.0, 0.0, 1.0, 2.0)
     if nodes is None:
         nodes = fewest
     if len(nodes) < len(fewest):
@@ -287,40 +291,31 @@ def default_observables() -> tuple[ObservableSpec, ...]:
 # axis of 16 holds the derivatives with respect to the 16 parameters.
 
 
-# d(alpha, beta)/d(parameter_i) of the up and the down branch, shape (2, 16, 4).
-_UNITS = np.stack([PerturbationParams.unit(i).array for i in range(16)], axis=1)
-
-
-def _effect_derivative(b0: np.ndarray, db: np.ndarray) -> np.ndarray:
-    """d(B B^dag) = dB B0^dag + B0 dB^dag."""
-    return pauli_mul_array(db, b0.conj()) + pauli_mul_array(b0, db.conj())
+# d(alpha, beta)/d(parameter_i) of the up and the down branch, shape (16, 2, 4).
+_UNITS = np.stack([PerturbationParams.unit(i).array for i in range(16)])
 
 
 def _response_block(obs: ObservableSpec) -> np.ndarray:
-    """4x16 block of d(coefficient_j)/d(parameter_i) for one observable.
-
-    The measured branch is the ideal one of ``_IDEAL_ROTATED[obs.m]``, and its
-    ``_UNITS`` are rotated by ``cyclic_rotation(obs.m)`` too, as in ``model_probability``.
+    """4x16 block of d(coefficient_j)/d(parameter_i) for one observable, whose measured
+    branch and its ``_UNITS`` are rotated as in ``model_probability``.
 
     tr(rho H) = h0 + h . k for rho = (1 + k . sigma)/2 and Hermitian H, so the
     affine coefficients are the Pauli coefficients of the effect's derivative.
-    For the successive protocol H = sum_n A_n F A_n^dag, with the unrotated
-    first stage A_n and the effect F of the rotated second-stage branch B:
-    dH = sum_n (dA_n F0 A_n0^dag + A_n0 dF A_n0^dag + A_n0 F0 dA_n^dag).
+    H = sum_A A F A^dag over the first stage A, with F = B B^dag and dF = dB B0^dag
+    + B0 dB^dag: dH = sum_A (dA F0 A0^dag + A0 dF A0^dag + A0 F0 dA^dag), the identity's dA = 0.
     """
     branch = 0 if obs.outcome is Outcome.UP else 1
     rot = _ROTATIONS[obs.m]
     b0 = _IDEAL_ROTATED[obs.m][branch]
-    d_effect = _effect_derivative(b0, rotate_array(_UNITS[branch], rot.axis, rot.angle))
-    if obs.protocol is Protocol.SUCCESSIVE:
-        f0 = pauli_mul_array(b0, b0.conj())
-        d_effect = sum(
-            pauli_mul_array(pauli_mul_array(da, f0), a0.conj())
-            + pauli_mul_array(pauli_mul_array(a0, d_effect), a0.conj())
-            + pauli_mul_array(pauli_mul_array(a0, f0), da.conj())
-            for a0, da in zip(_IDEAL, _UNITS)
-        )
-    block = np.ascontiguousarray(d_effect.real.T)
+    f0, db = pauli_mul_array(b0, b0.conj()), rotate_array(_UNITS[:, branch], rot.axis, rot.angle)
+    d_effect = pauli_mul_array(db, b0.conj()) + pauli_mul_array(b0, db.conj())
+    a0, da = _first_stage(_IDEAL, obs.protocol), _first_stage(_UNITS, obs.protocol, 0.0)
+    d_h = (
+        pauli_mul_array(pauli_mul_array(da, f0), a0.conj())
+        + pauli_mul_array(pauli_mul_array(a0, d_effect[:, None]), a0.conj())
+        + pauli_mul_array(pauli_mul_array(a0, f0), da.conj())
+    ).sum(axis=-2)
+    block = np.ascontiguousarray(d_h.real.T)
     block.setflags(write=False)
     return block
 

@@ -36,6 +36,7 @@ from .linearize import (
     default_observables,
     gauge_directions,
     linear_response,
+    model_probability_array,
     perturbed_probabilities,
 )
 from .pauli import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z
@@ -121,8 +122,8 @@ def _defined(post: np.ndarray) -> np.ndarray:
 
 
 def check_matrix_oracle(n: int = 200) -> None:
-    """Coefficient-level probabilities, effects and selective and non-selective
-    updates match 2x2 matrices."""
+    """Coefficient-level probabilities, effects, selective and non-selective
+    updates and every observable's model probability match 2x2 matrices."""
     rng = np.random.default_rng(11)
     inst = _random_instruments(rng, n)
     r = _random_states(rng, n)[:, None, :]  # one state per instrument, both branches
@@ -142,6 +143,14 @@ def check_matrix_oracle(n: int = 200) -> None:
     probes = _random_states(rng, 10 * n).reshape(n, 10, 1, 3)
     expected = _trace(_density(probes) @ f[:, None])
     _require(np.abs(expectation_array(inst[:, None], probes) - expected), 1e-12, "probe probability")
+    # each observable: tr((sum_A A^dag rho A) B B^dag), first stages A written out here
+    first_stage = {Protocol.SINGLE: IDENTITY[None], Protocol.SUCCESSIVE: a}
+    for obs in OBSERVABLES:
+        rot, stage = cyclic_rotation(obs.m), first_stage[obs.protocol]
+        u = _unitary(rot.axis, np.asarray(rot.angle))
+        b = _dagger(u) @ a[:, 0 if obs.outcome is Outcome.UP else 1] @ u
+        expected = _trace((_dagger(stage) @ rho @ stage).sum(axis=-3) @ b @ _dagger(b))
+        _require(np.abs(model_probability_array(inst, obs, r[:, 0]) - expected), 1e-12, obs.label())
 
 
 def check_probability_completeness(n: int = 300) -> None:

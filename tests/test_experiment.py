@@ -23,7 +23,6 @@ from sgkit.instrument import exact_normalize, residual_array
 from sgkit.fields import INTEGER_TEXT, NUMBER_TEXT
 from sgkit.linearize import (
     OBSERVABLES,
-    ObservableSpec,
     Outcome,
     PerturbationParams,
     Protocol,
@@ -302,13 +301,7 @@ def datasets(draw):
         n_theta=n_theta,
         n_phi=n_phi,
     )
-    pool = [
-        MeasurementSetting(ObservableSpec(protocol, outcome, m), direction)
-        for protocol in Protocol
-        for outcome in Outcome
-        for m in range(3)
-        for direction in make_grid(n_theta, n_phi)
-    ]
+    pool = [MeasurementSetting(obs, direction) for obs in OBSERVABLES for direction in make_grid(n_theta, n_phi)]
     records = []
     for setting in draw(st.lists(st.sampled_from(pool), unique=True, max_size=12)):
         shots = draw(st.integers(0, 2 ** 62))
@@ -390,3 +383,29 @@ def test_record_validation():
         MeasurementRecord(setting, 0, 0, 1.5)
     with pytest.raises(ValueError):
         MeasurementRecord(setting, 10, 5, 0.5)
+
+
+@pytest.mark.parametrize("value", [3.0, np.float64(3.0), True, np.True_], ids=repr)
+@pytest.mark.parametrize("key", ["n_theta", "n_phi", "shots", "seed", "successes"])
+def test_integer_fields_refuse_floats_and_bools(key, value):
+    """A float or a bool is no integer even where its value lies in range: each
+    field refuses it with its own message, before anything is generated."""
+    if key == "successes":
+        setting = plan_settings(config_of(ZERO, 0.0, n_theta=2, n_phi=3))[0]
+        with pytest.raises(ValueError, match="^successes must be an integer$"):
+            MeasurementRecord(setting, 10, value, None)
+        return
+    error = InvalidGrid if key in ("n_theta", "n_phi") else ValueError
+    with pytest.raises(error, match=f"^{key} must be an integer in "):
+        config_of(ZERO, 0.0, **{key: value})
+
+
+def test_numpy_integers_run_end_to_end(tmp_path):
+    """numpy integers are integers: generated, written and read back equal."""
+    ints = dict(n_theta=np.int64(2), n_phi=np.int64(3), shots=np.int64(10), seed=np.uint64(5))
+    dataset = generate_dataset(config_of(ZERO, 1e-3, **ints))
+    assert len(dataset.records) == 9 * 2 * 3
+    write_dataset(dataset, tmp_path / "ints.csv")
+    assert read_dataset(tmp_path / "ints.csv") == dataset
+    setting = dataset.records[0].setting
+    assert MeasurementRecord(setting, np.int64(10), np.int64(4), None).frequency() == 0.4

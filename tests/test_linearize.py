@@ -27,6 +27,7 @@ from sgkit.instrument import (
     rotate_instrument,
 )
 from sgkit.linearize import (
+    OBSERVABLES,
     ObservableSpec,
     Outcome,
     PARAM_LABELS,
@@ -40,6 +41,7 @@ from sgkit.linearize import (
     gauge_directions,
     ideal_probability,
     linear_response,
+    model_probabilities,
     model_probability,
     perturbed_probabilities,
     transcribed_system,
@@ -215,15 +217,12 @@ VERIFY_NODE_SETS = (
     (-1.0, -0.5, 0.0, 0.5, 1.0),
     (-3.0, -1.5, 0.0, 1.0, 2.0, 3.0),
 )
-EVERY_OBSERVABLE = tuple(
-    ObservableSpec(protocol, outcome, m) for protocol in Protocol for outcome in Outcome for m in range(3)
-)
 
 
 @settings(deadline=None, max_examples=100)
 @given(
     vector=arrays(float, 16, elements=st.floats(-1e3, 1e3)),
-    obs=st.sampled_from(EVERY_OBSERVABLE),
+    obs=st.sampled_from(OBSERVABLES),
     direction=arrays(float, 3, elements=st.floats(-1.0, 1.0)).filter(
         lambda v: np.linalg.norm(v) > 1e-3
     ),
@@ -252,7 +251,7 @@ def test_perturbed_probabilities_raise_like_per_eta_calls():
             perturbed_probabilities(params, SINGLE_UP0, k, (0.0, 10.0))
 
 
-@pytest.mark.parametrize("obs", EVERY_OBSERVABLE, ids=ObservableSpec.label)
+@pytest.mark.parametrize("obs", OBSERVABLES, ids=ObservableSpec.label)
 def test_rotation_overflow_raises_on_both_paths(obs):
     """A finite instrument whose rotation overflows (n . beta exceeds the float
     range inside ``rotate_array``) is a ValueError on both paths."""
@@ -291,7 +290,7 @@ def _unit_stacks():
 @given(
     components=arrays(float, (2, 2, 4), elements=st.floats(-2.0, 2.0)),
     normalize=st.booleans(),
-    obs=st.sampled_from(ALL_OBSERVABLES),
+    obs=st.sampled_from(OBSERVABLES),
     k=_unit_directions(),
     stack=_unit_stacks(),
 )
@@ -341,6 +340,21 @@ def _constructions(monkeypatch, grid):
         estimate.fit_affine(records)
     monkeypatch.undo()
     return counts, sum(map(len, groups.values()))
+
+
+@pytest.mark.parametrize("obs", OBSERVABLES, ids=ObservableSpec.label)
+def test_model_probabilities_rotate_once_and_equal_per_record_calls(monkeypatch, obs):
+    """One rotation per call, whatever the number of directions (none included),
+    and each value is ``model_probability``'s, bit for bit."""
+    inst = build_perturbed(PerturbationParams.from_vector(np.linspace(-1.0, 1.0, 16), 1e-2))
+    grid = experiment.make_grid(3, 4)
+    expected = [model_probability(inst, obs, d).hex() for d in grid]
+    calls = []
+    rotate = linearize.rotate_array
+    monkeypatch.setattr(linearize, "rotate_array", lambda *args: calls.append(args) or rotate(*args))
+    assert [p.hex() for p in model_probabilities(inst, obs, grid)] == expected
+    assert list(model_probabilities(inst, obs, [])) == []
+    assert len(calls) == 2
 
 
 def test_per_record_path_builds_no_kraus_operators_or_rotations(monkeypatch):
@@ -428,17 +442,14 @@ def test_affine_unit_a_r_up():
 
 def test_closed_form_matches_interpolation_oracle(rng):
     """Every observable's closed-form block equals the interpolated response."""
-    for protocol in Protocol:
-        for outcome in Outcome:
-            for m in range(3):
-                obs = ObservableSpec(protocol, outcome, m)
-                for _ in range(2):
-                    k = random_unit(rng)
-                    basis = np.array([1.0, *k])
-                    for i in range(16):
-                        unit = PerturbationParams.unit(i)
-                        closed = affine_coefficients(unit, obs) @ basis
-                        assert abs(closed - linear_response(unit, obs, k)) < 1e-12, (obs, i)
+    for obs in OBSERVABLES:
+        for _ in range(2):
+            k = random_unit(rng)
+            basis = np.array([1.0, *k])
+            for i in range(16):
+                unit = PerturbationParams.unit(i)
+                closed = affine_coefficients(unit, obs) @ basis
+                assert abs(closed - linear_response(unit, obs, k)) < 1e-12, (obs, i)
 
 
 def test_design_matrix_needs_no_probability_evaluation():
@@ -446,14 +457,14 @@ def test_design_matrix_needs_no_probability_evaluation():
 
     Runs in a fresh interpreter, so nothing an earlier test computed can
     stand in for the build.  The design blocks are built while
-    ``sgkit.linearize`` is imported, so the array forms every model
-    probability goes through are stubbed before that import.
+    ``sgkit.linearize`` is imported, so the one array form every model
+    probability goes through, ``successive_array``, is stubbed before that import.
     """
     code = (
         "import sgkit.instrument as instrument\n"
         "def forbidden(*args, **kwargs):\n"
         "    raise AssertionError('the design system evaluated a model probability')\n"
-        "instrument.expectation_array = instrument.successive_array = forbidden\n"
+        "instrument.successive_array = forbidden\n"
         "import sgkit.linearize as lin\n"
         "rows = lin.design_matrix(lin.default_observables()).rows\n"
         "assert rows.shape == (48, 16), rows.shape\n"

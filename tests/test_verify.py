@@ -111,6 +111,16 @@ def test_defective_probability_fails_interpolation_checks(monkeypatch, defect):
     assert {"interpolation-node-independence", "linearization-ratio"} <= failed.keys(), failed
 
 
+def test_wrong_first_stage_row_fails_matrix_oracle(monkeypatch):
+    """A successive first stage of the up branch alone instead of both: the blocks and
+    the probabilities read one table, so only the oracle's own stages can tell."""
+    wrong = {**linearize.FIRST_STAGE, Protocol.SUCCESSIVE: (1,)}
+    monkeypatch.setattr(linearize, "FIRST_STAGE", wrong)
+    failed = failed_checks()
+    assert "matrix-oracle-agreement" in failed, failed
+    assert "successive/m0/up" in failed["matrix-oracle-agreement"]
+
+
 # --- object API against array forms ------------------------------------------------
 
 
