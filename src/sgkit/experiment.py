@@ -1,10 +1,10 @@
-"""Synthetic experiment planning, data generation and the dataset file format.
+"""Synthetic data generation and the dataset file format.
 
 Datasets are CSV with a leading ``#`` metadata block.  One generator,
 ``generate_dataset``, writes both kinds of records from one loop over the
-plan: exact records use shots = 0 as a sentinel and carry the model
-probability; sampled records carry binomial counts.  The per-setting random
-stream is derived from (seed, setting index), so generation order never
+observables and the grid: exact records use shots = 0 as a sentinel and carry
+the model probability; sampled records carry binomial counts.  The per-setting
+random stream is derived from (seed, setting index), so generation order never
 matters.
 """
 
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import groupby
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .fields import (
     INTEGER_TEXT, N_PHI, N_THETA, NONNEGATIVE, NUMBER_TEXT, REQUIRED, SEED, SHOTS, STRICT_NORMALIZATION, Field,
     integral, read_fields,
 )
-from .instrument import Direction, exact_normalize
+from .instrument import Direction, bloch_array, exact_normalize
 from .linearize import (
     OBSERVABLES,
     ObservableSpec,
@@ -148,38 +147,33 @@ def _on_grid(direction: Direction, n_theta: int, n_phi: int) -> bool:
     )
 
 
-def plan_settings(config: ExperimentConfig) -> tuple[MeasurementSetting, ...]:
-    """Each of ``default_observables()`` in the config's protocols, at each grid node in order."""
-    grid = make_grid(config.n_theta, config.n_phi)
-    return tuple(
-        MeasurementSetting(obs, direction)
-        for obs in default_observables()
-        if obs.protocol in config.protocols
-        for direction in grid
-    )
-
-
 def generate_dataset(config: ExperimentConfig) -> Dataset:
-    """One record per planned setting at the model probability clamped to [0, 1].
+    """One record per observable of ``default_observables()`` in the config's protocols and
+    grid node, in that order, at the model probability clamped to [0, 1].
 
     With shots = 0 a record carries that probability (the exact sentinel);
     otherwise it carries binomial counts drawn from the setting's own stream
-    ``default_rng([seed, index])``.  ``model_probabilities`` rotates and checks
-    the instrument once per observable.  A non-finite probability is an error,
-    never clamped, and so is any overflow: numpy's overflow and invalid-value
-    warnings are off, since the finiteness checks refuse every non-finite value.
+    ``default_rng([seed, index])``.  The grid's Bloch stack is built and checked
+    once; ``model_probabilities`` rotates and checks the instrument once per
+    observable.  A non-finite probability is an error, never clamped, and so is
+    any overflow: numpy's overflow and invalid-value warnings are off, since the
+    finiteness checks refuse every non-finite value.
     """
+    grid = make_grid(config.n_theta, config.n_phi)
     records = []
     with np.errstate(over="ignore", invalid="ignore"):
         inst = build_perturbed(config.perturbation)
         if config.strict_normalization:
             inst = exact_normalize(inst)
-        for obs, group in groupby(plan_settings(config), lambda setting: setting.observable):
-            group = tuple(group)
-            for setting, p in zip(group, model_probabilities(inst, obs, [s.direction for s in group])):
+        r = bloch_array([direction.unit_vector() for direction in grid])
+        for obs in default_observables():
+            if obs.protocol not in config.protocols:
+                continue
+            for direction, p in zip(grid, model_probabilities(inst, obs, r)):
                 if not math.isfinite(p):
                     raise ValueError(f"model probability of {obs.label()} is not finite")
                 p = min(1.0, max(0.0, p))
+                setting = MeasurementSetting(obs, direction)
                 if config.shots == 0:
                     records.append(MeasurementRecord(setting, 0, 0, p))
                 else:

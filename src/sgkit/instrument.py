@@ -113,9 +113,8 @@ class BlochState:
     r: np.ndarray
 
     def __post_init__(self):
-        vec = _real3(self.r)
-        if float(np.linalg.norm(vec)) > 1.0 + BLOCH_NORM_TOL:
-            raise ValueError("Bloch vector norm exceeds 1")
+        vec = bloch_array(np.array(self.r, dtype=float).reshape(3))
+        vec.setflags(write=False)
         object.__setattr__(self, "r", vec)
 
     def coefficients(self) -> PauliCoefficients:
@@ -124,13 +123,13 @@ class BlochState:
 
 def bloch_array(r) -> np.ndarray:
     """``r`` as one float 3-vector or an (n, 3) stack: ValueError unless every
-    vector is finite with |r| <= 1, checked at once as ``BlochState`` checks one."""
+    vector is finite with |r| <= 1, checked at once: the one Bloch-vector rule, ``BlochState``'s too."""
     r = np.asarray(r, dtype=float)
     if r.ndim not in (1, 2) or r.shape[-1] != 3:
         raise ValueError("Bloch vectors must be a 3-vector or an (n, 3) stack")
     if not np.isfinite(r).all():
         raise ValueError("vector components must be finite")
-    if np.any(np.linalg.norm(r, axis=-1) > 1.0 + BLOCH_NORM_TOL):
+    if (np.linalg.norm(r, axis=-1) > 1.0 + BLOCH_NORM_TOL).any():
         raise ValueError("Bloch vector norm exceeds 1")
     return r
 
@@ -238,7 +237,8 @@ def residual_array(inst: np.ndarray) -> np.ndarray:
 
 
 def _inverse_sqrt(s: np.ndarray) -> np.ndarray:
-    """S^(-1/2) = p * 1 + q * v/|v| . sigma of real (..., 4) coefficients S = s0 + v . sigma.
+    """S^(-1/2) = p * 1 + q * v/|v| . sigma of real (..., 4) coefficients S = s0 + v . sigma,
+    built complex as ``pauli_mul_array`` would cast it.
 
     Raises SingularNormalization when any S has an eigenvalue below 1e-12.
     """
@@ -252,7 +252,7 @@ def _inverse_sqrt(s: np.ndarray) -> np.ndarray:
     q = 0.5 * (lam_hi ** -0.5 - lam_lo ** -0.5)
     unit = np.zeros_like(v)
     np.divide(v, vnorm, out=unit, where=vnorm > 0.0)
-    return np.concatenate([p, q * unit], axis=-1)
+    return np.concatenate([p, q * unit], axis=-1, dtype=complex)
 
 
 def exact_normalize_array(inst: np.ndarray) -> np.ndarray:

@@ -15,11 +15,12 @@ complex array, [a, b_x, b_y, b_z] per branch; only its ``from_vector`` and
 equations are held once, as their printed text, and ``transcribed_system``
 reads both sides of each equation from that text.
 
-``model_probabilities``, which generates every simulated record, rotates and
-checks the instrument once per observable and builds no ``Instrument`` or
-``RotationSpec``; ``model_probability`` is its per-record form.  The ideal
-instrument's rotations are made at import, so ``ideal_probability`` (a fit's
-baseline, one array call per observable) rotates nothing.
+``model_probabilities``, which generates every simulated record on an (n, 3)
+stack of Bloch vectors, rotates and checks the instrument once per observable
+and builds no ``Instrument`` or ``RotationSpec``; ``model_probability`` is its
+per-record form at one Direction or 3-vector.  The ideal instrument's rotations
+are made at import, so ``ideal_probability`` (a fit's baseline, one array call
+per observable on an (n, 3) stack) rotates nothing.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ class ObservableSpec:
         return f"{self.protocol.value}/m{self.m}/{self.outcome.value}"
 
 
-# Every observable, in the plan's order: protocol, then m, then outcome.
+# Every observable, in the order records are generated: protocol, then m, then outcome.
 OBSERVABLES = tuple(
     ObservableSpec(protocol, outcome, m) for protocol in Protocol for m in range(3) for outcome in Outcome
 )
@@ -217,28 +218,29 @@ def model_probability_array(inst: np.ndarray, obs: ObservableSpec, r: np.ndarray
     return _probability_array(inst, _rotated(inst, obs.m), obs, r)
 
 
-def model_probabilities(inst: Instrument, obs: ObservableSpec, directions) -> Iterator[float]:
-    """``model_probability`` at each of ``directions`` in turn, bit for bit, ValueErrors included;
-    the instrument is rotated and checked once, and the directions together, before the first."""
+def model_probabilities(inst: Instrument, obs: ObservableSpec, r: np.ndarray) -> Iterator[float]:
+    """``model_probability`` at each row of an (n, 3) stack that ``bloch_array`` has checked,
+    bit for bit, ValueErrors included; the instrument is rotated and checked once, before the first."""
     branches = inst.as_array()
     rotated = _rotated(branches, obs.m)
-    for r in bloch_array(np.reshape([_direction_vector(k) for k in directions], (-1, 3))):
-        yield float(_probability_array(branches, rotated, obs, r))
+    for row in r:
+        yield float(_probability_array(branches, rotated, obs, row))
 
 
 def model_probability(inst: Instrument, obs: ObservableSpec, k) -> float:
-    """Model success frequency of an observable, unclamped and polynomial in any perturbation
-    of the instrument (no intermediate renormalization); ValueError unless all is finite."""
-    return next(model_probabilities(inst, obs, (k,)))
+    """Model success frequency of an observable at one Direction or 3-vector, unclamped and
+    polynomial in any perturbation of the instrument (no intermediate renormalization);
+    ValueError unless all is finite."""
+    branches = inst.as_array()
+    rotated = _rotated(branches, obs.m)
+    return float(_probability_array(branches, rotated, obs, bloch_array(_direction_vector(k))))
 
 
-def ideal_probability(obs: ObservableSpec, k) -> float | np.ndarray:
-    """``model_probability`` of the ideal instrument, bit for bit, at one Direction
-    or 3-vector (a float) or at each row of an (n, 3) stack (an (n,) array), from one
-    array call on the rotations made at import; ValueError unless ``bloch_array`` passes."""
-    r = bloch_array(k.unit_vector() if isinstance(k, Direction) else k)
-    p = _probability_array(_IDEAL, _IDEAL_ROTATED[obs.m], obs, r)
-    return p if r.ndim == 2 else float(p)
+def ideal_probability(obs: ObservableSpec, r: np.ndarray) -> np.ndarray:
+    """``model_probability`` of the ideal instrument at each row of an (n, 3) stack, bit for bit,
+    as an (n,) array from one array call on the rotations made at import; ValueError unless
+    ``bloch_array`` passes."""
+    return _probability_array(_IDEAL, _IDEAL_ROTATED[obs.m], obs, bloch_array(r))
 
 
 def perturbed_probabilities(params: PerturbationParams, obs: ObservableSpec, k, etas) -> np.ndarray:

@@ -143,13 +143,15 @@ def check_matrix_oracle(n: int = 200) -> None:
     probes = _random_states(rng, 10 * n).reshape(n, 10, 1, 3)
     expected = _trace(_density(probes) @ f[:, None])
     _require(np.abs(expectation_array(inst[:, None], probes) - expected), 1e-12, "probe probability")
-    # each observable: tr((sum_A A^dag rho A) B B^dag), first stages A written out here
-    first_stage = {Protocol.SINGLE: IDENTITY[None], Protocol.SUCCESSIVE: a}
+    # each observable: tr((sum_A A^dag rho A) B B^dag), its first stages A written out here:
+    # the identity alone passes rho, both branches pass ``total``; B B^dag for each m and branch
+    passed = {Protocol.SINGLE: rho[:, 0], Protocol.SUCCESSIVE: total}
+    rotations = [cyclic_rotation(m) for m in range(3)]
+    u = _unitary(np.stack([rot.axis for rot in rotations]), np.array([rot.angle for rot in rotations]))
+    b = _dagger(u[:, None, None]) @ a @ u[:, None, None]
+    effects = b @ _dagger(b)
     for obs in OBSERVABLES:
-        rot, stage = cyclic_rotation(obs.m), first_stage[obs.protocol]
-        u = _unitary(rot.axis, np.asarray(rot.angle))
-        b = _dagger(u) @ a[:, 0 if obs.outcome is Outcome.UP else 1] @ u
-        expected = _trace((_dagger(stage) @ rho @ stage).sum(axis=-3) @ b @ _dagger(b))
+        expected = _trace(passed[obs.protocol] @ effects[obs.m][:, 0 if obs.outcome is Outcome.UP else 1])
         _require(np.abs(model_probability_array(inst, obs, r[:, 0]) - expected), 1e-12, obs.label())
 
 

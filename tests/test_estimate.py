@@ -37,12 +37,16 @@ from conftest import project_to_constraints
 SINGLE_UP0 = ObservableSpec(Protocol.SINGLE, Outcome.UP, 0)
 
 
+def unit_vectors(directions) -> np.ndarray:
+    return np.array([d.unit_vector() for d in directions])
+
+
 def exact_records(observable, directions, coefficients):
     """Records whose deviation from the ideal model is exactly affine."""
     records = []
-    for d in directions:
-        k = d.unit_vector()
-        p = ideal_probability(observable, d) + coefficients @ np.array([1.0, *k])
+    k = unit_vectors(directions)
+    for d, row, ideal in zip(directions, k, ideal_probability(observable, k)):
+        p = ideal + coefficients @ np.array([1.0, *row])
         records.append(
             MeasurementRecord(MeasurementSetting(observable, d), 0, 0, float(p))
         )
@@ -102,8 +106,7 @@ def test_fit_weight_invariance():
     directions = make_grid(3, 4)
     base, scaled = [], []
     rng = np.random.default_rng(5)
-    for d in directions:
-        p = ideal_probability(SINGLE_UP0, d)
+    for d, p in zip(directions, ideal_probability(SINGLE_UP0, unit_vectors(directions))):
         shots = 1000
         success = int(rng.binomial(shots, p))
         base.append(
@@ -171,9 +174,10 @@ def test_goodness_sampled_compatible():
 def test_goodness_flags_non_affine_deviation():
     """Exact data with a deliberately non-affine deviation must be rejected."""
     records = []
-    for d in make_grid(4, 8):
-        k = d.unit_vector()
-        p = ideal_probability(SINGLE_UP0, d) + 0.2 * k[0] * k[1]
+    grid = make_grid(4, 8)
+    k = unit_vectors(grid)
+    for d, row, ideal in zip(grid, k, ideal_probability(SINGLE_UP0, k)):
+        p = ideal + 0.2 * row[0] * row[1]
         records.append(
             MeasurementRecord(MeasurementSetting(SINGLE_UP0, d), 0, 0, float(p))
         )

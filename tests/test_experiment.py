@@ -15,11 +15,10 @@ from sgkit.experiment import (
     MeasurementSetting,
     generate_dataset,
     make_grid,
-    plan_settings,
     read_dataset,
     write_dataset,
 )
-from sgkit.instrument import exact_normalize, residual_array
+from sgkit.instrument import Direction, exact_normalize, residual_array
 from sgkit.fields import INTEGER_TEXT, NUMBER_TEXT
 from sgkit.linearize import (
     OBSERVABLES,
@@ -66,24 +65,31 @@ def test_make_grid_rejects_small():
         make_grid(2, 2)
 
 
+def settings_of(config) -> list[MeasurementSetting]:
+    return [rec.setting for rec in generate_dataset(config).records]
+
+
 def test_plan_cardinalities():
     single = config_of(ZERO, 0.0, n_theta=2, n_phi=4, protocols=(Protocol.SINGLE,))
-    assert len(plan_settings(single)) == 48
+    assert len(settings_of(single)) == 48
     successive = config_of(ZERO, 0.0, n_theta=2, n_phi=4, protocols=(Protocol.SUCCESSIVE,))
-    assert len(plan_settings(successive)) == 24
+    assert len(settings_of(successive)) == 24
     both = config_of(ZERO, 0.0, n_theta=2, n_phi=4)
-    assert len(plan_settings(both)) == 72
+    assert len(settings_of(both)) == 72
 
 
 def test_plan_is_deterministic_and_ordered():
+    """Records run over the observables first, then over the grid nodes."""
     config = config_of(ZERO, 0.0, n_theta=2, n_phi=4)
-    plan_a, plan_b = plan_settings(config), plan_settings(config)
+    plan_a, plan_b = settings_of(config), settings_of(config)
     assert plan_a == plan_b
     keys = [
         (s.observable.protocol.value, s.observable.m, s.observable.outcome.value)
         for s in plan_a
     ]
     assert keys == sorted(keys, key=lambda t: (t[0], t[1], {"up": 0, "down": 1}[t[2]]))
+    grid = list(make_grid(2, 4))
+    assert [s.direction for s in plan_a] == grid * 9
 
 
 def test_observables_are_listed_once_in_plan_order():
@@ -111,7 +117,27 @@ def test_plan_is_default_observables_times_the_grid(protocols):
         if obs.protocol in protocols
         for direction in grid
     ]
-    assert list(plan_settings(config_of(ZERO, 0.0, n_theta=2, n_phi=3, protocols=protocols))) == expected
+    assert settings_of(config_of(ZERO, 0.0, n_theta=2, n_phi=3, protocols=protocols)) == expected
+
+
+@pytest.mark.parametrize("shots", [0, 1000])
+def test_protocol_order_and_repeats_leave_the_bytes_alone(tmp_path, shots):
+    """Protocols listed in reverse or twice write the dataset of the listed-once order, byte for byte."""
+    path, texts = tmp_path / "data.csv", set()
+    for protocols in ((SINGLE, SUCCESSIVE), (SUCCESSIVE, SINGLE), (SINGLE, SUCCESSIVE, SUCCESSIVE, SINGLE)):
+        config = config_of(ZERO + 0.1, 1e-2, n_theta=2, n_phi=3, shots=shots, protocols=protocols)
+        write_dataset(generate_dataset(config), path)
+        texts.add(path.read_bytes())
+    assert len(texts) == 1
+
+
+def test_generation_derives_each_grid_direction_once(monkeypatch):
+    """One generation of all 9 observables calls ``Direction.unit_vector`` once per grid node."""
+    calls = []
+    unit_vector = Direction.unit_vector
+    monkeypatch.setattr(Direction, "unit_vector", lambda self: calls.append(self) or unit_vector(self))
+    generate_dataset(config_of(ZERO + 0.1, 1e-2, n_theta=3, n_phi=5))
+    assert calls == list(make_grid(3, 5))
 
 
 # --- exact data ----------------------------------------------------------------
@@ -375,14 +401,16 @@ def test_property_read_dataset_parses_or_raises_format_error(tmp_path_factory, b
     assert math.isfinite(dataset.meta.eta) and dataset.meta.eta >= 0.0
 
 
+SETTING = MeasurementSetting(default_observables()[0], make_grid(2, 3)[0])
+
+
 def test_record_validation():
-    setting = plan_settings(config_of(ZERO, 0.0, n_theta=2, n_phi=3))[0]
     with pytest.raises(ValueError):
-        MeasurementRecord(setting, 10, 11, None)
+        MeasurementRecord(SETTING, 10, 11, None)
     with pytest.raises(ValueError):
-        MeasurementRecord(setting, 0, 0, 1.5)
+        MeasurementRecord(SETTING, 0, 0, 1.5)
     with pytest.raises(ValueError):
-        MeasurementRecord(setting, 10, 5, 0.5)
+        MeasurementRecord(SETTING, 10, 5, 0.5)
 
 
 @pytest.mark.parametrize("value", [3.0, np.float64(3.0), True, np.True_], ids=repr)
@@ -391,9 +419,8 @@ def test_integer_fields_refuse_floats_and_bools(key, value):
     """A float or a bool is no integer even where its value lies in range: each
     field refuses it with its own message, before anything is generated."""
     if key == "successes":
-        setting = plan_settings(config_of(ZERO, 0.0, n_theta=2, n_phi=3))[0]
         with pytest.raises(ValueError, match="^successes must be an integer$"):
-            MeasurementRecord(setting, 10, value, None)
+            MeasurementRecord(SETTING, 10, value, None)
         return
     error = InvalidGrid if key in ("n_theta", "n_phi") else ValueError
     with pytest.raises(error, match=f"^{key} must be an integer in "):

@@ -19,6 +19,7 @@ from sgkit.instrument import (
     KrausOperator,
     RotationSpec,
     SingularNormalization,
+    bloch_array,
     cyclic_rotation,
     effect_array,
     exact_normalize,
@@ -297,12 +298,13 @@ def _unit_stacks():
 def test_property_model_probability_equals_object_path(components, normalize, obs, k, stack):
     """The array path is the validated object path, bit for bit, on raw and on
     renormalized instruments; ``ideal_probability`` is the ideal instrument's,
-    at one direction and at each row of a stack in one call."""
+    at each row of a stack in one call and on a stack of that row alone."""
     ideal = ideal_instrument()
     stacked = ideal_probability(obs, stack)
     assert stacked.shape == (len(stack),)
     for p, row in zip(stacked, stack):
-        assert float(p).hex() == ideal_probability(obs, row).hex() == model_probability(ideal, obs, row).hex()
+        alone = ideal_probability(obs, row[None])
+        assert float(p).hex() == float(alone[0]).hex() == model_probability(ideal, obs, row).hex()
     inst = Instrument.from_array(components[0] + 1j * components[1])
     if normalize:
         try:
@@ -312,7 +314,7 @@ def test_property_model_probability_equals_object_path(components, normalize, ob
     rotated = rotate_instrument(inst, cyclic_rotation(obs.m))
     oracle = float(_probability_array(inst.as_array(), rotated.as_array(), obs, BlochState(k).r))
     assert model_probability(inst, obs, k).hex() == oracle.hex()
-    assert ideal_probability(obs, k).hex() == model_probability(ideal, obs, k).hex()
+    assert float(ideal_probability(obs, k[None])[0]).hex() == model_probability(ideal, obs, k).hex()
 
 
 def _exact_groups(grid) -> dict:
@@ -352,8 +354,9 @@ def test_model_probabilities_rotate_once_and_equal_per_record_calls(monkeypatch,
     calls = []
     rotate = linearize.rotate_array
     monkeypatch.setattr(linearize, "rotate_array", lambda *args: calls.append(args) or rotate(*args))
-    assert [p.hex() for p in model_probabilities(inst, obs, grid)] == expected
-    assert list(model_probabilities(inst, obs, [])) == []
+    r = bloch_array([d.unit_vector() for d in grid])
+    assert [p.hex() for p in model_probabilities(inst, obs, r)] == expected
+    assert list(model_probabilities(inst, obs, np.empty((0, 3)))) == []
     assert len(calls) == 2
 
 
