@@ -325,7 +325,14 @@ def _report_text(document: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_report_out(out_path) -> None:
+    """ConfigError for an ``--out`` ending in .txt, which the text report (the same name with .txt) would overwrite."""
+    if Path(out_path).suffix == ".txt":
+        raise ConfigError(f"option '--out' {str(out_path)!r} must not end in .txt, the text report's suffix")
+
+
 def cmd_recover(fits_path, out_path, constraints="derived", residual_threshold=DEFAULT_RESIDUAL_THRESHOLD) -> int:
+    _check_report_out(out_path)
     CONFIG_FIELDS["residual_threshold"].read("option '--residual-threshold'", residual_threshold)
     document = _recovery_report(*_load_fits(fits_path), constraints, residual_threshold)
     _write_json(document, out_path)
@@ -352,6 +359,7 @@ def cmd_verify() -> int:
 def cmd_roundtrip(config_path, out_path) -> int:
     from .experiment import generate_dataset, write_dataset
 
+    _check_report_out(out_path)
     config, modes = load_config(config_path)
     with tempfile.TemporaryDirectory() as workdir:
         data_path = Path(workdir) / "dataset.csv"

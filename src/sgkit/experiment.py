@@ -19,7 +19,7 @@ from .fields import (
     INTEGER_TEXT, N_PHI, N_THETA, NONNEGATIVE, NUMBER_TEXT, REQUIRED, SEED, SHOTS, STRICT_NORMALIZATION, Field,
     integral, read_fields,
 )
-from .instrument import Direction, bloch_array, exact_normalize
+from .instrument import Direction, bloch_array, exact_normalize_array
 from .linearize import (
     OBSERVABLES,
     ObservableSpec,
@@ -154,17 +154,18 @@ def generate_dataset(config: ExperimentConfig) -> Dataset:
     With shots = 0 a record carries that probability (the exact sentinel);
     otherwise it carries binomial counts drawn from the setting's own stream
     ``default_rng([seed, index])``.  The grid's Bloch stack is built and checked
-    once; ``model_probabilities`` rotates and checks the instrument once per
-    observable.  A non-finite probability is an error, never clamped, and so is
-    any overflow: numpy's overflow and invalid-value warnings are off, since the
-    finiteness checks refuse every non-finite value.
+    once; after ``build_perturbed`` the instrument is its (2, 4) array, which
+    ``model_probabilities`` rotates and checks once per observable.  A non-finite
+    probability is an error, never clamped, and so is any overflow: numpy's
+    overflow and invalid-value warnings are off, since the finiteness checks
+    refuse every non-finite value.
     """
     grid = make_grid(config.n_theta, config.n_phi)
     records = []
     with np.errstate(over="ignore", invalid="ignore"):
-        inst = build_perturbed(config.perturbation)
+        inst = build_perturbed(config.perturbation).as_array()
         if config.strict_normalization:
-            inst = exact_normalize(inst)
+            inst = exact_normalize_array(inst)
         r = bloch_array([direction.unit_vector() for direction in grid])
         for obs in default_observables():
             if obs.protocol not in config.protocols:

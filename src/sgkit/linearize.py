@@ -15,12 +15,13 @@ complex array, [a, b_x, b_y, b_z] per branch; only its ``from_vector`` and
 equations are held once, as their printed text, and ``transcribed_system``
 reads both sides of each equation from that text.
 
-``model_probabilities``, which generates every simulated record on an (n, 3)
-stack of Bloch vectors, rotates and checks the instrument once per observable
-and builds no ``Instrument`` or ``RotationSpec``; ``model_probability`` is its
-per-record form at one Direction or 3-vector.  The ideal instrument's rotations
-are made at import, so ``ideal_probability`` (a fit's baseline, one array call
-per observable on an (n, 3) stack) rotates nothing.
+``model_probabilities``, which generates every simulated record from a (2, 4)
+instrument array on an (n, 3) stack of Bloch vectors, rotates and checks the
+instrument once per observable and builds no ``Instrument`` or
+``RotationSpec``; ``model_probability`` is its per-record form at one Direction
+or 3-vector.  The ideal instrument's rotations are made at import, so
+``ideal_probability`` (a fit's baseline, one array call per observable on an
+(n, 3) stack) rotates nothing.
 """
 
 from __future__ import annotations
@@ -218,13 +219,13 @@ def model_probability_array(inst: np.ndarray, obs: ObservableSpec, r: np.ndarray
     return _probability_array(inst, _rotated(inst, obs.m), obs, r)
 
 
-def model_probabilities(inst: Instrument, obs: ObservableSpec, r: np.ndarray) -> Iterator[float]:
-    """``model_probability`` at each row of an (n, 3) stack that ``bloch_array`` has checked,
-    bit for bit, ValueErrors included; the instrument is rotated and checked once, before the first."""
-    branches = inst.as_array()
-    rotated = _rotated(branches, obs.m)
+def model_probabilities(inst: np.ndarray, obs: ObservableSpec, r: np.ndarray) -> Iterator[float]:
+    """``model_probability`` of the instrument of a (2, 4) array at each row of an (n, 3) stack
+    that ``bloch_array`` has checked, bit for bit, ValueErrors included; the instrument is
+    rotated and checked once, before the first."""
+    rotated = _rotated(inst, obs.m)
     for row in r:
-        yield float(_probability_array(branches, rotated, obs, row))
+        yield float(_probability_array(inst, rotated, obs, row))
 
 
 def model_probability(inst: Instrument, obs: ObservableSpec, k) -> float:

@@ -3,8 +3,8 @@
 Each randomized check draws all of its instruments, states, axes and angles
 as arrays, evaluates the array forms of ``sgkit.instrument`` on the whole
 batch in one pass and asserts every element.  The 2x2 matrix oracle is built
-from the Pauli matrix constants with einsum and matmul; it never routes
-through the Pauli product it checks.
+from its own Pauli matrices, ``_BASIS``, with einsum and matmul; it never
+routes through the Pauli product it checks.
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ from .linearize import (
     model_probability_array,
     perturbed_probabilities,
 )
-from .pauli import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z
 
-_BASIS = np.stack([IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z])
+# The Pauli basis 1, sigma_x, sigma_y, sigma_z as matrices, which the oracle alone uses.
+_BASIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
 
 
 # --- matrix oracle ------------------------------------------------------------

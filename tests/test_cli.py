@@ -412,7 +412,8 @@ def test_txt_report_is_rendered_from_the_json(tmp_path, bundled_outputs, config,
 @dataclass(frozen=True)
 class Row:
     """``sgkit COMMAND`` on ``edit`` of the ``base`` bundled config's config (simulate,
-    roundtrip), dataset (fit) or fits document (recover), with ``args`` appended.
+    roundtrip), dataset (fit) or fits document (recover), with ``args`` appended and
+    ``--out`` the file ``out`` in a fresh directory.
 
     A failing row exits ``status`` with one ``error:`` line that contains ``fragment``
     and writes no ``--out`` file. An accepting row (``fragment`` None) prints nothing
@@ -427,6 +428,7 @@ class Row:
     base: str = "exact"
     args: tuple[str, ...] = ()
     check: Callable[[Path], bool] = Path.exists
+    out: str = "out.json"
 
 
 def keys(**values):
@@ -639,6 +641,11 @@ TABLE = {
     "test_recover_fits_repeated_entry_key_exit_2": [
         Row("recover", repeated_key('"chi_square": ', "0.0"), 2, "repeated key 'chi_square'")
     ],
+    # The text report goes to --out with the suffix .txt, so an --out ending in .txt
+    # would be overwritten by it.
+    "test_report_out_ending_in_txt_exit_2": [
+        Row(command, keys(), 2, "option '--out'", command, out="report.txt") for command in ("recover", "roundtrip")
+    ],
     "test_recover_fits_unknown_or_invalid_key_exit_2": [
         Row("recover", keys(strict_normalization="maybe"), 2, "key 'strict_normalization'", "strict_normalization=maybe"),
         Row("recover", keys(bogus=1), 2, "unknown key 'bogus'", "bogus"),
@@ -655,7 +662,7 @@ def run_row(row: Row, tmp_path, capsys, bundled_outputs) -> None:
     else:
         flag, document = "--config", json.loads((REPO / "configs" / f"{row.base}.json").read_text())
     document = row.edit(document)
-    source, out = tmp_path / "input", tmp_path / "out.json"
+    source, out = tmp_path / "input", tmp_path / row.out
     if isinstance(document, str):
         source.write_text(document)
     elif document is not None:  # json writes NaN and Infinity as JSON extensions

@@ -30,7 +30,6 @@ from sgkit.linearize import (
     ideal_probability,
     transcribed_system,
 )
-from sgkit.pauli import PauliCoefficients
 
 from conftest import project_to_constraints
 
@@ -352,11 +351,10 @@ def _recovery_result():
         lambda: FitResult(SINGLE_UP0, np.zeros(4), np.zeros((4, 4)), 0.0, 1),
         _recovery_result,
         lambda: ExperimentConfig(PerturbationParams.from_vector(np.ones(16), 1e-3)),
-        lambda: PauliCoefficients(1.0, np.zeros(3)),
     ],
     ids=[
         "Instrument", "KrausOperator", "BlochState", "RotationSpec", "PerturbationParams", "LinearSystem",
-        "FitResult", "RecoveryResult", "ExperimentConfig", "PauliCoefficients",
+        "FitResult", "RecoveryResult", "ExperimentConfig",
     ],
 )
 def test_array_holders_compare_and_hash(make):

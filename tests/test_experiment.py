@@ -180,7 +180,7 @@ def test_exact_matches_matrix_pipeline(rng):
             expected = np.trace(rho @ b @ b.conj().T).real
         else:
             rho1 = sum(
-                kraus_mat(br).conj().T @ rho @ kraus_mat(br) for br in inst.branches
+                kraus_mat(br).conj().T @ rho @ kraus_mat(br) for br in (inst.up, inst.down)
             )
             expected = np.trace(rho1 @ b @ b.conj().T).real
         assert rec.probability == pytest.approx(expected, abs=1e-12)

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from sgkit import pauli
 from sgkit.instrument import (
     NORMALIZATION_TOL,
     BlochState,
@@ -15,6 +16,7 @@ from sgkit.instrument import (
     SingularNormalization,
     UnnormalizedInstrument,
     cyclic_rotation,
+    density_array,
     effect_array,
     effect_expectation,
     exact_normalize,
@@ -87,6 +89,18 @@ def test_instrument_array_is_stacked_once_and_read_only(rng):
         branches[0, 0] = 1.0
 
 
+def test_probe_names_are_the_array_form(rng):
+    """The three names the benchmark's ``pauli.mul_us`` probe calls give the one
+    representation: the product of (4,) arrays, on a branch's own read-only array and
+    on rho's coefficients [1/2, r/2]."""
+    branch, state = random_instrument(rng).up, random_state(rng)
+    assert pauli.pauli_mul is pauli.pauli_mul_array
+    assert branch.coefficients() is branch.as_array()
+    rho = state.coefficients()
+    assert rho.dtype == complex and rho.tobytes() == density_array(state.r).tobytes()
+    assert np.array_equal(rho, np.concatenate(([0.5], 0.5 * state.r)))
+
+
 # --- effects and normalization ------------------------------------------------
 
 
@@ -116,7 +130,7 @@ def test_effect_positivity_for_normalized_instruments(rng):
     """Both eigenvalues f0 -+ |f| of a normalized instrument's effects lie in [0, 1]."""
     for _ in range(100):
         inst = random_instrument(rng)
-        for branch in inst.branches:
+        for branch in (inst.up, inst.down):
             assert abs(branch.alpha) ** 2 + np.sum(np.abs(branch.beta) ** 2) <= 1 + 1e-9
             f = effect_array(branch.as_array()).real
             spread = float(np.linalg.norm(f[1:]))
@@ -140,7 +154,7 @@ def test_normalization_residual_scaled():
 def test_normalization_residual_matches_matrix(rng):
     for _ in range(50):
         inst = random_pair(rng)
-        total = sum(kraus_mat(b) @ kraus_mat(b).conj().T for b in inst.branches)
+        total = sum(kraus_mat(b) @ kraus_mat(b).conj().T for b in (inst.up, inst.down))
         matrix_resid = np.max(np.abs(from_matrix(total - np.eye(2))))
         assert residual_array(inst.as_array()) == pytest.approx(matrix_resid, abs=1e-12)
 
@@ -158,7 +172,7 @@ def test_probability_matches_matrix_trace(rng):
     for _ in range(200):
         inst = random_instrument(rng)
         state = random_state(rng)
-        for branch in inst.branches:
+        for branch in (inst.up, inst.down):
             a = kraus_mat(branch)
             expected = np.trace(state_mat(state) @ a @ a.conj().T).real
             assert abs(effect_expectation(branch, state) - expected) < 1e-12
@@ -188,7 +202,7 @@ def test_selective_matches_matrix(rng):
     for _ in range(200):
         inst = random_instrument(rng)
         state = random_state(rng)
-        for branch in inst.branches:
+        for branch in (inst.up, inst.down):
             prob, post = selective_apply(branch, state)
             assert prob == pytest.approx(effect_expectation(branch, state), abs=1e-12)
             if post is None:
@@ -220,7 +234,7 @@ def test_nonselective_matches_matrix(rng):
         state = random_state(rng)
         out = nonselective_apply(inst, state)
         total = sum(
-            kraus_mat(b).conj().T @ state_mat(state) @ kraus_mat(b) for b in inst.branches
+            kraus_mat(b).conj().T @ state_mat(state) @ kraus_mat(b) for b in (inst.up, inst.down)
         )
         assert np.max(np.abs(out.r - bloch_of(total / np.trace(total).real))) < 1e-12
         assert np.linalg.norm(out.r) <= 1.0 + 1e-12
@@ -348,7 +362,7 @@ def test_successive_matches_matrix_pipeline(rng):
         rot = RotationSpec(random_unit(rng), rng.uniform(0, 2 * math.pi))
         second = rotate_instrument(inst, rot).up
         rho1 = sum(
-            kraus_mat(b).conj().T @ state_mat(state) @ kraus_mat(b) for b in inst.branches
+            kraus_mat(b).conj().T @ state_mat(state) @ kraus_mat(b) for b in (inst.up, inst.down)
         )
         b = kraus_mat(second)
         expected = np.trace(rho1 @ b @ b.conj().T).real / np.trace(rho1).real
@@ -364,7 +378,7 @@ def test_raw_successive_accepts_unnormalized(rng):
     inst = random_pair(rng)
     state = random_state(rng)
     rho1 = sum(
-        kraus_mat(b).conj().T @ state_mat(state) @ kraus_mat(b) for b in inst.branches
+        kraus_mat(b).conj().T @ state_mat(state) @ kraus_mat(b) for b in (inst.up, inst.down)
     )
     second = inst.up
     b = kraus_mat(second)

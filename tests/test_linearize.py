@@ -355,8 +355,8 @@ def test_model_probabilities_rotate_once_and_equal_per_record_calls(monkeypatch,
     rotate = linearize.rotate_array
     monkeypatch.setattr(linearize, "rotate_array", lambda *args: calls.append(args) or rotate(*args))
     r = bloch_array([d.unit_vector() for d in grid])
-    assert [p.hex() for p in model_probabilities(inst, obs, r)] == expected
-    assert list(model_probabilities(inst, obs, np.empty((0, 3)))) == []
+    assert [p.hex() for p in model_probabilities(inst.as_array(), obs, r)] == expected
+    assert list(model_probabilities(inst.as_array(), obs, np.empty((0, 3)))) == []
     assert len(calls) == 2
 
 
