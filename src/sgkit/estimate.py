@@ -112,13 +112,14 @@ def fit_affine(records) -> FitResult:
 
     directions = np.array([rec.setting.direction.unit_vector() for rec in records])
     design = np.column_stack([np.ones(len(records)), directions])
-    values = np.array([rec.frequency() for rec in records]) - ideal_probability(observable, directions)
+    frequencies = np.array([rec.frequency() for rec in records])
+    values = frequencies - ideal_probability(observable, directions)
 
-    weights = np.ones(len(records))
     if sampled:
-        for i, rec in enumerate(records):
-            p_hat = min(1.0 - WEIGHT_CLAMP, max(WEIGHT_CLAMP, rec.frequency()))
-            weights[i] = rec.shots / (p_hat * (1.0 - p_hat))
+        p_hat = np.clip(frequencies, WEIGHT_CLAMP, 1.0 - WEIGHT_CLAMP)
+        weights = np.array([rec.shots for rec in records]) / (p_hat * (1.0 - p_hat))
+    else:
+        weights = np.ones(len(records))
 
     sqrt_w = np.sqrt(weights)
     design_w = design * sqrt_w[:, None]

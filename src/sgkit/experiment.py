@@ -96,9 +96,13 @@ class ExperimentConfig:
         N_PHI.require("n_phi", self.n_phi, InvalidGrid)
         SHOTS.require("shots", self.shots)
         SEED.require("seed", self.seed)
+        STRICT_NORMALIZATION.read("strict_normalization", self.strict_normalization)
         if not self.protocols:
             raise ValueError("at least one protocol required")
-        object.__setattr__(self, "protocols", tuple(self.protocols))
+        protocols = tuple(self.protocols)
+        if not all(isinstance(p, Protocol) for p in protocols):
+            raise ValueError(f"protocols must be Protocol members, not {self.protocols!r}")
+        object.__setattr__(self, "protocols", protocols)
 
 
 @dataclass(frozen=True)

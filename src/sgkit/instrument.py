@@ -5,7 +5,7 @@ A selective measurement maps ``rho -> A^dag rho A`` (normalized by its trace),
 so the effect whose expectation gives the outcome probability is ``A A^dag``
 and the completeness condition is ``sum_m A_m A_m^dag = 1``.  State updates
 are computed by operator conjugation through the Pauli algebra; 2x2 matrices
-are only an independent oracle in the tests and in ``sgkit verify``.
+are only the independent oracle of ``sgkit.verify``, which the tests use too.
 
 Operators have one representation, ``sgkit.pauli``'s coefficient arrays, and
 every formula is written once, as an unvalidated array form on them: a branch

@@ -5,7 +5,7 @@ An operator ``scalar * 1 + vector . sigma`` has one representation: the complex
 All products below are bilinear: nothing conjugates implicitly.  The Pauli
 matrices are Hermitian, so A^dag has the complex-conjugate coefficients of A,
 written ``.conj()`` where it is needed.  The module holds no 2x2 matrices; the
-matrix oracle lives in the tests and in ``sgkit verify``.
+one matrix oracle is ``sgkit.verify``'s, which the tests use too.
 
 Operands are finite.  ``pauli_mul_array``, ``dot_array`` and ``cross_array``
 (on ``(..., 3)`` vectors) return arrays of the broadcast shape and never check

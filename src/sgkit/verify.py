@@ -4,7 +4,9 @@ Each randomized check draws all of its instruments, states, axes and angles
 as arrays, evaluates the array forms of ``sgkit.instrument`` on the whole
 batch in one pass and asserts every element.  The 2x2 matrix oracle is built
 from its own Pauli matrices, ``_BASIS``, with einsum and matmul; it never
-routes through the Pauli product it checks.
+routes through the Pauli product it checks.  It is sgkit's one matrix oracle:
+the unit tests compare formulas with explicit matrices through these helpers
+too, and pin them to literal matrices (``tests/test_pauli.py``).
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from sgkit.experiment import (
     read_dataset,
     write_dataset,
 )
-from sgkit.instrument import Direction, exact_normalize, residual_array
+from sgkit.instrument import Direction, cyclic_rotation, exact_normalize, residual_array
 from sgkit.fields import INTEGER_TEXT, NUMBER_TEXT
 from sgkit.linearize import (
     OBSERVABLES,
@@ -28,8 +28,7 @@ from sgkit.linearize import (
     build_perturbed,
     default_observables,
 )
-
-from conftest import kraus_mat
+from sgkit.verify import _dagger, _density, _matrices, _trace, _unitary
 
 
 def config_of(vec16, eta, **kw):
@@ -63,6 +62,25 @@ def test_make_grid_rejects_small():
         make_grid(1, 4)
     with pytest.raises(InvalidGrid):
         make_grid(2, 2)
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("protocols", ("single",), "protocols must be Protocol members, not ('single',)"),
+        ("protocols", "single", "protocols must be Protocol members, not 'single'"),
+        ("strict_normalization", "no", "strict_normalization must be true or false"),
+        ("strict_normalization", 1, "strict_normalization must be true or false"),
+        ("strict_normalization", None, "strict_normalization must be true or false"),
+    ],
+    ids=["name-tuple", "name", "no", "one", "none"],
+)
+def test_config_refuses_values_it_would_misread(key, value, message):
+    """A protocol name is no ``Protocol`` (it would select no record), and only a bool
+    says whether to renormalize."""
+    with pytest.raises(ValueError) as exc:
+        config_of(ZERO, 0.0, **{key: value})
+    assert str(exc.value) == message
 
 
 def settings_of(config) -> list[MeasurementSetting]:
@@ -161,29 +179,20 @@ def test_exact_ideal_successive_probability():
 
 
 def test_exact_matches_matrix_pipeline(rng):
-    from sgkit.instrument import cyclic_rotation, rotate_instrument
-
-    from conftest import mat
-
     vec = rng.uniform(-1.0, 1.0, size=16)
     config = config_of(vec, 1e-3, n_theta=2, n_phi=3)
     dataset = generate_dataset(config)
-    inst = build_perturbed(config.perturbation)
-    for rec in dataset.records:
-        obs = rec.setting.observable
-        state = rec.setting.direction.unit_vector()
-        rotated = rotate_instrument(inst, cyclic_rotation(obs.m))
-        branch = rotated.up if obs.outcome is Outcome.UP else rotated.down
-        b = kraus_mat(branch)
-        rho = 0.5 * mat(1.0, state)
-        if obs.protocol is Protocol.SINGLE:
-            expected = np.trace(rho @ b @ b.conj().T).real
-        else:
-            rho1 = sum(
-                kraus_mat(br).conj().T @ rho @ kraus_mat(br) for br in (inst.up, inst.down)
-            )
-            expected = np.trace(rho1 @ b @ b.conj().T).real
-        assert rec.probability == pytest.approx(expected, abs=1e-12)
+    a = _matrices(build_perturbed(config.perturbation).as_array())
+    observables = [rec.setting.observable for rec in dataset.records]
+    rho = _density(np.array([rec.setting.direction.unit_vector() for rec in dataset.records]))
+    # the state the rotated branch B sees: rho itself, or both branches' sum of A^dag rho A
+    single = np.array([obs.protocol is Protocol.SINGLE for obs in observables])
+    passed = np.where(single[:, None, None], rho, (_dagger(a) @ rho[:, None] @ a).sum(axis=1))
+    rotations = [cyclic_rotation(obs.m) for obs in observables]
+    u = _unitary(np.array([rot.axis for rot in rotations]), np.array([rot.angle for rot in rotations]))
+    b = _dagger(u) @ a[[0 if obs.outcome is Outcome.UP else 1 for obs in observables]] @ u
+    expected = _trace(passed @ b @ _dagger(b))
+    assert np.array([rec.probability for rec in dataset.records]) == pytest.approx(expected, abs=1e-12)
 
 
 def test_exact_completeness_raw_and_strict(rng):

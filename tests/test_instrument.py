@@ -31,17 +31,22 @@ from sgkit.instrument import (
     successive_array,
 )
 
-from conftest import (
-    bloch_of,
-    from_matrix,
-    kraus_mat,
-    random_instrument,
-    random_pair,
-    random_state,
-    random_unit,
-    rotation_unitary,
-    state_mat,
+from sgkit.verify import (
+    _BASIS,
+    _bloch,
+    _coefficients,
+    _dagger,
+    _density,
+    _matrices,
+    _random_angles,
+    _random_instruments,
+    _random_states,
+    _random_units,
+    _trace,
+    _unitary,
 )
+
+from conftest import random_instrument, random_pair, random_state, random_unit
 
 E_X = np.array([1.0, 0.0, 0.0])
 E_Y = np.array([0.0, 1.0, 0.0])
@@ -152,11 +157,11 @@ def test_normalization_residual_scaled():
 
 
 def test_normalization_residual_matches_matrix(rng):
-    for _ in range(50):
-        inst = random_pair(rng)
-        total = sum(kraus_mat(b) @ kraus_mat(b).conj().T for b in (inst.up, inst.down))
-        matrix_resid = np.max(np.abs(from_matrix(total - np.eye(2))))
-        assert residual_array(inst.as_array()) == pytest.approx(matrix_resid, abs=1e-12)
+    inst = 0.5 * (rng.normal(size=(50, 2, 4)) + 1j * rng.normal(size=(50, 2, 4)))
+    a = _matrices(inst)
+    total = (a @ _dagger(a)).sum(axis=-3)
+    matrix_resid = np.max(np.abs(_coefficients(total - _BASIS[0])), axis=-1)
+    assert residual_array(inst) == pytest.approx(matrix_resid, abs=1e-12)
 
 
 # --- probabilities and state updates ------------------------------------------
@@ -168,14 +173,20 @@ def test_probability_ideal_examples():
     assert effect_expectation(up, BlochState(E_X)) == pytest.approx(0.5, abs=1e-15)
 
 
+def oracle_draws(rng, n):
+    """n exact instruments and states as (instrument, state) objects, with the oracle's
+    (n, 2, 2, 2) branch matrices and (n, 1, 2, 2) density matrices of them."""
+    inst, r = _random_instruments(rng, n), _random_states(rng, n)
+    objects = [(Instrument.from_array(inst[i]), BlochState(r[i])) for i in range(n)]
+    return objects, _matrices(inst), _density(r)[:, None]
+
+
 def test_probability_matches_matrix_trace(rng):
-    for _ in range(200):
-        inst = random_instrument(rng)
-        state = random_state(rng)
-        for branch in (inst.up, inst.down):
-            a = kraus_mat(branch)
-            expected = np.trace(state_mat(state) @ a @ a.conj().T).real
-            assert abs(effect_expectation(branch, state) - expected) < 1e-12
+    objects, a, rho = oracle_draws(rng, 200)
+    expected = _trace(rho @ a @ _dagger(a))
+    for (inst, state), row in zip(objects, expected):
+        for branch, p in zip((inst.up, inst.down), row):
+            assert abs(effect_expectation(branch, state) - p) < 1e-12
 
 
 def test_probability_completeness(rng):
@@ -199,17 +210,15 @@ def test_selective_orthogonal_state_absorbed():
 
 
 def test_selective_matches_matrix(rng):
-    for _ in range(200):
-        inst = random_instrument(rng)
-        state = random_state(rng)
-        for branch in (inst.up, inst.down):
+    objects, a, rho = oracle_draws(rng, 200)
+    expected = _bloch(_dagger(a) @ rho @ a)
+    for (inst, state), row in zip(objects, expected):
+        for branch, r in zip((inst.up, inst.down), row):
             prob, post = selective_apply(branch, state)
             assert prob == pytest.approx(effect_expectation(branch, state), abs=1e-12)
             if post is None:
                 continue
-            a = kraus_mat(branch)
-            mat = a.conj().T @ state_mat(state) @ a
-            assert np.max(np.abs(post.r - bloch_of(mat / np.trace(mat).real))) < 1e-12
+            assert np.max(np.abs(post.r - r)) < 1e-12
 
 
 def test_nonselective_ideal_kills_transverse_parts(rng):
@@ -229,14 +238,10 @@ def test_nonselective_trivial_instrument_is_identity(rng):
 
 
 def test_nonselective_matches_matrix(rng):
-    for _ in range(200):
-        inst = random_instrument(rng)
-        state = random_state(rng)
+    objects, a, rho = oracle_draws(rng, 200)
+    for (inst, state), r in zip(objects, _bloch((_dagger(a) @ rho @ a).sum(axis=-3))):
         out = nonselective_apply(inst, state)
-        total = sum(
-            kraus_mat(b).conj().T @ state_mat(state) @ kraus_mat(b) for b in (inst.up, inst.down)
-        )
-        assert np.max(np.abs(out.r - bloch_of(total / np.trace(total).real))) < 1e-12
+        assert np.max(np.abs(out.r - r)) < 1e-12
         assert np.linalg.norm(out.r) <= 1.0 + 1e-12
 
 
@@ -271,15 +276,11 @@ def test_rotate_kraus_quarter_turn_about_z():
 
 
 def test_rotate_kraus_agrees_with_conjugation(rng):
-    for _ in range(200):
-        k = KrausOperator(
-            complex(rng.normal(), rng.normal()),
-            rng.normal(size=3) + 1j * rng.normal(size=3),
-        )
-        rot = RotationSpec(random_unit(rng), rng.uniform(-2 * math.pi, 2 * math.pi))
-        u = rotation_unitary(rot)
-        expected = from_matrix(u.conj().T @ kraus_mat(k) @ u)
-        assert np.max(np.abs(rotated(k.as_array(), rot) - expected)) < 1e-12
+    k = rng.normal(size=(200, 4)) + 1j * rng.normal(size=(200, 4))
+    axis, angle = _random_units(rng, 200), _random_angles(rng, 200)
+    u = _unitary(axis, angle)
+    expected = _coefficients(_dagger(u) @ _matrices(k) @ u)
+    assert np.max(np.abs(rotate_array(k, axis, angle) - expected)) < 1e-12
 
 
 def test_rotate_instrument_axis_aligned_symmetry(rng):
@@ -322,16 +323,15 @@ def test_cyclic_instruments_group_property(rng):
 
 def test_rotation_covariance_at_probability_level(rng):
     """Rotating the device equals counter-rotating the probe state."""
-    for _ in range(100):
-        inst = random_instrument(rng)
-        state = random_state(rng)
-        rot = RotationSpec(random_unit(rng), rng.uniform(-2 * math.pi, 2 * math.pi))
-        u = rotation_unitary(rot)
-        counter_rotated = bloch_of(u @ state_mat(state) @ u.conj().T)
-        rotated_device = rotate_instrument(inst, rot).as_array()
+    objects, _, rho = oracle_draws(rng, 100)
+    axis, angle = _random_units(rng, 100), _random_angles(rng, 100)
+    u = _unitary(axis, angle)[:, None]
+    counter_rotated = _bloch(u @ rho @ _dagger(u))
+    for i, (inst, state) in enumerate(objects):
+        rotated_device = rotate_instrument(inst, RotationSpec(axis[i], angle[i])).as_array()
         assert np.max(np.abs(
             expectation_array(rotated_device, state.r)
-            - expectation_array(inst.as_array(), counter_rotated)
+            - expectation_array(inst.as_array(), counter_rotated[i])
         )) < 1e-12
 
 
@@ -356,33 +356,30 @@ def test_successive_ideal_preserves_kz(rng):
 
 def test_successive_matches_matrix_pipeline(rng):
     """For a normalized instrument the raw value is the renormalized two-stage one."""
-    for _ in range(100):
-        inst = random_instrument(rng)
-        state = random_state(rng)
-        rot = RotationSpec(random_unit(rng), rng.uniform(0, 2 * math.pi))
-        second = rotate_instrument(inst, rot).up
-        rho1 = sum(
-            kraus_mat(b).conj().T @ state_mat(state) @ kraus_mat(b) for b in (inst.up, inst.down)
-        )
-        b = kraus_mat(second)
-        expected = np.trace(rho1 @ b @ b.conj().T).real / np.trace(rho1).real
+    objects, a, rho = oracle_draws(rng, 100)
+    axis, angle = _random_units(rng, 100), rng.uniform(0, 2 * math.pi, size=100)
+    u = _unitary(axis, angle)
+    rho1 = (_dagger(a) @ rho @ a).sum(axis=-3)
+    b = _dagger(u) @ a[:, 0] @ u
+    expected = _trace(rho1 @ b @ _dagger(b)) / _trace(rho1)
+    for i, (inst, state) in enumerate(objects):
+        second = rotate_instrument(inst, RotationSpec(axis[i], angle[i])).up
         assert successive_array(inst.as_array(), second.as_array(), state.r) == pytest.approx(
-            expected, abs=1e-12
+            expected[i], abs=1e-12
         )
         assert effect_expectation(second, nonselective_apply(inst, state)) == pytest.approx(
-            expected, abs=1e-12
+            expected[i], abs=1e-12
         )
 
 
 def test_raw_successive_accepts_unnormalized(rng):
     inst = random_pair(rng)
     state = random_state(rng)
-    rho1 = sum(
-        kraus_mat(b).conj().T @ state_mat(state) @ kraus_mat(b) for b in (inst.up, inst.down)
-    )
+    a = _matrices(inst.as_array())
+    rho1 = (_dagger(a) @ _density(state.r) @ a).sum(axis=0)
     second = inst.up
-    b = kraus_mat(second)
-    expected = np.trace(rho1 @ b @ b.conj().T).real
+    b = a[0]
+    expected = _trace(rho1 @ b @ _dagger(b))
     assert successive_array(inst.as_array(), second.as_array(), state.r) == pytest.approx(
         expected, abs=1e-12
     )

@@ -1,11 +1,12 @@
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgkit.instrument import effect_array
 from sgkit.pauli import pauli_mul_array
-
-from conftest import from_matrix, mat
+from sgkit.verify import _coefficients, _dagger, _matrices, _unitary
 
 E_X = np.array([1.0, 0.0, 0.0])
 E_Y = np.array([0.0, 1.0, 0.0])
@@ -17,12 +18,9 @@ def coeff(scalar, vector) -> np.ndarray:
     return np.array([scalar, *vector], dtype=complex)
 
 
-def random_coeff(rng):
-    return coeff(complex(rng.normal(), rng.normal()), rng.normal(size=3) + 1j * rng.normal(size=3))
-
-
-def matrix(a: np.ndarray) -> np.ndarray:
-    return mat(a[0], a[1:])
+def random_coeff(rng, *shape):
+    """(*shape, 4) complex coefficients with standard normal real and imaginary parts."""
+    return rng.normal(size=(*shape, 4)) + 1j * rng.normal(size=(*shape, 4))
 
 
 def test_mul_sigma_x_sigma_y():
@@ -46,10 +44,9 @@ def test_mul_projector_idempotent():
 
 
 def test_mul_matches_matrix_product(rng):
-    for _ in range(100):
-        a, b = random_coeff(rng), random_coeff(rng)
-        out = pauli_mul_array(a, b)
-        assert np.max(np.abs(matrix(out) - matrix(a) @ matrix(b))) < 1e-12
+    a, b = random_coeff(rng, 2, 100)
+    out = pauli_mul_array(a, b)
+    assert np.max(np.abs(_matrices(out) - _matrices(a) @ _matrices(b))) < 1e-12
 
 
 def test_mul_bit_identical_to_np_cross_formula(rng):
@@ -82,9 +79,8 @@ def test_mul_associative(rng):
 
 def test_adjoint_matches_conjugate_transpose(rng):
     """The adjoint of an operator is the complex conjugate of its coefficients."""
-    for _ in range(50):
-        a = random_coeff(rng)
-        assert np.max(np.abs(matrix(a.conj()) - matrix(a).conj().T)) < 1e-14
+    a = random_coeff(rng, 50)
+    assert np.max(np.abs(_matrices(a.conj()) - _dagger(_matrices(a)))) < 1e-14
 
 
 def test_adjoint_antihomomorphism(rng):
@@ -104,15 +100,19 @@ def test_positivity_of_a_adag(rng):
 
 
 def test_to_matrix_values():
-    assert np.allclose(mat(1, np.zeros(3)), np.eye(2))
-    assert np.allclose(mat(0, E_Z), np.diag([1.0, -1.0]))
-    assert np.allclose(mat(0.5, 0.5 * E_Z), np.diag([1.0, 0.0]))
+    """The oracle of ``sgkit verify``, pinned to literal matrices: the Pauli basis, a
+    projector, and the half-turn about z, U = i sigma_z, which fixes the rotation's sign."""
+    basis = [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]
+    assert np.array_equal(_matrices(np.eye(4)), np.array(basis))
+    assert np.allclose(_matrices(coeff(1, np.zeros(3))), np.eye(2))
+    assert np.allclose(_matrices(coeff(0, E_Z)), np.diag([1.0, -1.0]))
+    assert np.allclose(_matrices(coeff(0.5, 0.5 * E_Z)), np.diag([1.0, 0.0]))
+    assert np.allclose(_unitary(E_Z, np.array(math.pi)), np.diag([1j, -1j]))
 
 
 def test_matrix_round_trip(rng):
-    for _ in range(50):
-        a = random_coeff(rng)
-        assert np.max(np.abs(from_matrix(matrix(a)) - a)) < 1e-14
+    a = random_coeff(rng, 50)
+    assert np.max(np.abs(_coefficients(_matrices(a)) - a)) < 1e-14
 
 
 # --- properties on bounded finite operands -------------------------------------
@@ -166,4 +166,4 @@ def test_property_effect_positive_semidefinite(a):
 @given(OPERANDS, OPERANDS)
 def test_property_mul_matches_matrix_oracle(a, b):
     out = pauli_mul_array(a, b)
-    assert np.max(np.abs(matrix(out) - matrix(a) @ matrix(b))) <= 1e-13 * size(a) * size(b) + 1e-300
+    assert np.max(np.abs(_matrices(out) - _matrices(a) @ _matrices(b))) <= 1e-13 * size(a) * size(b) + 1e-300
