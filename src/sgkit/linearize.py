@@ -232,9 +232,7 @@ def model_probability(inst: Instrument, obs: ObservableSpec, k) -> float:
     """Model success frequency of an observable at one Direction or 3-vector, unclamped and
     polynomial in any perturbation of the instrument (no intermediate renormalization);
     ValueError unless all is finite."""
-    branches = inst.as_array()
-    rotated = _rotated(branches, obs.m)
-    return float(_probability_array(branches, rotated, obs, bloch_array(_direction_vector(k))))
+    return float(model_probability_array(inst.as_array(), obs, bloch_array(_direction_vector(k))))
 
 
 def ideal_probability(obs: ObservableSpec, r: np.ndarray) -> np.ndarray:

@@ -1,13 +1,16 @@
-"""Shared test helpers: random operands and the constraint-subspace projection.
+"""Shared test helpers: the constraint-subspace projection, the fits of a dataset
+grouped as ``sgkit fit`` groups them, and the seeded ``rng`` fixture.
 
-The 2x2 matrix oracle is ``sgkit.verify``'s, the one ``sgkit verify`` runs; the
-tests that compare a formula with explicit matrices import its helpers.
+Random operands and the 2x2 matrix oracle are ``sgkit.verify``'s, the ones
+``sgkit verify`` runs: its batched draws (``_random_instruments``,
+``_random_states``, ``_random_units``, ``_random_angles``) and matrix helpers.
 """
 
 import numpy as np
 import pytest
 
-from sgkit.instrument import BlochState, Instrument, KrausOperator, exact_normalize
+from sgkit.cli import _group_records
+from sgkit.estimate import fit_affine
 from sgkit.linearize import design_matrix
 
 
@@ -20,34 +23,9 @@ def project_to_constraints(vec) -> np.ndarray:
     return null.T @ (null @ np.asarray(vec, dtype=float).reshape(16))
 
 
-def random_kraus(rng, scale=0.5) -> KrausOperator:
-    return KrausOperator(
-        scale * complex(rng.normal(), rng.normal()),
-        scale * (rng.normal(size=3) + 1j * rng.normal(size=3)),
-    )
-
-
-def random_pair(rng) -> Instrument:
-    """Unnormalized random branch pair."""
-    return Instrument(random_kraus(rng), random_kraus(rng))
-
-
-def random_instrument(rng) -> Instrument:
-    """Random pair renormalized to an exact instrument."""
-    return exact_normalize(random_pair(rng))
-
-
-def random_state(rng, pure=False) -> BlochState:
-    v = rng.normal(size=3)
-    v /= np.linalg.norm(v)
-    if not pure:
-        v *= rng.uniform(0.0, 1.0)
-    return BlochState(v)
-
-
-def random_unit(rng) -> np.ndarray:
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
+def grouped_fits(dataset) -> list:
+    """One affine fit per observable of ``dataset``, in ``sgkit fit``'s order."""
+    return [fit_affine(records) for records in _group_records(dataset).values()]
 
 
 @pytest.fixture

@@ -14,11 +14,11 @@ import numpy as np
 
 from sgkit import verify
 from sgkit.cli import main
-from sgkit.estimate import fit_affine, goodness_of_fit, recover_parameters
+from sgkit.estimate import goodness_of_fit, recover_parameters
 from sgkit.experiment import ExperimentConfig, generate_dataset
 from sgkit.linearize import PerturbationParams, compare_with_paper, design_matrix
 
-from conftest import project_to_constraints
+from conftest import grouped_fits, project_to_constraints
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = [REPO / "configs" / "exact.json", REPO / "configs" / "sampled.json"]
@@ -71,13 +71,6 @@ def test_criterion_6_linearization_ratio():
     _passed(6, "linearization ratio test")
 
 
-def _grouped_fits(dataset):
-    groups = {}
-    for rec in dataset.records:
-        groups.setdefault(rec.setting.observable, []).append(rec)
-    return [fit_affine(records) for records in groups.values()]
-
-
 def test_criterion_7_round_trip_exact():
     start = time.perf_counter()
     rng = np.random.default_rng(107)
@@ -86,7 +79,7 @@ def test_criterion_7_round_trip_exact():
     config = ExperimentConfig(
         PerturbationParams.from_vector(truth, eta), 4, 8, shots=0, seed=107
     )
-    fits = _grouped_fits(generate_dataset(config))
+    fits = grouped_fits(generate_dataset(config))
     system = design_matrix([fit.observable for fit in fits])
     result = recover_parameters(fits, system, eta=eta)
     row_err = np.linalg.norm(result.row_space_basis @ (result.parameters - truth))
@@ -105,7 +98,7 @@ def test_criterion_8_round_trip_sampled():
     config = ExperimentConfig(
         PerturbationParams.from_vector(truth, eta), 4, 8, shots=10**6, seed=20260810
     )
-    fits = _grouped_fits(generate_dataset(config))
+    fits = grouped_fits(generate_dataset(config))
     quality = goodness_of_fit(fits)
     assert quality.compatible
     system = design_matrix([fit.observable for fit in fits])

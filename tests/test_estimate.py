@@ -31,7 +31,7 @@ from sgkit.linearize import (
     transcribed_system,
 )
 
-from conftest import project_to_constraints
+from conftest import grouped_fits, project_to_constraints
 
 SINGLE_UP0 = ObservableSpec(Protocol.SINGLE, Outcome.UP, 0)
 
@@ -50,13 +50,6 @@ def exact_records(observable, directions, coefficients):
             MeasurementRecord(MeasurementSetting(observable, d), 0, 0, float(p))
         )
     return records
-
-
-def grouped_fits(dataset):
-    groups = {}
-    for rec in dataset.records:
-        groups.setdefault(rec.setting.observable, []).append(rec)
-    return [fit_affine(records) for records in groups.values()]
 
 
 # --- fit_affine -------------------------------------------------------------
@@ -226,14 +219,6 @@ def _roundtrip(truth_vec, eta, shots, seed):
     return fits, recover_parameters(fits, system, eta=eta)
 
 
-def test_recover_round_trip_exact(rng):
-    truth = project_to_constraints(rng.uniform(-0.08, 0.08, size=16))
-    _, result = _roundtrip(truth, 1e-3, 0, 1)
-    row_err = np.linalg.norm(result.row_space_basis @ (result.parameters - truth))
-    assert row_err <= 1e-4
-    assert result.residual_norm <= 1e-6
-
-
 def test_recover_gauge_in_nullspace(rng):
     truth = project_to_constraints(rng.uniform(-0.08, 0.08, size=16))
     _, result = _roundtrip(truth, 1e-3, 0, 1)
@@ -292,15 +277,6 @@ def test_recover_nullspace_basis_is_canonical(rng):
     assert moved.rank == result.rank == 12
     assert np.max(np.abs(moved.nullspace_basis - result.nullspace_basis)) < 1e-10
     assert np.max(np.abs(moved.row_space_basis - result.row_space_basis)) < 1e-10
-
-
-def test_recover_sampled_within_standard_errors(rng):
-    truth = project_to_constraints(rng.uniform(-0.08, 0.08, size=16))
-    _, result = _roundtrip(truth, 1e-3, 10**6, 20260810)
-    assert result.covariance is not None
-    for v in result.row_space_basis:
-        se = float(np.sqrt(v @ result.covariance @ v))
-        assert abs(v @ (result.parameters - truth)) <= 4.0 * se
 
 
 def test_recover_missing_fit_is_an_error(rng):

@@ -18,7 +18,7 @@ from sgkit.experiment import (
     read_dataset,
     write_dataset,
 )
-from sgkit.instrument import Direction, cyclic_rotation, exact_normalize, residual_array
+from sgkit.instrument import Direction, cyclic_rotation, exact_normalize_array, residual_array
 from sgkit.fields import INTEGER_TEXT, NUMBER_TEXT
 from sgkit.linearize import (
     OBSERVABLES,
@@ -220,8 +220,8 @@ def test_exact_completeness_raw_and_strict(rng):
 def test_strict_normalization_uses_normalized_instrument(rng):
     vec = rng.uniform(-1.0, 1.0, size=16)
     config = config_of(vec, 1e-2, strict_normalization=True, n_theta=2, n_phi=3)
-    inst = exact_normalize(build_perturbed(config.perturbation))
-    assert residual_array(inst.as_array()) <= 1e-12
+    inst = exact_normalize_array(build_perturbed(config.perturbation).as_array())
+    assert residual_array(inst) <= 1e-12
     dataset = generate_dataset(config)
     assert dataset.meta.strict_normalization
 

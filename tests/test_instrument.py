@@ -14,26 +14,21 @@ from sgkit.instrument import (
     KrausOperator,
     RotationSpec,
     SingularNormalization,
-    UnnormalizedInstrument,
     cyclic_rotation,
     density_array,
     effect_array,
-    effect_expectation,
-    exact_normalize,
     exact_normalize_array,
     expectation_array,
     ideal_instrument,
-    nonselective_apply,
+    nonselective_array,
     residual_array,
     rotate_array,
-    rotate_instrument,
-    selective_apply,
+    selective_array,
     successive_array,
 )
 
 from sgkit.verify import (
     _BASIS,
-    _bloch,
     _coefficients,
     _dagger,
     _density,
@@ -45,8 +40,6 @@ from sgkit.verify import (
     _trace,
     _unitary,
 )
-
-from conftest import random_instrument, random_pair, random_state, random_unit
 
 E_X = np.array([1.0, 0.0, 0.0])
 E_Y = np.array([0.0, 1.0, 0.0])
@@ -86,7 +79,7 @@ def test_real_vector_constructors_reject_non_finite():
 
 
 def test_instrument_array_is_stacked_once_and_read_only(rng):
-    inst = random_instrument(rng)
+    inst = Instrument.from_array(_random_instruments(rng, 1)[0])
     branches = inst.as_array()
     assert inst.as_array() is branches and branches.shape == (2, 4)
     assert branches.tobytes() == np.stack((inst.up.as_array(), inst.down.as_array())).tobytes()
@@ -98,7 +91,8 @@ def test_probe_names_are_the_array_form(rng):
     """The three names the benchmark's ``pauli.mul_us`` probe calls give the one
     representation: the product of (4,) arrays, on a branch's own read-only array and
     on rho's coefficients [1/2, r/2]."""
-    branch, state = random_instrument(rng).up, random_state(rng)
+    branch = Instrument.from_array(_random_instruments(rng, 1)[0]).up
+    state = BlochState(_random_states(rng, 1)[0])
     assert pauli.pauli_mul is pauli.pauli_mul_array
     assert branch.coefficients() is branch.as_array()
     rho = state.coefficients()
@@ -132,15 +126,18 @@ def test_effect_of_degenerate_branch():
 
 
 def test_effect_positivity_for_normalized_instruments(rng):
-    """Both eigenvalues f0 -+ |f| of a normalized instrument's effects lie in [0, 1]."""
-    for _ in range(100):
-        inst = random_instrument(rng)
-        for branch in (inst.up, inst.down):
-            assert abs(branch.alpha) ** 2 + np.sum(np.abs(branch.beta) ** 2) <= 1 + 1e-9
-            f = effect_array(branch.as_array()).real
-            spread = float(np.linalg.norm(f[1:]))
-            assert -1e-12 <= f[0] - spread
-            assert f[0] + spread <= 1.0 + 1e-12
+    """Both eigenvalues f0 -+ |f| of a normalized instrument's effects lie in [0, 1], so a
+    selective probability is the effect's expectation, and a non-selective update keeps
+    the state in the Bloch ball."""
+    inst, r = _random_instruments(rng, 200), _random_states(rng, 200)
+    assert np.all(np.sum(np.abs(inst) ** 2, axis=-1) <= 1 + 1e-9)
+    f = effect_array(inst).real
+    spread = np.linalg.norm(f[..., 1:], axis=-1)
+    assert np.all(-1e-12 <= f[..., 0] - spread)
+    assert np.all(f[..., 0] + spread <= 1.0 + 1e-12)
+    prob, _ = selective_array(inst, r[:, None])
+    assert np.max(np.abs(prob - expectation_array(inst, r[:, None]))) < 1e-12
+    assert np.all(np.linalg.norm(nonselective_array(inst, r), axis=-1) <= 1.0 + 1e-12)
 
 
 def test_normalization_residual_ideal():
@@ -148,12 +145,7 @@ def test_normalization_residual_ideal():
 
 
 def test_normalization_residual_scaled():
-    inst = ideal_instrument()
-    scaled = Instrument(
-        KrausOperator(1.1 * inst.up.alpha, 1.1 * inst.up.beta),
-        KrausOperator(1.1 * inst.down.alpha, 1.1 * inst.down.beta),
-    )
-    assert residual_array(scaled.as_array()) == pytest.approx(0.21, abs=1e-12)
+    assert residual_array(1.1 * ideal_instrument().as_array()) == pytest.approx(0.21, abs=1e-12)
 
 
 def test_normalization_residual_matches_matrix(rng):
@@ -168,93 +160,29 @@ def test_normalization_residual_matches_matrix(rng):
 
 
 def test_probability_ideal_examples():
-    up = ideal_instrument().up
-    assert effect_expectation(up, BlochState(E_Z)) == pytest.approx(1.0, abs=1e-15)
-    assert effect_expectation(up, BlochState(E_X)) == pytest.approx(0.5, abs=1e-15)
-
-
-def oracle_draws(rng, n):
-    """n exact instruments and states as (instrument, state) objects, with the oracle's
-    (n, 2, 2, 2) branch matrices and (n, 1, 2, 2) density matrices of them."""
-    inst, r = _random_instruments(rng, n), _random_states(rng, n)
-    objects = [(Instrument.from_array(inst[i]), BlochState(r[i])) for i in range(n)]
-    return objects, _matrices(inst), _density(r)[:, None]
-
-
-def test_probability_matches_matrix_trace(rng):
-    objects, a, rho = oracle_draws(rng, 200)
-    expected = _trace(rho @ a @ _dagger(a))
-    for (inst, state), row in zip(objects, expected):
-        for branch, p in zip((inst.up, inst.down), row):
-            assert abs(effect_expectation(branch, state) - p) < 1e-12
-
-
-def test_probability_completeness(rng):
-    for _ in range(200):
-        inst = random_instrument(rng)
-        state = random_state(rng)
-        total = expectation_array(inst.as_array(), state.r).sum()
-        assert total == pytest.approx(1.0, abs=1e-12)
+    up = ideal_instrument().up.as_array()
+    assert expectation_array(up, E_Z) == pytest.approx(1.0, abs=1e-15)
+    assert expectation_array(up, E_X) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_selective_ideal_projection():
-    prob, post = selective_apply(ideal_instrument().up, BlochState(E_X))
+    prob, post = selective_array(ideal_instrument().up.as_array(), E_X)
     assert prob == pytest.approx(0.5, abs=1e-15)
-    assert np.allclose(post.r, E_Z, atol=1e-14)
-
-
-def test_selective_orthogonal_state_absorbed():
-    prob, post = selective_apply(ideal_instrument().up, BlochState(-E_Z))
-    assert prob == pytest.approx(0.0, abs=1e-15)
-    assert post is None
-
-
-def test_selective_matches_matrix(rng):
-    objects, a, rho = oracle_draws(rng, 200)
-    expected = _bloch(_dagger(a) @ rho @ a)
-    for (inst, state), row in zip(objects, expected):
-        for branch, r in zip((inst.up, inst.down), row):
-            prob, post = selective_apply(branch, state)
-            assert prob == pytest.approx(effect_expectation(branch, state), abs=1e-12)
-            if post is None:
-                continue
-            assert np.max(np.abs(post.r - r)) < 1e-12
-
-
-def test_nonselective_ideal_kills_transverse_parts(rng):
-    inst = ideal_instrument()
-    for _ in range(20):
-        state = random_state(rng)
-        out = nonselective_apply(inst, state)
-        assert np.allclose(out.r, [0.0, 0.0, state.r[2]], atol=1e-14)
+    assert np.allclose(post, E_Z, atol=1e-14)
 
 
 def test_nonselective_trivial_instrument_is_identity(rng):
     half = 1.0 / math.sqrt(2.0)
-    inst = Instrument(KrausOperator(half, np.zeros(3)), KrausOperator(half, np.zeros(3)))
-    state = random_state(rng)
-    out = nonselective_apply(inst, state)
-    assert np.allclose(out.r, state.r, atol=1e-14)
-
-
-def test_nonselective_matches_matrix(rng):
-    objects, a, rho = oracle_draws(rng, 200)
-    for (inst, state), r in zip(objects, _bloch((_dagger(a) @ rho @ a).sum(axis=-3))):
-        out = nonselective_apply(inst, state)
-        assert np.max(np.abs(out.r - r)) < 1e-12
-        assert np.linalg.norm(out.r) <= 1.0 + 1e-12
-
-
-def test_nonselective_rejects_unnormalized(rng):
-    with pytest.raises(UnnormalizedInstrument):
-        nonselective_apply(random_pair(rng), random_state(rng))
+    inst = np.array([[half, 0.0, 0.0, 0.0]] * 2, dtype=complex)
+    r = _random_states(rng, 1)
+    assert np.allclose(nonselective_array(inst, r), r, atol=1e-14)
 
 
 # --- rotations ------------------------------------------------------------------
 
 
 def rotated(k, rot: RotationSpec) -> np.ndarray:
-    """The (4,) coefficients of the branch ``k`` after the device rotation ``rot``."""
+    """The (..., 4) coefficients of the branches ``k`` after the device rotation ``rot``."""
     return rotate_array(np.asarray(k, dtype=complex), rot.axis, rot.angle)
 
 
@@ -275,64 +203,39 @@ def test_rotate_kraus_quarter_turn_about_z():
     assert np.max(np.abs(out[1:] - E_Y)) < 1e-12
 
 
-def test_rotate_kraus_agrees_with_conjugation(rng):
-    k = rng.normal(size=(200, 4)) + 1j * rng.normal(size=(200, 4))
-    axis, angle = _random_units(rng, 200), _random_angles(rng, 200)
-    u = _unitary(axis, angle)
-    expected = _coefficients(_dagger(u) @ _matrices(k) @ u)
-    assert np.max(np.abs(rotate_array(k, axis, angle) - expected)) < 1e-12
-
-
 def test_rotate_instrument_axis_aligned_symmetry(rng):
-    inst = ideal_instrument()
-    out = rotate_instrument(inst, RotationSpec(E_Z, rng.uniform(0, 2 * math.pi)))
-    assert np.max(np.abs(out.up.beta - inst.up.beta)) < 1e-15
-    assert np.max(np.abs(out.down.beta - inst.down.beta)) < 1e-15
+    inst = ideal_instrument().as_array()
+    out = rotate_array(inst, E_Z, rng.uniform(0, 2 * math.pi))
+    assert np.max(np.abs(out[:, 1:] - inst[:, 1:])) < 1e-15
 
 
 def test_rotate_instrument_preserves_residual(rng):
-    for _ in range(50):
-        inst = random_instrument(rng)
-        rot = RotationSpec(random_unit(rng), rng.uniform(-2 * math.pi, 2 * math.pi))
-        before = residual_array(inst.as_array())
-        after = residual_array(rotate_instrument(inst, rot).as_array())
-        assert abs(before - after) < 1e-12
+    inst = _random_instruments(rng, 50)
+    axis, angle = _random_units(rng, 50), _random_angles(rng, 50)
+    after = residual_array(rotate_array(inst, axis[:, None], angle[:, None]))
+    assert np.max(np.abs(residual_array(inst) - after)) < 1e-12
 
 
 def cyclic_devices(inst):
     """The devices of rotation index m = 0, 1, 2, as the observables use them."""
-    return [rotate_instrument(inst, cyclic_rotation(m)) for m in range(3)]
+    return [rotated(inst, cyclic_rotation(m)) for m in range(3)]
 
 
 def test_cyclic_instruments_measure_z_x_y():
-    devices = cyclic_devices(ideal_instrument())
-    assert np.allclose(devices[0].up.beta, 0.5 * E_Z, atol=1e-15)
-    assert np.allclose(devices[1].up.beta, 0.5 * E_X, atol=1e-12)
-    assert np.allclose(devices[2].up.beta, 0.5 * E_Y, atol=1e-12)
+    devices = cyclic_devices(ideal_instrument().as_array())
+    assert np.allclose(devices[0][0, 1:], 0.5 * E_Z, atol=1e-15)
+    assert np.allclose(devices[1][0, 1:], 0.5 * E_X, atol=1e-12)
+    assert np.allclose(devices[2][0, 1:], 0.5 * E_Y, atol=1e-12)
 
 
 def test_cyclic_instruments_group_property(rng):
     """Two third-turns make the m = 2 device, and three give the device back."""
-    inst = random_instrument(rng)
+    inst = _random_instruments(rng, 1)
     devices = cyclic_devices(inst)
-    twice = rotate_instrument(devices[1], cyclic_rotation(1))
-    thrice = rotate_instrument(twice, cyclic_rotation(1))
-    for rotated, expected in ((twice, devices[2]), (thrice, inst)):
-        assert np.max(np.abs(rotated.as_array() - expected.as_array())) < 1e-12
-
-
-def test_rotation_covariance_at_probability_level(rng):
-    """Rotating the device equals counter-rotating the probe state."""
-    objects, _, rho = oracle_draws(rng, 100)
-    axis, angle = _random_units(rng, 100), _random_angles(rng, 100)
-    u = _unitary(axis, angle)[:, None]
-    counter_rotated = _bloch(u @ rho @ _dagger(u))
-    for i, (inst, state) in enumerate(objects):
-        rotated_device = rotate_instrument(inst, RotationSpec(axis[i], angle[i])).as_array()
-        assert np.max(np.abs(
-            expectation_array(rotated_device, state.r)
-            - expectation_array(inst.as_array(), counter_rotated[i])
-        )) < 1e-12
+    twice = rotated(devices[1], cyclic_rotation(1))
+    thrice = rotated(twice, cyclic_rotation(1))
+    for result, expected in ((twice, devices[2]), (thrice, inst)):
+        assert np.max(np.abs(result - expected)) < 1e-12
 
 
 # --- successive measurements ----------------------------------------------------
@@ -344,45 +247,27 @@ def test_successive_ideal_repeatability():
     assert successive_array(branches, branches[0], E_Z) == pytest.approx(1.0, abs=1e-15)
 
 
-def test_successive_ideal_preserves_kz(rng):
-    inst = ideal_instrument()
-    for _ in range(20):
-        state = random_state(rng)
-        expected = 0.5 * (1.0 + state.r[2])
-        assert successive_array(inst.as_array(), inst.up.as_array(), state.r) == pytest.approx(
-            expected, abs=1e-14
-        )
-
-
 def test_successive_matches_matrix_pipeline(rng):
     """For a normalized instrument the raw value is the renormalized two-stage one."""
-    objects, a, rho = oracle_draws(rng, 100)
+    inst, r = _random_instruments(rng, 100), _random_states(rng, 100)
     axis, angle = _random_units(rng, 100), rng.uniform(0, 2 * math.pi, size=100)
-    u = _unitary(axis, angle)
-    rho1 = (_dagger(a) @ rho @ a).sum(axis=-3)
+    a, u = _matrices(inst), _unitary(axis, angle)
+    rho1 = (_dagger(a) @ _density(r)[:, None] @ a).sum(axis=-3)
     b = _dagger(u) @ a[:, 0] @ u
     expected = _trace(rho1 @ b @ _dagger(b)) / _trace(rho1)
-    for i, (inst, state) in enumerate(objects):
-        second = rotate_instrument(inst, RotationSpec(axis[i], angle[i])).up
-        assert successive_array(inst.as_array(), second.as_array(), state.r) == pytest.approx(
-            expected[i], abs=1e-12
-        )
-        assert effect_expectation(second, nonselective_apply(inst, state)) == pytest.approx(
-            expected[i], abs=1e-12
-        )
+    second = rotate_array(inst[:, 0], axis, angle)
+    assert successive_array(inst, second, r) == pytest.approx(expected, abs=1e-12)
+    assert expectation_array(second, nonselective_array(inst, r)) == pytest.approx(expected, abs=1e-12)
 
 
 def test_raw_successive_accepts_unnormalized(rng):
-    inst = random_pair(rng)
-    state = random_state(rng)
-    a = _matrices(inst.as_array())
-    rho1 = (_dagger(a) @ _density(state.r) @ a).sum(axis=0)
-    second = inst.up
+    inst = 0.5 * (rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4)))
+    r = _random_states(rng, 1)[0]
+    a = _matrices(inst)
+    rho1 = (_dagger(a) @ _density(r) @ a).sum(axis=0)
     b = a[0]
     expected = _trace(rho1 @ b @ _dagger(b))
-    assert successive_array(inst.as_array(), second.as_array(), state.r) == pytest.approx(
-        expected, abs=1e-12
-    )
+    assert successive_array(inst, inst[0], r) == pytest.approx(expected, abs=1e-12)
 
 
 # --- ideal instrument and normalization ------------------------------------------
@@ -393,37 +278,24 @@ def test_ideal_instrument_effects_are_projectors():
     up, down = effect_array(inst.as_array()).real
     assert np.allclose(up, [0.5, 0.0, 0.0, 0.5]) and np.allclose(down, [0.5, 0.0, 0.0, -0.5])
     assert residual_array(inst.as_array()) == 0.0
-    assert effect_expectation(inst.up, BlochState(E_X)) == pytest.approx(0.5)
+    assert expectation_array(inst.up.as_array(), E_X) == pytest.approx(0.5)
 
 
 def test_exact_normalize_identity_on_ideal():
-    inst = exact_normalize(ideal_instrument())
-    assert np.max(np.abs(inst.up.beta - 0.5 * E_Z)) < 1e-12
-    assert abs(inst.up.alpha - 0.5) < 1e-12
+    up = exact_normalize_array(ideal_instrument().as_array())[0]
+    assert np.max(np.abs(up[1:] - 0.5 * E_Z)) < 1e-12
+    assert abs(up[0] - 0.5) < 1e-12
 
 
 def test_exact_normalize_undoes_scaling():
-    ideal = ideal_instrument()
-    scaled = Instrument(
-        KrausOperator(1.1 * ideal.up.alpha, 1.1 * ideal.up.beta),
-        KrausOperator(1.1 * ideal.down.alpha, 1.1 * ideal.down.beta),
-    )
-    out = exact_normalize(scaled)
-    assert abs(out.up.alpha - 0.5) < 1e-12
-    assert np.max(np.abs(out.up.beta - 0.5 * E_Z)) < 1e-12
-
-
-def test_exact_normalize_random_pairs(rng):
-    for _ in range(200):
-        out = exact_normalize(random_pair(rng))
-        assert residual_array(out.as_array()) <= 1e-12
+    up = exact_normalize_array(1.1 * ideal_instrument().as_array())[0]
+    assert abs(up[0] - 0.5) < 1e-12
+    assert np.max(np.abs(up[1:] - 0.5 * E_Z)) < 1e-12
 
 
 def test_exact_normalize_rejects_singular():
     with pytest.raises(SingularNormalization):
-        exact_normalize(
-            Instrument(KrausOperator(0.0, np.zeros(3)), KrausOperator(0.0, np.zeros(3)))
-        )
+        exact_normalize_array(np.zeros((2, 4), dtype=complex))
 
 
 @pytest.mark.parametrize("scale", [1e100, 1e200, 1e300, 1e-320])
@@ -435,7 +307,7 @@ def test_exact_normalize_refuses_extreme_scales_without_warning(scale):
     with pytest.raises(SingularNormalization):
         exact_normalize_array(stack)
     with pytest.raises(SingularNormalization):
-        exact_normalize(Instrument.from_array(stack[0]))
+        exact_normalize_array(stack[0])
 
 
 def instrument_stacks(max_magnitude=None):
@@ -474,26 +346,6 @@ def test_property_exact_normalize_well_conditioned(inst):
     out = exact_normalize_array(inst)
     assert np.all(residual_array(out) < 1e-12)
     assert np.max(np.abs(exact_normalize_array(out) - out)) < 1e-12
-
-
-# --- gauge freedom ---------------------------------------------------------------
-
-
-def test_gauge_phase_changes_nothing(rng):
-    for _ in range(100):
-        inst = random_instrument(rng)
-        state = random_state(rng)
-        phase = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-        twisted = KrausOperator(phase * inst.up.alpha, phase * inst.up.beta)
-        assert effect_expectation(twisted, state) == pytest.approx(
-            effect_expectation(inst.up, state), abs=1e-12
-        )
-        eff_a, eff_b = effect_array(inst.up.as_array()), effect_array(twisted.as_array())
-        assert np.max(np.abs(eff_a - eff_b)) < 1e-12
-        _, post_a = selective_apply(inst.up, state)
-        _, post_b = selective_apply(twisted, state)
-        if post_a is not None:
-            assert np.max(np.abs(post_a.r - post_b.r)) < 1e-12
 
 
 def test_bloch_state_rejects_long_vectors():

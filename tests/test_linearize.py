@@ -12,20 +12,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sgkit import estimate, experiment, linearize
-from sgkit.cli import load_config
+from sgkit.cli import _group_records, load_config
 from sgkit.instrument import (
-    BlochState,
     Instrument,
     KrausOperator,
     RotationSpec,
-    SingularNormalization,
     bloch_array,
-    cyclic_rotation,
     effect_array,
-    exact_normalize,
     ideal_instrument,
     residual_array,
-    rotate_instrument,
 )
 from sgkit.linearize import (
     OBSERVABLES,
@@ -47,9 +42,10 @@ from sgkit.linearize import (
     perturbed_probabilities,
     transcribed_system,
 )
-from sgkit.linearize import _combination, _probability_array, _rhs_key
+from sgkit.linearize import _combination, _rhs_key
+from sgkit.verify import _random_units
 
-from conftest import project_to_constraints, random_unit
+from conftest import project_to_constraints
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
@@ -132,8 +128,7 @@ def test_property_perturbation_array_holds_the_vector(vector, eta):
 
 
 def test_zero_params_zero_response(rng):
-    for obs in ALL_OBSERVABLES:
-        k = random_unit(rng)
+    for obs, k in zip(ALL_OBSERVABLES, _random_units(rng, len(ALL_OBSERVABLES))):
         assert linear_response(PerturbationParams.zero(), obs, k) == pytest.approx(0.0, abs=1e-14)
 
 
@@ -149,9 +144,8 @@ def test_response_against_central_difference(rng):
         (ObservableSpec(Protocol.SUCCESSIVE, Outcome.UP, 1), 5e-7),
     ]
     for obs, tol in cases:
-        for _ in range(10):
+        for k in _random_units(rng, 10):
             params = random_params(rng)
-            k = random_unit(rng)
             exact = linear_response(params, obs, k)
             fd = (
                 model_probability(perturbed_at(params, h), obs, k)
@@ -175,10 +169,9 @@ def test_constant_part_is_a_r_plus_b_rz(rng):
 
 def test_response_linear_in_parameters(rng):
     obs = ObservableSpec(Protocol.SUCCESSIVE, Outcome.UP, 2)
-    for _ in range(10):
+    for k in _random_units(rng, 10):
         p1, p2 = random_params(rng), random_params(rng)
         summed = PerturbationParams.from_vector(p1.to_vector() + p2.to_vector(), 0.0)
-        k = random_unit(rng)
         assert linear_response(summed, obs, k) == pytest.approx(
             linear_response(p1, obs, k) + linear_response(p2, obs, k), abs=1e-12
         )
@@ -187,25 +180,8 @@ def test_response_linear_in_parameters(rng):
 def test_gauge_directions_have_zero_response(rng):
     for g in gauge_directions():
         params = PerturbationParams.from_vector(g, 0.0)
-        for obs in ALL_OBSERVABLES:
-            k = random_unit(rng)
+        for obs, k in zip(ALL_OBSERVABLES, _random_units(rng, len(ALL_OBSERVABLES))):
             assert abs(linear_response(params, obs, k)) <= 1e-12
-
-
-def test_response_node_choice_independent(rng):
-    params = random_params(rng)
-    k = random_unit(rng)
-    single_sets = [(-1.0, 0.0, 1.0), (0.0, 0.5, 1.0), (-2.0, -1.0, 0.0, 1.0)]
-    values = [linear_response(params, SINGLE_UP0, k, nodes=n) for n in single_sets]
-    assert max(values) - min(values) < 1e-12
-    succ = ObservableSpec(Protocol.SUCCESSIVE, Outcome.UP, 0)
-    succ_sets = [
-        (-2.0, -1.0, 0.0, 1.0, 2.0),
-        (-1.0, -0.5, 0.0, 0.5, 1.0),
-        (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0),  # one more node than the degree needs
-    ]
-    values = [linear_response(params, succ, k, nodes=n) for n in succ_sets]
-    assert max(values) - min(values) < 1e-12
 
 
 # The eta sets of `sgkit verify`: its linearization ratio and its interpolation nodes.
@@ -288,43 +264,24 @@ def _unit_stacks():
 
 
 @settings(deadline=None, max_examples=200)
-@given(
-    components=arrays(float, (2, 2, 4), elements=st.floats(-2.0, 2.0)),
-    normalize=st.booleans(),
-    obs=st.sampled_from(OBSERVABLES),
-    k=_unit_directions(),
-    stack=_unit_stacks(),
-)
-def test_property_model_probability_equals_object_path(components, normalize, obs, k, stack):
-    """The array path is the validated object path, bit for bit, on raw and on
-    renormalized instruments; ``ideal_probability`` is the ideal instrument's,
-    at each row of a stack in one call and on a stack of that row alone."""
+@given(obs=st.sampled_from(OBSERVABLES), k=_unit_directions(), stack=_unit_stacks())
+def test_property_model_probability_equals_object_path(obs, k, stack):
+    """``ideal_probability``, the baseline a fit subtracts from every record, is the
+    ideal instrument's ``model_probability`` bit for bit, at each row of a stack in one
+    call and on a stack of that row alone."""
     ideal = ideal_instrument()
     stacked = ideal_probability(obs, stack)
     assert stacked.shape == (len(stack),)
     for p, row in zip(stacked, stack):
         alone = ideal_probability(obs, row[None])
         assert float(p).hex() == float(alone[0]).hex() == model_probability(ideal, obs, row).hex()
-    inst = Instrument.from_array(components[0] + 1j * components[1])
-    if normalize:
-        try:
-            inst = exact_normalize(inst)
-        except SingularNormalization:
-            return
-    rotated = rotate_instrument(inst, cyclic_rotation(obs.m))
-    oracle = float(_probability_array(inst.as_array(), rotated.as_array(), obs, BlochState(k).r))
-    assert model_probability(inst, obs, k).hex() == oracle.hex()
     assert float(ideal_probability(obs, k[None])[0]).hex() == model_probability(ideal, obs, k).hex()
 
 
 def _exact_groups(grid) -> dict:
     """The bundled exact config's records on ``grid``, by observable."""
     config, _ = load_config(REPO / "configs" / "exact.json")
-    config = replace(config, n_theta=grid[0], n_phi=grid[1])
-    groups = {}
-    for rec in experiment.generate_dataset(config).records:
-        groups.setdefault(rec.setting.observable, []).append(rec)
-    return groups
+    return _group_records(experiment.generate_dataset(replace(config, n_theta=grid[0], n_phi=grid[1])))
 
 
 def _constructions(monkeypatch, grid):
@@ -400,26 +357,11 @@ def test_fit_baseline_is_one_array_call_per_observable(monkeypatch, grid):
 
 def test_ideal_probability_rejects_a_stack_with_one_long_row(rng):
     """The norm check covers every row of a stack: one of norm 1 + 1e-9 raises."""
-    stack = np.array([random_unit(rng) for _ in range(8)])
+    stack = _random_units(rng, 8)
     assert ideal_probability(SINGLE_UP0, stack).shape == (8,)
     stack[5] *= 1.0 + 1e-9
     with pytest.raises(ValueError, match="norm exceeds 1"):
         ideal_probability(SINGLE_UP0, stack)
-
-
-def test_first_order_accuracy_halving_ratio(rng):
-    for i in range(20):
-        params = random_params(rng)
-        obs = ALL_OBSERVABLES[i % len(ALL_OBSERVABLES)]
-        k = random_unit(rng)
-        delta = linear_response(params, obs, k)
-        f0 = model_probability(perturbed_at(params, 0.0), obs, k)
-        errs = []
-        for eta in (1e-2, 5e-3):
-            f = model_probability(perturbed_at(params, eta), obs, k)
-            errs.append(abs(f - f0 - eta * delta))
-        if errs[0] > 1e-13:
-            assert 3.5 <= errs[0] / errs[1] <= 4.5
 
 
 # --- affine coefficients ----------------------------------------------------------
@@ -446,8 +388,7 @@ def test_affine_unit_a_r_up():
 def test_closed_form_matches_interpolation_oracle(rng):
     """Every observable's closed-form block equals the interpolated response."""
     for obs in OBSERVABLES:
-        for _ in range(2):
-            k = random_unit(rng)
+        for k in _random_units(rng, 2):
             basis = np.array([1.0, *k])
             for i in range(16):
                 unit = PerturbationParams.unit(i)
@@ -495,14 +436,6 @@ def test_constraint_rows_annihilate_gauge():
     rows = design_matrix(()).rows
     for g in gauge_directions():
         assert np.max(np.abs(rows @ g)) < 1e-12
-
-
-def test_gauge_in_full_system_nullspace():
-    system = design_matrix(ALL_OBSERVABLES)
-    sigma_max = np.linalg.svd(system.rows, compute_uv=False)[0]
-    for g in gauge_directions():
-        unit = g / np.linalg.norm(g)
-        assert np.linalg.norm(system.rows @ unit) <= 1e-10 * sigma_max
 
 
 def test_constant_row_support():

@@ -1,12 +1,13 @@
 """The batched checks of ``sgkit verify`` and the array forms they evaluate.
 
-A defect planted in an array form must fail the check that guards it, and
-every object-API function must equal its array form, evaluated one operand at
-a time or on the whole stacked batch.  The checks themselves run at larger
-counts as acceptance criteria 1-6.
+A defect planted in an array form must fail the check that guards it.  This is
+also the one place the object API (``effect_expectation``, ``selective_apply``,
+``nonselective_apply``, ``rotate_instrument``, ``exact_normalize``) is tested:
+each function equals its array form, evaluated one operand at a time or on the
+whole stacked batch, and refuses what the array form only marks.  Every other
+test, and the checks themselves, run on the array forms; the checks run at
+larger counts as acceptance criteria 1-6.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -33,8 +34,7 @@ from sgkit.instrument import (
 )
 from sgkit.linearize import ObservableSpec, Outcome, Protocol
 from sgkit.pauli import pauli_mul_array
-
-from conftest import random_instrument, random_pair, random_state, random_unit
+from sgkit.verify import _random_angles, _random_instruments, _random_states, _random_units
 
 
 def failed_checks() -> dict[str, str]:
@@ -103,7 +103,7 @@ def test_defective_probability_fails_interpolation_checks(monkeypatch, defect):
     stacked nodes the interpolation checks evaluate."""
     inst = linearize.build_perturbed(linearize.PerturbationParams.unit(3, eta=0.1))
     obs = ObservableSpec(Protocol.SUCCESSIVE, Outcome.UP, 1)
-    k = random_unit(np.random.default_rng(5))
+    k = _random_units(np.random.default_rng(5), 1)[0]
     before = linearize.model_probability(inst, obs, k)
     monkeypatch.setattr(linearize, "_probability_array", defect)
     assert linearize.model_probability(inst, obs, k) != before
@@ -126,15 +126,13 @@ def test_wrong_first_stage_row_fails_matrix_oracle(monkeypatch):
 
 def test_object_api_equals_array_forms(rng):
     n = 40
-    instruments = [random_instrument(rng) for _ in range(n)]
-    raw = [random_pair(rng) for _ in range(n)]
-    states = [random_state(rng) for _ in range(n)]
-    rotations = [RotationSpec(random_unit(rng), rng.uniform(-2 * math.pi, 2 * math.pi)) for _ in range(n)]
-    inst = np.stack([i.as_array() for i in instruments])
-    raw_arr = np.stack([i.as_array() for i in raw])
-    r = np.stack([s.r for s in states])
-    axes = np.stack([rot.axis for rot in rotations])
-    angles = np.array([rot.angle for rot in rotations])
+    inst, r = _random_instruments(rng, n), _random_states(rng, n)
+    raw_arr = 0.5 * (rng.normal(size=(n, 2, 4)) + 1j * rng.normal(size=(n, 2, 4)))
+    axes, angles = _random_units(rng, n), _random_angles(rng, n)
+    instruments = [Instrument.from_array(i) for i in inst]
+    raw = [Instrument.from_array(i) for i in raw_arr]
+    states = [BlochState(v) for v in r]
+    rotations = [RotationSpec(axis, angle) for axis, angle in zip(axes, angles)]
 
     batched = {
         "expectation": expectation_array(inst[:, 0], r),
@@ -174,3 +172,10 @@ def test_array_forms_mark_what_the_object_api_refuses():
         exact_normalize(unnormalized)
     with pytest.raises(SingularNormalization):
         exact_normalize_array(np.stack([ideal.as_array(), unnormalized.as_array()]))
+    # overflowing or vanishing branch sums, refused with no numpy warning first, as the
+    # array form refuses them in test_exact_normalize_refuses_extreme_scales_without_warning
+    for scale in (1e100, 1e200, 1e300, 1e-320):
+        rng = np.random.default_rng(3)
+        stack = scale * (rng.normal(size=(3, 2, 4)) + 1j * rng.normal(size=(3, 2, 4)))
+        with pytest.raises(SingularNormalization):
+            exact_normalize(Instrument.from_array(stack[0]))
