@@ -246,7 +246,7 @@ def _load_fits(path) -> tuple[list[FitResult], float, bool]:
 
 def _recovery_report(fits, eta, strict_normalization, constraints, residual_threshold) -> dict:
     """The recovery report as the JSON document that ``sgkit recover`` writes."""
-    from .estimate import FIT_CHI2_THRESHOLD, goodness_of_fit, recover_parameters
+    from .estimate import goodness_of_fit, overall_compatible, recover_parameters
 
     if constraints == "paper":
         system = transcribed_system()
@@ -254,10 +254,6 @@ def _recovery_report(fits, eta, strict_normalization, constraints, residual_thre
         system = design_matrix([fit.observable for fit in fits])
     result = recover_parameters(fits, system, eta=eta)
     quality = goodness_of_fit(fits)
-    if result.chi_square is not None:
-        recovery_ok = result.chi_square <= FIT_CHI2_THRESHOLD * result.degrees_of_freedom
-    else:
-        recovery_ok = result.residual_norm <= residual_threshold
     return {
         "schema": RECOVERY_SCHEMA,
         "constraints": constraints,
@@ -280,7 +276,7 @@ def _recovery_report(fits, eta, strict_normalization, constraints, residual_thre
             "compatible": quality.compatible,
         },
         "comparison": compare_with_paper(),
-        "compatible": bool(quality.compatible and recovery_ok),
+        "compatible": overall_compatible(quality, result, residual_threshold),
     }
 
 
@@ -325,14 +321,19 @@ def _report_text(document: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _check_report_out(out_path) -> None:
-    """ConfigError for an ``--out`` ending in .txt, which the text report (the same name with .txt) would overwrite."""
-    if Path(out_path).suffix == ".txt":
-        raise ConfigError(f"option '--out' {str(out_path)!r} must not end in .txt, the text report's suffix")
+def _check_report_out(in_path, out_path) -> None:
+    """ConfigError unless the JSON report at ``out_path``, the text report (its .txt sibling)
+    and the input are three distinct files, so that neither report overwrites another file."""
+    out = Path(out_path)
+    if len({Path(in_path).resolve(), out.resolve(), out.with_suffix(".txt").resolve()}) < 3:
+        raise ConfigError(
+            f"option '--out' {str(out_path)!r}: the JSON report, the text report (.txt) and the input"
+            " must be three distinct files"
+        )
 
 
 def cmd_recover(fits_path, out_path, constraints="derived", residual_threshold=DEFAULT_RESIDUAL_THRESHOLD) -> int:
-    _check_report_out(out_path)
+    _check_report_out(fits_path, out_path)
     CONFIG_FIELDS["residual_threshold"].read("option '--residual-threshold'", residual_threshold)
     document = _recovery_report(*_load_fits(fits_path), constraints, residual_threshold)
     _write_json(document, out_path)
@@ -359,7 +360,7 @@ def cmd_verify() -> int:
 def cmd_roundtrip(config_path, out_path) -> int:
     from .experiment import generate_dataset, write_dataset
 
-    _check_report_out(out_path)
+    _check_report_out(config_path, out_path)
     config, modes = load_config(config_path)
     with tempfile.TemporaryDirectory() as workdir:
         data_path = Path(workdir) / "dataset.csv"

@@ -172,6 +172,14 @@ def goodness_of_fit(fits, threshold: float = FIT_CHI2_THRESHOLD) -> GoodnessOfFi
     return GoodnessOfFit(per_fit, chi_square, dof, threshold, compatible)
 
 
+def overall_compatible(quality: GoodnessOfFit, result: RecoveryResult, residual_threshold: float) -> bool:
+    """The report's verdict: every fit is compatible, and the recovery chi-square at most FIT_CHI2_THRESHOLD
+    per dof or, with none (exact fits, or no dof left), ``residual_norm`` at most ``residual_threshold``."""
+    if result.chi_square is None:
+        return bool(quality.compatible and result.residual_norm <= residual_threshold)
+    return bool(quality.compatible and result.chi_square <= FIT_CHI2_THRESHOLD * result.degrees_of_freedom)
+
+
 def _canonical_basis(basis: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the span of ``basis`` (orthonormal rows) fixed by the span alone.
 

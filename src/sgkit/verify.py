@@ -105,10 +105,14 @@ def _random_states(rng, n: int) -> np.ndarray:
     return _random_units(rng, n) * rng.uniform(0.0, 1.0, size=(n, 1))
 
 
+def _random_coefficients(rng, shape) -> np.ndarray:
+    """Complex Pauli coefficients of ``shape`` with standard normal real and imaginary parts."""
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
 def _random_instruments(rng, n: int) -> np.ndarray:
     """(n, 2, 4) exactly normalized instruments."""
-    raw = 0.5 * (rng.normal(size=(n, 2, 4)) + 1j * rng.normal(size=(n, 2, 4)))
-    return exact_normalize_array(raw)
+    return exact_normalize_array(0.5 * _random_coefficients(rng, (n, 2, 4)))
 
 
 def _random_angles(rng, n: int) -> np.ndarray:
@@ -185,7 +189,7 @@ def check_ideal_physics(n: int = 50) -> None:
 def check_cyclic_permutation(n: int = 50) -> None:
     """The third-turn rotation about (1,1,1)/sqrt(3) permutes axes cyclically."""
     rng = np.random.default_rng(14)
-    beta = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+    beta = _random_coefficients(rng, (n, 3))
     k = np.concatenate([np.full((n, 1), 0.3 + 0j), beta], axis=-1)
     for m, order in ((1, [2, 0, 1]), (2, [1, 2, 0])):
         rot = cyclic_rotation(m)
@@ -198,7 +202,7 @@ def check_rotation_conjugation(n: int = 200) -> None:
     rng = np.random.default_rng(15)
     axis = _random_units(rng, n)
     angle = _random_angles(rng, n)
-    k = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+    k = _random_coefficients(rng, (n, 4))
     u = _unitary(axis, angle)
     expected = _coefficients(_dagger(u) @ _matrices(k) @ u)
     _require(np.abs(rotate_array(k, axis, angle) - expected), 1e-12, "rotated coefficients")

@@ -2,8 +2,8 @@
 grouped as ``sgkit fit`` groups them, and the seeded ``rng`` fixture.
 
 Random operands and the 2x2 matrix oracle are ``sgkit.verify``'s, the ones
-``sgkit verify`` runs: its batched draws (``_random_instruments``,
-``_random_states``, ``_random_units``, ``_random_angles``) and matrix helpers.
+``sgkit verify`` runs: its batched draws (``_random_instruments``, ``_random_states``,
+``_random_units``, ``_random_angles``, ``_random_coefficients``) and matrix helpers.
 """
 
 import numpy as np

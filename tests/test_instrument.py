@@ -34,6 +34,7 @@ from sgkit.verify import (
     _density,
     _matrices,
     _random_angles,
+    _random_coefficients,
     _random_instruments,
     _random_states,
     _random_units,
@@ -149,7 +150,7 @@ def test_normalization_residual_scaled():
 
 
 def test_normalization_residual_matches_matrix(rng):
-    inst = 0.5 * (rng.normal(size=(50, 2, 4)) + 1j * rng.normal(size=(50, 2, 4)))
+    inst = 0.5 * _random_coefficients(rng, (50, 2, 4))
     a = _matrices(inst)
     total = (a @ _dagger(a)).sum(axis=-3)
     matrix_resid = np.max(np.abs(_coefficients(total - _BASIS[0])), axis=-1)
@@ -187,7 +188,7 @@ def rotated(k, rot: RotationSpec) -> np.ndarray:
 
 
 def test_rotate_kraus_zero_angle(rng):
-    k = KrausOperator(0.3 + 0.1j, rng.normal(size=3) + 1j * rng.normal(size=3)).as_array()
+    k = KrausOperator(0.3 + 0.1j, _random_coefficients(rng, 3)).as_array()
     assert np.array_equal(rotated(k, RotationSpec(E_Z, 0.0)), k)
 
 
@@ -261,7 +262,7 @@ def test_successive_matches_matrix_pipeline(rng):
 
 
 def test_raw_successive_accepts_unnormalized(rng):
-    inst = 0.5 * (rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4)))
+    inst = 0.5 * _random_coefficients(rng, (2, 4))
     r = _random_states(rng, 1)[0]
     a = _matrices(inst)
     rho1 = (_dagger(a) @ _density(r) @ a).sum(axis=0)
@@ -303,7 +304,7 @@ def test_exact_normalize_refuses_extreme_scales_without_warning(scale):
     """Overflowing or vanishing branch sums raise SingularNormalization, and no
     numpy warning comes first (the suite turns warnings into errors)."""
     rng = np.random.default_rng(3)
-    stack = scale * (rng.normal(size=(3, 2, 4)) + 1j * rng.normal(size=(3, 2, 4)))
+    stack = scale * _random_coefficients(rng, (3, 2, 4))
     with pytest.raises(SingularNormalization):
         exact_normalize_array(stack)
     with pytest.raises(SingularNormalization):

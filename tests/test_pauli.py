@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from sgkit.instrument import effect_array
 from sgkit.pauli import pauli_mul_array
-from sgkit.verify import _coefficients, _dagger, _matrices, _unitary
+from sgkit.verify import _coefficients, _dagger, _matrices, _random_coefficients, _unitary
 
 E_X = np.array([1.0, 0.0, 0.0])
 E_Y = np.array([0.0, 1.0, 0.0])
@@ -18,11 +18,6 @@ def coeff(scalar, vector) -> np.ndarray:
     return np.array([scalar, *vector], dtype=complex)
 
 
-def random_coeff(rng, *shape):
-    """(*shape, 4) complex coefficients with standard normal real and imaginary parts."""
-    return rng.normal(size=(*shape, 4)) + 1j * rng.normal(size=(*shape, 4))
-
-
 def test_mul_sigma_x_sigma_y():
     out = pauli_mul_array(coeff(0, E_X), coeff(0, E_Y))
     assert out[0] == 0
@@ -30,7 +25,7 @@ def test_mul_sigma_x_sigma_y():
 
 
 def test_mul_identity_element(rng):
-    a = random_coeff(rng)
+    a = _random_coefficients(rng, 4)
     out = pauli_mul_array(coeff(1, np.zeros(3)), a)
     assert out[0] == a[0]
     assert np.allclose(out[1:], a[1:])
@@ -44,7 +39,7 @@ def test_mul_projector_idempotent():
 
 
 def test_mul_matches_matrix_product(rng):
-    a, b = random_coeff(rng, 2, 100)
+    a, b = _random_coefficients(rng, (2, 100, 4))
     out = pauli_mul_array(a, b)
     assert np.max(np.abs(_matrices(out) - _matrices(a) @ _matrices(b))) < 1e-12
 
@@ -52,14 +47,14 @@ def test_mul_matches_matrix_product(rng):
 def test_mul_bit_identical_to_np_cross_formula(rng):
     """The hand-written cross product does numpy.cross's arithmetic, so artifacts keep their bytes."""
     for _ in range(100):
-        a, b = random_coeff(rng), random_coeff(rng)
+        a, b = _random_coefficients(rng, 4), _random_coefficients(rng, 4)
         expected = a[0] * b[1:] + b[0] * a[1:] + 1j * np.cross(a[1:], b[1:])
         assert pauli_mul_array(a, b)[1:].tobytes() == expected.tobytes()
 
 
 def test_mul_array_matches_mul_with_broadcasting(rng):
     """A stacked and a broadcast product equal the products of their single operands."""
-    pairs = [(random_coeff(rng), random_coeff(rng)) for _ in range(20)]
+    pairs = [(_random_coefficients(rng, 4), _random_coefficients(rng, 4)) for _ in range(20)]
     left = np.array([a for a, _ in pairs])
     right = np.array([b for _, b in pairs])
     batched = pauli_mul_array(left, right)
@@ -71,7 +66,7 @@ def test_mul_array_matches_mul_with_broadcasting(rng):
 
 def test_mul_associative(rng):
     for _ in range(50):
-        a, b, c = (random_coeff(rng) for _ in range(3))
+        a, b, c = (_random_coefficients(rng, 4) for _ in range(3))
         left = pauli_mul_array(pauli_mul_array(a, b), c)
         right = pauli_mul_array(a, pauli_mul_array(b, c))
         assert np.max(np.abs(left - right)) < 1e-12
@@ -79,13 +74,13 @@ def test_mul_associative(rng):
 
 def test_adjoint_matches_conjugate_transpose(rng):
     """The adjoint of an operator is the complex conjugate of its coefficients."""
-    a = random_coeff(rng, 50)
+    a = _random_coefficients(rng, (50, 4))
     assert np.max(np.abs(_matrices(a.conj()) - _dagger(_matrices(a)))) < 1e-14
 
 
 def test_adjoint_antihomomorphism(rng):
     for _ in range(50):
-        a, b = random_coeff(rng), random_coeff(rng)
+        a, b = _random_coefficients(rng, 4), _random_coefficients(rng, 4)
         left = pauli_mul_array(a, b).conj()
         right = pauli_mul_array(b.conj(), a.conj())
         assert np.max(np.abs(left - right)) < 1e-12
@@ -94,7 +89,7 @@ def test_adjoint_antihomomorphism(rng):
 def test_positivity_of_a_adag(rng):
     """A A^dag is Hermitian with spectrum scalar +- |vector|, both nonnegative."""
     for _ in range(50):
-        f = effect_array(random_coeff(rng))
+        f = effect_array(_random_coefficients(rng, 4))
         assert np.max(np.abs(f.imag)) <= 1e-12
         assert f[0].real - np.linalg.norm(f[1:].real) >= -1e-12
 
@@ -111,7 +106,7 @@ def test_to_matrix_values():
 
 
 def test_matrix_round_trip(rng):
-    a = random_coeff(rng, 50)
+    a = _random_coefficients(rng, (50, 4))
     assert np.max(np.abs(_coefficients(_matrices(a)) - a)) < 1e-14
 
 

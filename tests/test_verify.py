@@ -34,7 +34,7 @@ from sgkit.instrument import (
 )
 from sgkit.linearize import ObservableSpec, Outcome, Protocol
 from sgkit.pauli import pauli_mul_array
-from sgkit.verify import _random_angles, _random_instruments, _random_states, _random_units
+from sgkit.verify import _random_angles, _random_coefficients, _random_instruments, _random_states, _random_units
 
 
 def failed_checks() -> dict[str, str]:
@@ -127,7 +127,7 @@ def test_wrong_first_stage_row_fails_matrix_oracle(monkeypatch):
 def test_object_api_equals_array_forms(rng):
     n = 40
     inst, r = _random_instruments(rng, n), _random_states(rng, n)
-    raw_arr = 0.5 * (rng.normal(size=(n, 2, 4)) + 1j * rng.normal(size=(n, 2, 4)))
+    raw_arr = 0.5 * _random_coefficients(rng, (n, 2, 4))
     axes, angles = _random_units(rng, n), _random_angles(rng, n)
     instruments = [Instrument.from_array(i) for i in inst]
     raw = [Instrument.from_array(i) for i in raw_arr]
@@ -176,6 +176,6 @@ def test_array_forms_mark_what_the_object_api_refuses():
     # array form refuses them in test_exact_normalize_refuses_extreme_scales_without_warning
     for scale in (1e100, 1e200, 1e300, 1e-320):
         rng = np.random.default_rng(3)
-        stack = scale * (rng.normal(size=(3, 2, 4)) + 1j * rng.normal(size=(3, 2, 4)))
+        stack = scale * _random_coefficients(rng, (3, 2, 4))
         with pytest.raises(SingularNormalization):
             exact_normalize(Instrument.from_array(stack[0]))
