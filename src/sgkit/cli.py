@@ -17,7 +17,6 @@ import argparse
 import gc
 import json
 import sys
-import tempfile
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -168,30 +167,44 @@ def load_config(path) -> tuple[ExperimentConfig, dict]:
     return ExperimentConfig(perturbation, **grid, **run), modes
 
 
+def _check_out(in_path, out_path, report: bool = False) -> None:
+    """ConfigError unless the input and the files the command writes, ``out_path`` and for a report
+    its .txt sibling, are distinct after ``Path.resolve()``: no output overwrites another file."""
+    outputs = [Path(out_path)]
+    if report:
+        outputs.append(outputs[0].with_suffix(".txt"))
+    if len({Path(path).resolve() for path in (in_path, *outputs)}) <= len(outputs):
+        files = "the JSON report, the text report (.txt) and the input" if report else "the output and the input"
+        raise ConfigError(f"option '--out' {str(out_path)!r}: {files} must be distinct files")
+
+
 def cmd_simulate(config_path, out_path) -> int:
     from .experiment import generate_dataset, write_dataset
 
+    _check_out(config_path, out_path)
     config, _ = load_config(config_path)
-    dataset = generate_dataset(config)
-    write_dataset(dataset, out_path)
+    write_dataset(generate_dataset(config), out_path)
     return 0
 
 
-def _group_records(dataset):
+def _fit_dataset(dataset) -> list[FitResult]:
+    """One affine fit per observable of ``dataset``, in the order of their first records."""
+    from .estimate import fit_affine
+
     groups: dict[ObservableSpec, list] = {}
     for rec in dataset.records:
         groups.setdefault(rec.setting.observable, []).append(rec)
-    return groups
+    return [fit_affine(records) for records in groups.values()]
 
 
 def cmd_fit(data_path, out_path) -> int:
-    from .estimate import fit_affine
     from .experiment import FormatError, read_dataset
 
+    _check_out(data_path, out_path)
     dataset = read_dataset(data_path)
     if not dataset.records:
         raise FormatError("dataset has no records")
-    fits = [fit_affine(records) for records in _group_records(dataset).values()]
+    fits = _fit_dataset(dataset)
     _require_one_kind(fits, FormatError, "dataset")
     document = {
         "schema": FITS_SCHEMA,
@@ -244,8 +257,9 @@ def _load_fits(path) -> tuple[list[FitResult], float, bool]:
     return fits, document["eta"], document["strict_normalization"]
 
 
-def _recovery_report(fits, eta, strict_normalization, constraints, residual_threshold) -> dict:
-    """The recovery report as the JSON document that ``sgkit recover`` writes."""
+def _write_report(out_path, fits, eta, strict_normalization, constraints, residual_threshold) -> int:
+    """Write the recovery report as JSON to ``out_path`` and, rendered from the JSON, as TXT to its
+    .txt sibling; 0 if the report finds the fits compatible, else 4."""
     from .estimate import goodness_of_fit, overall_compatible, recover_parameters
 
     if constraints == "paper":
@@ -254,7 +268,7 @@ def _recovery_report(fits, eta, strict_normalization, constraints, residual_thre
         system = design_matrix([fit.observable for fit in fits])
     result = recover_parameters(fits, system, eta=eta)
     quality = goodness_of_fit(fits)
-    return {
+    document = {
         "schema": RECOVERY_SCHEMA,
         "constraints": constraints,
         "eta": eta,
@@ -278,6 +292,9 @@ def _recovery_report(fits, eta, strict_normalization, constraints, residual_thre
         "comparison": compare_with_paper(),
         "compatible": overall_compatible(quality, result, residual_threshold),
     }
+    _write_json(document, out_path)
+    Path(out_path).with_suffix(".txt").write_text(_report_text(document), encoding="utf-8")
+    return 0 if document["compatible"] else 4
 
 
 def _report_text(document: dict) -> str:
@@ -321,24 +338,10 @@ def _report_text(document: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _check_report_out(in_path, out_path) -> None:
-    """ConfigError unless the JSON report at ``out_path``, the text report (its .txt sibling)
-    and the input are three distinct files, so that neither report overwrites another file."""
-    out = Path(out_path)
-    if len({Path(in_path).resolve(), out.resolve(), out.with_suffix(".txt").resolve()}) < 3:
-        raise ConfigError(
-            f"option '--out' {str(out_path)!r}: the JSON report, the text report (.txt) and the input"
-            " must be three distinct files"
-        )
-
-
 def cmd_recover(fits_path, out_path, constraints="derived", residual_threshold=DEFAULT_RESIDUAL_THRESHOLD) -> int:
-    _check_report_out(fits_path, out_path)
+    _check_out(fits_path, out_path, report=True)
     CONFIG_FIELDS["residual_threshold"].read("option '--residual-threshold'", residual_threshold)
-    document = _recovery_report(*_load_fits(fits_path), constraints, residual_threshold)
-    _write_json(document, out_path)
-    Path(out_path).with_suffix(".txt").write_text(_report_text(document), encoding="utf-8")
-    return 0 if document["compatible"] else 4
+    return _write_report(out_path, *_load_fits(fits_path), constraints, residual_threshold)
 
 
 def cmd_verify() -> int:
@@ -358,16 +361,13 @@ def cmd_verify() -> int:
 
 
 def cmd_roundtrip(config_path, out_path) -> int:
-    from .experiment import generate_dataset, write_dataset
+    """simulate, fit and recover in memory: no dataset or fits file is written or read."""
+    from .experiment import generate_dataset
 
-    _check_report_out(config_path, out_path)
+    _check_out(config_path, out_path, report=True)
     config, modes = load_config(config_path)
-    with tempfile.TemporaryDirectory() as workdir:
-        data_path = Path(workdir) / "dataset.csv"
-        fits_path = Path(workdir) / "fits.json"
-        write_dataset(generate_dataset(config), data_path)
-        cmd_fit(data_path, fits_path)
-        return cmd_recover(fits_path, out_path, **modes)
+    dataset = generate_dataset(config)
+    return _write_report(out_path, _fit_dataset(dataset), dataset.meta.eta, dataset.meta.strict_normalization, **modes)
 
 
 # Each command's help, required flags and call on the parsed arguments. A call

@@ -1,5 +1,5 @@
 """Shared test helpers: the constraint-subspace projection, the fits of a dataset
-grouped as ``sgkit fit`` groups them, and the seeded ``rng`` fixture.
+as ``sgkit fit`` and ``sgkit roundtrip`` make them, and the seeded ``rng`` fixture.
 
 Random operands and the 2x2 matrix oracle are ``sgkit.verify``'s, the ones
 ``sgkit verify`` runs: its batched draws (``_random_instruments``, ``_random_states``,
@@ -9,8 +9,7 @@ Random operands and the 2x2 matrix oracle are ``sgkit.verify``'s, the ones
 import numpy as np
 import pytest
 
-from sgkit.cli import _group_records
-from sgkit.estimate import fit_affine
+from sgkit.cli import _fit_dataset
 from sgkit.linearize import design_matrix
 
 
@@ -24,8 +23,8 @@ def project_to_constraints(vec) -> np.ndarray:
 
 
 def grouped_fits(dataset) -> list:
-    """One affine fit per observable of ``dataset``, in ``sgkit fit``'s order."""
-    return [fit_affine(records) for records in _group_records(dataset).values()]
+    """One affine fit per observable of ``dataset``: the fit step of ``sgkit fit`` and ``sgkit roundtrip``."""
+    return _fit_dataset(dataset)
 
 
 @pytest.fixture

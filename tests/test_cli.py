@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sgkit.cli
+import sgkit.experiment
 from sgkit.cli import ConfigError, _report_text, load_config, main
 from sgkit.fields import Field
 
@@ -657,6 +659,11 @@ TABLE = {
         for command in ("recover", "roundtrip")
         for name, source in (("json", "in.json"), ("txt", "in.txt"))
     ],
+    # Nor may simulate's dataset or fit's fits document.
+    "test_simulate_and_fit_out_over_their_input_exit_2": [
+        Row("simulate", keys(), 2, "option '--out'", "simulate", source="in.json", out="in.json"),
+        Row("fit", lambda lines: lines, 2, "option '--out'", "fit", source="in.csv", out="in.csv"),
+    ],
     "test_recover_fits_unknown_or_invalid_key_exit_2": [
         Row("recover", keys(strict_normalization="maybe"), 2, "key 'strict_normalization'", "strict_normalization=maybe"),
         Row("recover", keys(bogus=1), 2, "unknown key 'bogus'", "bogus"),
@@ -1000,7 +1007,7 @@ def test_console_script_installed(launched, tmp_path):
 @pytest.mark.parametrize("launcher", ["entry point", "python -m sgkit", "python -m sgkit.cli"])
 def test_launcher_roundtrip_and_config_error(launched, launcher):
     """Each launcher's round trip exits 0, prints nothing but its import log and
-    removes its temporary files; a missing config exits 2 with one error line."""
+    writes no temporary file; a missing config exits 2 with one error line."""
     run = launched[launcher]
     assert run.roundtrip.returncode == 0, run.roundtrip.stderr
     assert [line for line in run.roundtrip.stderr.splitlines() if not line.startswith("import time:")] == []
@@ -1091,3 +1098,53 @@ def test_artifacts_keep_their_recorded_digests(tmp_path):
         "stream, which numpy does not promise across versions."
     )
     assert digests.keys() == ARTIFACT_DIGESTS.keys()
+
+
+def test_roundtrip_takes_no_file_detour(tmp_path, monkeypatch):
+    """``sgkit roundtrip`` needs no temporary directory and neither writes nor reads a
+    dataset or fits file, nor runs ``sgkit fit`` or ``sgkit recover``: with all of them
+    made to fail it still writes the recorded round-trip reports."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("roundtrip left memory")
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    for module, name in ((sgkit.experiment, "write_dataset"), (sgkit.experiment, "read_dataset"),
+                         (sgkit.cli, "_load_fits"), (sgkit.cli, "cmd_fit"), (sgkit.cli, "cmd_recover")):
+        monkeypatch.setattr(module, name, refuse)
+    for name, config in (("exact", EXACT_CONFIG), ("sampled", SAMPLED_CONFIG)):
+        assert main(["roundtrip", "--config", str(config), "--out", str(tmp_path / f"{name}-rt.json")]) == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()}
+    assert digests == {name: digest for name, digest in ARTIFACT_DIGESTS.items() if "-rt." in name}
+
+
+@st.composite
+def small_configs(draw) -> dict:
+    """The bundled config on a 2x3 to 4x8 grid, exact or with 10**3 to 10**6 shots, with
+    or without strict normalization, one or both protocols and either constraint system."""
+    config = json.loads(EXACT_CONFIG.read_text())
+    config.update(
+        grid={"n_theta": draw(st.integers(2, 4)), "n_phi": draw(st.integers(3, 8))},
+        shots=draw(st.sampled_from([0, 10 ** 3, 10 ** 6]) | st.integers(10 ** 3, 10 ** 6)),
+        strict_normalization=draw(st.booleans()),
+        protocols=draw(st.sampled_from([["single"], ["successive"], ["single", "successive"]])),
+        constraints=draw(st.sampled_from(["derived", "paper"])),
+    )
+    return config
+
+
+@settings(deadline=None, max_examples=15)
+@given(small_configs())
+def test_property_roundtrip_equals_simulate_fit_recover(tmp_path_factory, config):
+    """``sgkit roundtrip`` exits as ``sgkit simulate``, ``fit`` and ``recover`` (with the
+    config's constraints and residual threshold) do in sequence, and writes the same bytes."""
+    workdir = tmp_path_factory.mktemp("roundtrip_property")
+    path, data, fits = workdir / "c.json", workdir / "d.csv", workdir / "f.json"
+    path.write_text(json.dumps(config))
+    _, modes = load_config(path)
+    assert run_main("simulate", "--config", path, "--out", data) == (0, [])
+    assert run_main("fit", "--data", data, "--out", fits) == (0, [])
+    staged = run_main("recover", "--fits", fits, "--out", workdir / "staged.json", "--constraints",
+                      modes["constraints"], "--residual-threshold", repr(modes["residual_threshold"]))
+    assert run_main("roundtrip", "--config", path, "--out", workdir / "rt.json") == staged
+    assert report_bytes(workdir / "rt.json") == report_bytes(workdir / "staged.json")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sgkit import estimate, experiment, linearize
-from sgkit.cli import _group_records, load_config
+from sgkit.cli import load_config
 from sgkit.instrument import (
     Instrument,
     KrausOperator,
@@ -281,7 +281,10 @@ def test_property_model_probability_equals_object_path(obs, k, stack):
 def _exact_groups(grid) -> dict:
     """The bundled exact config's records on ``grid``, by observable."""
     config, _ = load_config(REPO / "configs" / "exact.json")
-    return _group_records(experiment.generate_dataset(replace(config, n_theta=grid[0], n_phi=grid[1])))
+    groups: dict = {}
+    for rec in experiment.generate_dataset(replace(config, n_theta=grid[0], n_phi=grid[1])).records:
+        groups.setdefault(rec.setting.observable, []).append(rec)
+    return groups
 
 
 def _constructions(monkeypatch, grid):
