@@ -14,6 +14,7 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
+import dataclasses
 import gc
 import json
 import sys
@@ -36,6 +37,7 @@ from .linearize import (
     PerturbationParams,
     Protocol,
     compare_with_paper,
+    default_observables,
     design_matrix,
     render_combination,
     transcribed_system,
@@ -49,7 +51,8 @@ CONFIG_SCHEMA = "sgkit-config-v1"
 FITS_SCHEMA = "sgkit-fits-v1"
 RECOVERY_SCHEMA = "sgkit-recovery-v1"
 
-CONSTRAINTS = ("derived", "paper")
+# Each constraints mode and the recovery system it solves for fits of the given observables.
+CONSTRAINTS = {"derived": design_matrix, "paper": lambda observables: transcribed_system()}
 DEFAULT_RESIDUAL_THRESHOLD = 1e-4
 # Fits covariances may miss symmetry and semidefiniteness by rounding, relative
 # to their largest entry: `sgkit fit` output is asymmetric by about 1e-17.
@@ -130,7 +133,7 @@ CONFIG_FIELDS = {
     "shots": SHOTS,
     "seed": SEED,
     "strict_normalization": STRICT_NORMALIZATION,
-    "constraints": Field(of_type(str), "'derived' or 'paper'", lambda value: value in CONSTRAINTS, "derived"),
+    "constraints": Field(of_type(str), " or ".join(map(repr, CONSTRAINTS)), CONSTRAINTS.__contains__, "derived"),
     "residual_threshold": Field(
         number, "a positive finite number", lambda x: x > 0.0, DEFAULT_RESIDUAL_THRESHOLD
     ),
@@ -210,20 +213,17 @@ def cmd_fit(data_path, out_path) -> int:
         "schema": FITS_SCHEMA,
         "eta": dataset.meta.eta,
         "strict_normalization": dataset.meta.strict_normalization,
-        "fits": [
-            {
-                "observable": {"protocol": fit.observable.protocol.value, "m": fit.observable.m,
-                               "outcome": fit.observable.outcome.value},
-                "coefficients": fit.coefficients.tolist(),
-                "covariance": fit.covariance.tolist(),
-                "chi_square": fit.chi_square,
-                "degrees_of_freedom": fit.degrees_of_freedom,
-            }
-            for fit in fits
-        ],
+        "fits": [{key: _plain(getattr(fit, key)) for key in FIT_FIELDS} for fit in fits],
     }
     _write_json(document, out_path)
     return 0
+
+
+def _plain(value):
+    """A FitResult field as JSON data: an observable as its protocol, m and outcome, an array as lists."""
+    if isinstance(value, ObservableSpec):
+        return {"protocol": value.protocol.value, "m": value.m, "outcome": value.outcome.value}
+    return value.tolist() if isinstance(value, np.ndarray) else value
 
 
 def _require_one_kind(fits, error: type[ValueError], what: str) -> None:
@@ -257,15 +257,11 @@ def _load_fits(path) -> tuple[list[FitResult], float, bool]:
     return fits, document["eta"], document["strict_normalization"]
 
 
-def _write_report(out_path, fits, eta, strict_normalization, constraints, residual_threshold) -> int:
-    """Write the recovery report as JSON to ``out_path`` and, rendered from the JSON, as TXT to its
-    .txt sibling; 0 if the report finds the fits compatible, else 4."""
+def _write_report(out_path, fits, eta, strict_normalization, constraints, system, residual_threshold) -> int:
+    """Write the report of ``fits`` recovered against ``system``, the ``constraints`` mode's, as JSON to
+    ``out_path`` and, rendered from the JSON, as TXT to its .txt sibling; 0 if compatible, else 4."""
     from .estimate import goodness_of_fit, overall_compatible, recover_parameters
 
-    if constraints == "paper":
-        system = transcribed_system()
-    else:
-        system = design_matrix([fit.observable for fit in fits])
     result = recover_parameters(fits, system, eta=eta)
     quality = goodness_of_fit(fits)
     document = {
@@ -282,13 +278,7 @@ def _write_report(out_path, fits, eta, strict_normalization, constraints, residu
         "covariance": None if result.covariance is None else result.covariance.tolist(),
         "recovery_chi_square": result.chi_square,
         "recovery_degrees_of_freedom": result.degrees_of_freedom,
-        "fit_quality": {
-            "per_fit": [[label, value] for label, value in quality.per_fit],
-            "chi_square": quality.chi_square,
-            "degrees_of_freedom": quality.degrees_of_freedom,
-            "threshold": quality.threshold,
-            "compatible": quality.compatible,
-        },
+        "fit_quality": dataclasses.asdict(quality),
         "comparison": compare_with_paper(),
         "compatible": overall_compatible(quality, result, residual_threshold),
     }
@@ -338,10 +328,12 @@ def _report_text(document: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_recover(fits_path, out_path, constraints="derived", residual_threshold=DEFAULT_RESIDUAL_THRESHOLD) -> int:
+def cmd_recover(fits_path, out_path, constraints, residual_threshold) -> int:
     _check_out(fits_path, out_path, report=True)
     CONFIG_FIELDS["residual_threshold"].read("option '--residual-threshold'", residual_threshold)
-    return _write_report(out_path, *_load_fits(fits_path), constraints, residual_threshold)
+    fits, eta, strict_normalization = _load_fits(fits_path)
+    system = CONSTRAINTS[constraints]([fit.observable for fit in fits])
+    return _write_report(out_path, fits, eta, strict_normalization, constraints, system, residual_threshold)
 
 
 def cmd_verify() -> int:
@@ -361,13 +353,19 @@ def cmd_verify() -> int:
 
 
 def cmd_roundtrip(config_path, out_path) -> int:
-    """simulate, fit and recover in memory: no dataset or fits file is written or read."""
+    """simulate, fit and recover in memory, after refusing a config whose system reads an unmeasured fit."""
+    from .estimate import require_fits
     from .experiment import generate_dataset
 
     _check_out(config_path, out_path, report=True)
     config, modes = load_config(config_path)
+    # The observables of the fits this run makes, in the order it makes them.
+    observables = [obs for obs in default_observables() if obs.protocol in config.protocols]
+    system = CONSTRAINTS[modes["constraints"]](observables)
+    require_fits(system, observables)
     dataset = generate_dataset(config)
-    return _write_report(out_path, _fit_dataset(dataset), dataset.meta.eta, dataset.meta.strict_normalization, **modes)
+    fits = _fit_dataset(dataset)
+    return _write_report(out_path, fits, dataset.meta.eta, dataset.meta.strict_normalization, system=system, **modes)
 
 
 # Each command's help, required flags and call on the parsed arguments. A call
@@ -397,8 +395,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, required=True)
     # recover's two optional flags follow its required ones
     recover = sub.choices["recover"]
-    recover.add_argument("--constraints", choices=CONSTRAINTS, default="derived")
-    recover.add_argument("--residual-threshold", type=float, default=DEFAULT_RESIDUAL_THRESHOLD)
+    recover.add_argument("--constraints", choices=CONSTRAINTS, default=CONFIG_FIELDS["constraints"].default)
+    recover.add_argument("--residual-threshold", type=float, default=CONFIG_FIELDS["residual_threshold"].default)
     return parser
 
 

@@ -201,6 +201,13 @@ def _canonical_basis(basis: np.ndarray) -> np.ndarray:
     return out
 
 
+def require_fits(system: LinearSystem, observables) -> None:
+    """ValueError naming the first observable that a row of ``system`` reads and ``observables`` lacks."""
+    for key in system.rhs_keys:
+        if key is not None and key[0] not in observables:
+            raise ValueError(f"no fit supplied for {key[0].label()}")
+
+
 def recover_parameters(fits, system: LinearSystem, eta: float) -> RecoveryResult:
     """Solve the stacked linear system for the 16 parameters.
 
@@ -210,16 +217,13 @@ def recover_parameters(fits, system: LinearSystem, eta: float) -> RecoveryResult
     returned solution is minimum-norm and the nullspace and row-space bases
     orthonormal and canonical.
 
-    Raises ValueError when eta is so small that a fitted coefficient divided
-    by it overflows, and when the recovery chi-square overflows.
+    Raises ValueError as ``require_fits`` does, when eta is so small that a fitted
+    coefficient divided by it overflows, and when the recovery chi-square overflows.
     """
     fits = list(fits)
     by_observable = {fit.observable: fit for fit in fits}
     scale = eta if eta > 0 else 1.0
-
-    for key in system.rhs_keys:
-        if key is not None and key[0] not in by_observable:
-            raise ValueError(f"no fit supplied for {key[0].label()}")
+    require_fits(system, by_observable)
     # Every fit's coefficients and 4x4 covariance block, stacked, then one zero
     # slot (index -1) that the constraint rows read at factor 0.
     stacked = list(by_observable.values())

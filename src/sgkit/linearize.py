@@ -478,20 +478,15 @@ def compare_with_paper() -> dict:
     SignDiscrepancy or StructureDiscrepancy), and a list of ``notes``.
     """
     paper = transcribed_system()
+    # The completeness equations, in printed order, pair with norm/m0:c0, c1 and c2.
     constraints = design_matrix(())
+    completeness = zip(constraints.rows, constraints.row_labels)
     entries = []
     for lhs, text, key in zip(paper.rows, paper.row_labels, paper.rhs_keys):
         if key is None:
-            support = np.abs(lhs) > _ZERO_TOL
-            scores = [
-                int(np.sum(support & (np.abs(row) > _ZERO_TOL)))
-                - int(np.sum(support ^ (np.abs(row) > _ZERO_TOL)))
-                for row in constraints.rows
-            ]
-            best = int(np.argmax(scores))
-            row = constraints.rows[best]
+            row, label = next(completeness)
             group = "normalization"
-            generated_text = f"{render_combination(row)} = 0  [{constraints.row_labels[best]}]"
+            generated_text = f"{render_combination(row)} = 0  [{label}]"
             verdict = _verdict(lhs, row)
         else:
             obs, j, scale = key

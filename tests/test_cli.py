@@ -308,27 +308,14 @@ def test_fit_zero_eta_gives_zero_coefficients(tmp_path):
 
 def test_fit_matches_linear_model(bundled_outputs):
     """Fitted coefficients agree with the first-order model to O(eta)."""
-    from sgkit.linearize import (
-        ObservableSpec,
-        Outcome,
-        PerturbationParams,
-        Protocol,
-        affine_coefficients,
-    )
+    from sgkit.linearize import PerturbationParams, affine_coefficients
 
-    eta = 1e-3
-    document = json.loads(bundled_outputs["exact"]["fits"].read_text())
-    truth = PerturbationParams.from_vector(
-        json.loads(EXACT_CONFIG.read_text())["perturbation"], 0.0
-    )
-    for fit in document["fits"]:
-        obs = ObservableSpec(
-            Protocol(fit["observable"]["protocol"]),
-            Outcome(fit["observable"]["outcome"]),
-            fit["observable"]["m"],
-        )
-        predicted = eta * affine_coefficients(truth, obs)
-        assert np.max(np.abs(np.array(fit["coefficients"]) - predicted)) <= 10 * eta * eta
+    fits, eta, _ = sgkit.cli._load_fits(bundled_outputs["exact"]["fits"])
+    assert eta == 1e-3
+    truth = PerturbationParams.from_vector(json.loads(EXACT_CONFIG.read_text())["perturbation"], 0.0)
+    for fit in fits:
+        predicted = eta * affine_coefficients(truth, fit.observable)
+        assert np.max(np.abs(fit.coefficients - predicted)) <= 10 * eta * eta
 
 
 def test_recover_roundtrip_exact(tmp_path):
@@ -399,7 +386,7 @@ def test_recover_reports_strict_normalization_and_no_dof(tmp_path, bundled_outpu
     assert "no degrees of freedom left" in text and "strict normalization: yes" in text
 
 
-@pytest.mark.parametrize("constraints", ["derived", "paper"])
+@pytest.mark.parametrize("constraints", list(sgkit.cli.CONSTRAINTS))
 @pytest.mark.parametrize("config", ["exact", "sampled"])
 def test_txt_report_is_rendered_from_the_json(tmp_path, bundled_outputs, config, constraints):
     report = tmp_path / "r.json"
@@ -523,6 +510,12 @@ TABLE = {
     # A fitted coefficient divided by a subnormal eta overflows. At a tiny eta it is
     # sampling noise and huge, yet the residual on the probability scale stays small.
     "test_roundtrip_subnormal_eta_exit_2": [Row("roundtrip", keys(eta=1e-320, shots=10 ** 6), 2, "overflow")],
+    # The paper's system reads fits of both protocols: a config that measures one is
+    # refused before it is simulated, with recover's message.
+    "test_roundtrip_paper_constraints_of_one_protocol_exit_2": [
+        Row("roundtrip", keys(constraints="paper", protocols=[protocol]), 2, f"no fit supplied for {missing}", protocol)
+        for protocol, missing in (("single", "successive/m0/up"), ("successive", "single/m0/up"))
+    ],
     "test_roundtrip_tiny_eta_residual_does_not_overflow": [
         Row(
             "roundtrip", keys(eta=eta, shots=10 ** 6), 4, None, str(eta),
@@ -1079,7 +1072,7 @@ def test_artifacts_keep_their_recorded_digests(tmp_path):
         data, fits = tmp_path / f"{name}.csv", tmp_path / f"{name}-fits.json"
         statuses.append(main(["simulate", "--config", str(config), "--out", str(data)]))
         statuses.append(main(["fit", "--data", str(data), "--out", str(fits)]))
-        for constraints in ("derived", "paper"):
+        for constraints in sgkit.cli.CONSTRAINTS:
             out = tmp_path / f"{name}-rec-{constraints}.json"
             statuses.append(
                 main(["recover", "--fits", str(fits), "--out", str(out), "--constraints", constraints])
@@ -1118,6 +1111,18 @@ def test_roundtrip_takes_no_file_detour(tmp_path, monkeypatch):
     assert digests == {name: digest for name, digest in ARTIFACT_DIGESTS.items() if "-rt." in name}
 
 
+def test_roundtrip_refuses_unrecoverable_config_before_simulating(tmp_path, monkeypatch, capsys):
+    """A config whose constraints mode reads a fit its protocols do not make exits 2 without generating data."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("roundtrip simulated a config it cannot recover")
+
+    monkeypatch.setattr(sgkit.experiment, "generate_dataset", refuse)
+    config = write_config(tmp_path / "c.json", constraints="paper", protocols=["single"])
+    assert main(["roundtrip", "--config", str(config), "--out", str(tmp_path / "r.json")]) == 2
+    assert one_error_line(capsys) == "error: no fit supplied for successive/m0/up"
+
+
 @st.composite
 def small_configs(draw) -> dict:
     """The bundled config on a 2x3 to 4x8 grid, exact or with 10**3 to 10**6 shots, with
@@ -1128,7 +1133,7 @@ def small_configs(draw) -> dict:
         shots=draw(st.sampled_from([0, 10 ** 3, 10 ** 6]) | st.integers(10 ** 3, 10 ** 6)),
         strict_normalization=draw(st.booleans()),
         protocols=draw(st.sampled_from([["single"], ["successive"], ["single", "successive"]])),
-        constraints=draw(st.sampled_from(["derived", "paper"])),
+        constraints=draw(st.sampled_from(list(sgkit.cli.CONSTRAINTS))),
     )
     return config
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import sgkit.cli
 from sgkit.estimate import (
     FitResult,
     RankDeficientFit,
@@ -28,7 +29,6 @@ from sgkit.linearize import (
     design_matrix,
     gauge_directions,
     ideal_probability,
-    transcribed_system,
 )
 
 from conftest import grouped_fits, project_to_constraints
@@ -287,9 +287,7 @@ def test_recover_missing_fit_is_an_error(rng):
         recover_parameters(fits[:-1], system, eta=1e-3)
 
 
-@pytest.mark.parametrize(
-    "system_of", [design_matrix, lambda observables: transcribed_system()], ids=["derived", "paper"]
-)
+@pytest.mark.parametrize("system_of", list(sgkit.cli.CONSTRAINTS.values()), ids=list(sgkit.cli.CONSTRAINTS))
 def test_recover_covariance_propagates_each_fit_covariance(rng, system_of):
     """Rows read from one fit are correlated through its 4x4 covariance, scaled by
     their factors (2 in some paper rows) over eta; rows of different fits are not."""

@@ -558,6 +558,8 @@ GOLDEN_VERDICTS = [
 
 GOLDEN_GENERATED = {
     "(a_r + b_rz)_up + (a_r + b_rz)_down = 0": "a_r_up + b_rz_up + a_r_down - b_rz_down = 0  [norm/m0:c0]",
+    "(b_rx - b_iy)_up + (b_rx - b_iy)_down = 0": "b_rx_up - b_iy_up + b_rx_down + b_iy_down = 0  [norm/m0:c1]",
+    "(b_ry + b_ix)_up + (b_ry + b_ix)_down = 0": "b_ry_up + b_ix_up + b_ry_down - b_ix_down = 0  [norm/m0:c2]",
     "a_r_up + b_rz_up = c0[single/m0/up]": "a_r_up + b_rz_up = c0[single/m0/up]",
     "b_rx_up - b_iy_up = c2[single/m0/up]": "b_ry_up + b_ix_up = c2[single/m0/up]",
     "(a_r + b_rz + b_iy)_up + b_iy_down = c0[successive/m0/up]": "2*a_r_up + 2*b_rz_up = c0[successive/m0/up]",
