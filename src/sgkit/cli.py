@@ -14,7 +14,6 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
-import dataclasses
 import gc
 import json
 import sys
@@ -278,7 +277,7 @@ def _write_report(out_path, fits, eta, strict_normalization, constraints, system
         "covariance": None if result.covariance is None else result.covariance.tolist(),
         "recovery_chi_square": result.chi_square,
         "recovery_degrees_of_freedom": result.degrees_of_freedom,
-        "fit_quality": dataclasses.asdict(quality),
+        "fit_quality": quality._asdict(),
         "comparison": compare_with_paper(),
         "compatible": overall_compatible(quality, result, residual_threshold),
     }

@@ -12,6 +12,7 @@ nullspace and residual.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,7 +70,7 @@ class RecoveryResult:
     with statistical noise and truncation error.  ``chi_square`` is the
     standard-error-weighted residual over the data rows, present only when
     the fits carry sampling variance and the data rows outnumber the rank;
-    ``degrees_of_freedom`` is their difference.
+    ``degrees_of_freedom`` is their difference.  The four arrays are read-only.
     """
 
     parameters: np.ndarray
@@ -80,6 +81,11 @@ class RecoveryResult:
     covariance: np.ndarray | None
     chi_square: float | None
     degrees_of_freedom: int | None
+
+    def __post_init__(self):
+        for name in ("parameters", "nullspace_basis", "row_space_basis", "covariance"):
+            if getattr(self, name) is not None:
+                getattr(self, name).setflags(write=False)
 
 
 def fit_affine(records) -> FitResult:
@@ -138,8 +144,7 @@ def fit_affine(records) -> FitResult:
     )
 
 
-@dataclass(frozen=True)
-class GoodnessOfFit:
+class GoodnessOfFit(NamedTuple):
     per_fit: tuple[tuple[str, float], ...]
     chi_square: float
     degrees_of_freedom: int

@@ -11,7 +11,8 @@ matters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +49,7 @@ class FormatError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class MeasurementSetting:
+class MeasurementSetting(NamedTuple):
     observable: ObservableSpec
     direction: Direction
 
@@ -105,8 +105,7 @@ class ExperimentConfig:
         object.__setattr__(self, "protocols", protocols)
 
 
-@dataclass(frozen=True)
-class DatasetMeta:
+class DatasetMeta(NamedTuple):
     eta: float
     strict_normalization: bool
     seed: int
@@ -114,10 +113,9 @@ class DatasetMeta:
     n_phi: int
 
 
-@dataclass
-class Dataset:
+class Dataset(NamedTuple):
     meta: DatasetMeta
-    records: list = field(default_factory=list)
+    records: list
 
 
 def _grid_theta(i: int, n_theta: int) -> float:

@@ -1,5 +1,4 @@
-"""Shared test helpers: the constraint-subspace projection, the fits of a dataset
-as ``sgkit fit`` and ``sgkit roundtrip`` make them, and the seeded ``rng`` fixture.
+"""Shared test helpers: the constraint-subspace projection and the seeded ``rng`` fixture.
 
 Random operands and the 2x2 matrix oracle are ``sgkit.verify``'s, the ones
 ``sgkit verify`` runs: its batched draws (``_random_instruments``, ``_random_states``,
@@ -9,7 +8,6 @@ Random operands and the 2x2 matrix oracle are ``sgkit.verify``'s, the ones
 import numpy as np
 import pytest
 
-from sgkit.cli import _fit_dataset
 from sgkit.linearize import design_matrix
 
 
@@ -20,11 +18,6 @@ def project_to_constraints(vec) -> np.ndarray:
     _, s, vt = np.linalg.svd(design_matrix(()).rows)
     null = vt[int(np.sum(s > 1e-10 * s[0])):]
     return null.T @ (null @ np.asarray(vec, dtype=float).reshape(16))
-
-
-def grouped_fits(dataset) -> list:
-    """One affine fit per observable of ``dataset``: the fit step of ``sgkit fit`` and ``sgkit roundtrip``."""
-    return _fit_dataset(dataset)
 
 
 @pytest.fixture

@@ -13,12 +13,12 @@ from pathlib import Path
 import numpy as np
 
 from sgkit import verify
-from sgkit.cli import main
+from sgkit.cli import _fit_dataset, main
 from sgkit.estimate import goodness_of_fit, recover_parameters
 from sgkit.experiment import ExperimentConfig, generate_dataset
 from sgkit.linearize import PerturbationParams, compare_with_paper, design_matrix
 
-from conftest import grouped_fits, project_to_constraints
+from conftest import project_to_constraints
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = [REPO / "configs" / "exact.json", REPO / "configs" / "sampled.json"]
@@ -79,7 +79,7 @@ def test_criterion_7_round_trip_exact():
     config = ExperimentConfig(
         PerturbationParams.from_vector(truth, eta), 4, 8, shots=0, seed=107
     )
-    fits = grouped_fits(generate_dataset(config))
+    fits = _fit_dataset(generate_dataset(config))
     system = design_matrix([fit.observable for fit in fits])
     result = recover_parameters(fits, system, eta=eta)
     row_err = np.linalg.norm(result.row_space_basis @ (result.parameters - truth))
@@ -98,7 +98,7 @@ def test_criterion_8_round_trip_sampled():
     config = ExperimentConfig(
         PerturbationParams.from_vector(truth, eta), 4, 8, shots=10**6, seed=20260810
     )
-    fits = grouped_fits(generate_dataset(config))
+    fits = _fit_dataset(generate_dataset(config))
     quality = goodness_of_fit(fits)
     assert quality.compatible
     system = design_matrix([fit.observable for fit in fits])

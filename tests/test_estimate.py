@@ -1,7 +1,11 @@
+import dataclasses
+import importlib
+
 import numpy as np
 import pytest
 
 import sgkit.cli
+from sgkit.cli import _fit_dataset
 from sgkit.estimate import (
     FitResult,
     RankDeficientFit,
@@ -31,7 +35,7 @@ from sgkit.linearize import (
     ideal_probability,
 )
 
-from conftest import grouped_fits, project_to_constraints
+from conftest import project_to_constraints
 
 SINGLE_UP0 = ObservableSpec(Protocol.SINGLE, Outcome.UP, 0)
 
@@ -86,7 +90,7 @@ def test_fit_sampled_chi_square_near_one():
     config = ExperimentConfig(
         PerturbationParams.zero(1e-3), 4, 8, shots=10**6, seed=99
     )
-    fits = grouped_fits(generate_dataset(config))
+    fits = _fit_dataset(generate_dataset(config))
     for fit in fits:
         assert 0.5 <= fit.chi_square / fit.degrees_of_freedom <= 2.0
         assert fit.has_variance
@@ -159,7 +163,7 @@ def test_goodness_exact_data_compatible():
 
 def test_goodness_sampled_compatible():
     config = ExperimentConfig(PerturbationParams.zero(1e-3), 4, 8, shots=10**6, seed=3)
-    report = goodness_of_fit(grouped_fits(generate_dataset(config)))
+    report = goodness_of_fit(_fit_dataset(generate_dataset(config)))
     assert report.compatible
 
 
@@ -214,7 +218,7 @@ def _roundtrip(truth_vec, eta, shots, seed):
         PerturbationParams.from_vector(truth_vec, eta), 4, 8, shots=shots, seed=seed
     )
     dataset = generate_dataset(config)
-    fits = grouped_fits(dataset)
+    fits = _fit_dataset(dataset)
     system = design_matrix([fit.observable for fit in fits])
     return fits, recover_parameters(fits, system, eta=eta)
 
@@ -307,6 +311,27 @@ def test_recover_covariance_propagates_each_fit_covariance(rng, system_of):
     result = recover_parameters(fits, system, eta=eta)
     expected = pseudo @ cov_rhs @ pseudo.T
     assert np.max(np.abs(result.covariance - expected)) <= 1e-9 * np.max(np.abs(expected))
+
+
+def test_recovery_result_arrays_are_read_only():
+    _, result = _roundtrip(np.zeros(16), 1e-3, 1000, 7)
+    for array in (result.parameters, result.nullspace_basis, result.row_space_basis, result.covariance):
+        assert array.flags.writeable is False
+    with pytest.raises(ValueError):
+        result.parameters[0] = 1.0
+
+
+def test_every_dataclass_is_frozen_and_checks_or_freezes_what_it_holds():
+    """A value type that checks nothing is a NamedTuple; a dataclass is frozen and has its own ``__post_init__``."""
+    names = ("cli", "experiment", "estimate", "linearize", "instrument", "fields")
+    unchecked = [
+        cls.__name__
+        for module in (importlib.import_module(f"sgkit.{name}") for name in names)
+        for cls in vars(module).values()
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
+        and not (cls.__dataclass_params__.frozen and "__post_init__" in vars(cls))
+    ]
+    assert unchecked == []
 
 
 def _recovery_result():
