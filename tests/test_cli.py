@@ -386,6 +386,37 @@ def test_recover_reports_strict_normalization_and_no_dof(tmp_path, bundled_outpu
     assert "no degrees of freedom left" in text and "strict normalization: yes" in text
 
 
+def test_recovery_rank_and_dof_of_the_bundled_sampled_fits(bundled_outputs):
+    """The derived system's 36 data rows have rank 12 and leave 24 dof; the paper's 10
+    data rows have rank 11 and leave none, so there is no chi-square."""
+    from sgkit.estimate import recover_parameters
+
+    fits, eta, _ = sgkit.cli._load_fits(bundled_outputs["sampled"]["fits"])
+    observables = [fit.observable for fit in fits]
+    derived = recover_parameters(fits, sgkit.cli.CONSTRAINTS["derived"](observables), eta)
+    assert (derived.rank, derived.degrees_of_freedom) == (12, 24)
+    assert derived.chi_square is not None
+    paper = recover_parameters(fits, sgkit.cli.CONSTRAINTS["paper"](observables), eta)
+    assert (paper.rank, paper.degrees_of_freedom, paper.chi_square) == (11, None, None)
+
+
+def test_recover_verdict_reads_the_recovery_chi_square(tmp_path, bundled_outputs):
+    """Counted fits that each pass but contradict one another fail the verdict: with
+    single/m0/up's c0 moved up by 10 of its standard errors, every fit stays compatible
+    and the recovery chi-square (about 124) exceeds 3 x its 24 dof."""
+    fits, report = tmp_path / "fits.json", tmp_path / "r.json"
+    document = json.loads(bundled_outputs["sampled"]["fits"].read_text())
+    entry = document["fits"][0]
+    assert entry["observable"] == {"protocol": "single", "m": 0, "outcome": "up"}
+    entry["coefficients"][0] += 10.0 * np.sqrt(entry["covariance"][0][0])
+    fits.write_text(json.dumps(document))
+    assert main(["recover", "--fits", str(fits), "--out", str(report)]) == 4
+    document = json.loads(report.read_text())
+    assert document["fit_quality"]["compatible"] is True and document["compatible"] is False
+    assert document["recovery_degrees_of_freedom"] == 24
+    assert 3.0 * 24 < document["recovery_chi_square"] < 150.0
+
+
 @pytest.mark.parametrize("constraints", list(sgkit.cli.CONSTRAINTS))
 @pytest.mark.parametrize("config", ["exact", "sampled"])
 def test_txt_report_is_rendered_from_the_json(tmp_path, bundled_outputs, config, constraints):
