@@ -119,10 +119,6 @@ class PerturbationParams:
         object.__setattr__(self, "eta", eta)
 
     @classmethod
-    def zero(cls, eta: float = 0.0) -> "PerturbationParams":
-        return cls(np.zeros((2, 4)), eta)
-
-    @classmethod
     def from_vector(cls, vec, eta: float) -> "PerturbationParams":
         """The parameters of a 16-vector in PARAM_LABELS order."""
         v = np.asarray(vec, dtype=float).reshape(2, 8)
@@ -135,12 +131,6 @@ class PerturbationParams:
         v = np.empty((2, 8))
         v[:, _RE], v[:, _IM] = self.array.real, self.array.imag
         return v.reshape(16)
-
-    @classmethod
-    def unit(cls, index: int, eta: float = 0.0) -> "PerturbationParams":
-        vec = np.zeros(16)
-        vec[index] = 1.0
-        return cls.from_vector(vec, eta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,7 +283,7 @@ def default_observables() -> tuple[ObservableSpec, ...]:
 
 
 # d(alpha, beta)/d(parameter_i) of the up and the down branch, shape (16, 2, 4).
-_UNITS = np.stack([PerturbationParams.unit(i).array for i in range(16)])
+_UNITS = np.stack([PerturbationParams.from_vector(row, 0.0).array for row in np.eye(16)])
 
 
 def _response_block(obs: ObservableSpec) -> np.ndarray:

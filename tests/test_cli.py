@@ -133,7 +133,7 @@ def test_property_experiment_config_refuses_what_load_config_refuses(tmp_path_fa
             refused = True
             assert f"'{'grid.' if grid else ''}{key}'" in str(exc), exc
         try:
-            ExperimentConfig(PerturbationParams.zero(), **{key: value})
+            ExperimentConfig(PerturbationParams.from_vector(np.zeros(16), 0.0), **{key: value})
         except (InvalidGrid if grid else ValueError) as exc:
             assert refused and str(exc).startswith(f"{key} must be "), (value, exc)
         else:

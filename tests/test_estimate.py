@@ -88,7 +88,7 @@ def test_fit_grid_choice_does_not_matter(rng):
 
 def test_fit_sampled_chi_square_near_one():
     config = ExperimentConfig(
-        PerturbationParams.zero(1e-3), 4, 8, shots=10**6, seed=99
+        PerturbationParams.from_vector(np.zeros(16), 1e-3), 4, 8, shots=10**6, seed=99
     )
     fits = _fit_dataset(generate_dataset(config))
     for fit in fits:
@@ -162,7 +162,7 @@ def test_goodness_exact_data_compatible():
 
 
 def test_goodness_sampled_compatible():
-    config = ExperimentConfig(PerturbationParams.zero(1e-3), 4, 8, shots=10**6, seed=3)
+    config = ExperimentConfig(PerturbationParams.from_vector(np.zeros(16), 1e-3), 4, 8, shots=10**6, seed=3)
     report = goodness_of_fit(_fit_dataset(generate_dataset(config)))
     assert report.compatible
 

@@ -27,6 +27,7 @@ from sgkit.linearize import (
     Protocol,
     build_perturbed,
     default_observables,
+    model_probability,
 )
 from sgkit.verify import _dagger, _density, _matrices, _trace, _unitary
 
@@ -224,6 +225,26 @@ def test_strict_normalization_uses_normalized_instrument(rng):
     assert residual_array(inst) <= 1e-12
     dataset = generate_dataset(config)
     assert dataset.meta.strict_normalization
+
+
+def test_generation_clamps_probabilities_into_the_unit_interval():
+    """At eta = 0.5, a_r_up = b_rz_up = -1 zeroes the up branch, and a_r_up = 1 drives
+    144 model probabilities above 1: exact records read 0.0 and 1.0 exactly."""
+    vec = np.zeros(16)
+    vec[[0, 4]] = -1.0
+    closed = generate_dataset(config_of(vec, 0.5)).records
+    ups = [rec.probability for rec in closed if rec.setting.observable.outcome is Outcome.UP]
+    assert len(ups) == 192 and all(p == 0.0 for p in ups)
+
+    vec = np.zeros(16)
+    vec[0] = 1.0
+    config = config_of(vec, 0.5)
+    inst = build_perturbed(config.perturbation)
+    records = generate_dataset(config).records
+    raw = [model_probability(inst, rec.setting.observable, rec.setting.direction) for rec in records]
+    clamped = [rec.probability for rec, p in zip(records, raw) if p > 1.0]
+    assert len(clamped) == 144 and max(raw) > 4.8
+    assert all(p == 1.0 for p in clamped)
 
 
 # --- sampled data -----------------------------------------------------------------

@@ -14,6 +14,7 @@ from sgkit.instrument import (
     KrausOperator,
     RotationSpec,
     SingularNormalization,
+    bloch_array,
     cyclic_rotation,
     density_array,
     effect_array,
@@ -352,3 +353,12 @@ def test_property_exact_normalize_well_conditioned(inst):
 def test_bloch_state_rejects_long_vectors():
     with pytest.raises(ValueError):
         BlochState([1.0, 1.0, 1.0])
+
+
+def test_bloch_array_rejects_a_stack_with_one_long_row(rng):
+    """The norm check covers every row of a stack: one of norm 1 + 1e-9 raises."""
+    stack = _random_units(rng, 8)
+    assert bloch_array(stack).shape == (8, 3)
+    stack[5] *= 1.0 + 1e-9
+    with pytest.raises(ValueError, match="norm exceeds 1"):
+        bloch_array(stack)

@@ -69,7 +69,7 @@ def perturbed_at(params, eta):
 
 
 def test_build_perturbed_zero_is_ideal():
-    inst = build_perturbed(PerturbationParams.zero())
+    inst = build_perturbed(PerturbationParams.from_vector(np.zeros(16), 0.0))
     ideal = ideal_instrument()
     assert inst.up.alpha == ideal.up.alpha
     assert np.array_equal(inst.up.beta, ideal.up.beta)
@@ -98,7 +98,7 @@ def test_perturbation_params_rejects_non_finite(bad):
         with pytest.raises(ValueError, match="must be finite"):
             PerturbationParams.from_vector(vec, 0.1)
     with pytest.raises(ValueError, match="eta must be finite"):
-        PerturbationParams.zero(bad)
+        PerturbationParams.from_vector(np.zeros(16), bad)
 
 
 def test_perturbation_params_rejects_other_shapes():
@@ -128,8 +128,9 @@ def test_property_perturbation_array_holds_the_vector(vector, eta):
 
 
 def test_zero_params_zero_response(rng):
+    zero = PerturbationParams.from_vector(np.zeros(16), 0.0)
     for obs, k in zip(ALL_OBSERVABLES, _random_units(rng, len(ALL_OBSERVABLES))):
-        assert linear_response(PerturbationParams.zero(), obs, k) == pytest.approx(0.0, abs=1e-14)
+        assert linear_response(zero, obs, k) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_response_against_central_difference(rng):
@@ -155,7 +156,7 @@ def test_response_against_central_difference(rng):
 
 
 def test_response_pure_a_r_up_at_pole():
-    params = PerturbationParams.unit(PARAM_LABELS.index("a_r_up"))
+    params = PerturbationParams.from_vector(np.eye(16)[PARAM_LABELS.index("a_r_up")], 0.0)
     assert linear_response(params, SINGLE_UP0, [0, 0, 1]) == pytest.approx(2.0, abs=1e-12)
 
 
@@ -221,7 +222,7 @@ def test_perturbed_probabilities_raise_like_per_eta_calls():
     ValueErrors on both paths (the overflow's own warning is not the subject)."""
     huge = PerturbationParams.from_vector(np.full(16, 1e308), 0.0)
     pole = np.array([0.0, 0.0, 1.0])
-    for params, k in ((huge, pole), (PerturbationParams.zero(), 2.0 * pole)):
+    for params, k in ((huge, pole), (PerturbationParams.from_vector(np.zeros(16), 0.0), 2.0 * pole)):
         with np.errstate(over="ignore"), pytest.raises(ValueError):
             model_probability(perturbed_at(params, 10.0), SINGLE_UP0, k)
         with np.errstate(over="ignore"), pytest.raises(ValueError):
@@ -371,19 +372,19 @@ def test_ideal_probability_rejects_a_stack_with_one_long_row(rng):
 
 
 def test_affine_zero_params():
-    coeffs = affine_coefficients(PerturbationParams.zero(), SINGLE_UP0)
+    coeffs = affine_coefficients(PerturbationParams.from_vector(np.zeros(16), 0.0), SINGLE_UP0)
     assert np.allclose(coeffs, 0.0, atol=1e-14)
     assert coeffs.shape == (4,) and not coeffs.flags.writeable
 
 
 def test_affine_unit_b_rx_up():
-    params = PerturbationParams.unit(PARAM_LABELS.index("b_rx_up"))
+    params = PerturbationParams.from_vector(np.eye(16)[PARAM_LABELS.index("b_rx_up")], 0.0)
     coeffs = affine_coefficients(params, SINGLE_UP0)
     assert np.allclose(coeffs, [0.0, 1.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_affine_unit_a_r_up():
-    params = PerturbationParams.unit(PARAM_LABELS.index("a_r_up"))
+    params = PerturbationParams.from_vector(np.eye(16)[PARAM_LABELS.index("a_r_up")], 0.0)
     coeffs = affine_coefficients(params, SINGLE_UP0)
     assert np.allclose(coeffs, [1.0, 0.0, 0.0, 1.0], atol=1e-12)
 
@@ -394,7 +395,7 @@ def test_closed_form_matches_interpolation_oracle(rng):
         for k in _random_units(rng, 2):
             basis = np.array([1.0, *k])
             for i in range(16):
-                unit = PerturbationParams.unit(i)
+                unit = PerturbationParams.from_vector(np.eye(16)[i], 0.0)
                 closed = affine_coefficients(unit, obs) @ basis
                 assert abs(closed - linear_response(unit, obs, k)) < 1e-12, (obs, i)
 

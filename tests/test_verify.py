@@ -101,7 +101,7 @@ def test_defective_probability_fails_interpolation_checks(monkeypatch, defect):
     """The defect is planted in the one mapping from observable to probability,
     so it reaches ``model_probability`` (every simulated record) as well as the
     stacked nodes the interpolation checks evaluate."""
-    inst = linearize.build_perturbed(linearize.PerturbationParams.unit(3, eta=0.1))
+    inst = linearize.build_perturbed(linearize.PerturbationParams.from_vector(np.eye(16)[3], 0.1))
     obs = ObservableSpec(Protocol.SUCCESSIVE, Outcome.UP, 1)
     k = _random_units(np.random.default_rng(5), 1)[0]
     before = linearize.model_probability(inst, obs, k)
