@@ -1,9 +1,8 @@
 """Inverse problem: affine fits of measured deviations and parameter recovery.
 
-Fits are weighted least squares of (frequency - ideal probability) on the
-basis (1, kx, ky, kz), with binomial weights for counted data and uniform
-weights for exact records.  Each fit takes its ideal baseline from one
-``ideal_probability`` array call on its records' stacked directions.
+Fits are weighted least squares of the frequencies on the basis (1, kx, ky,
+kz), with binomial weights for counted data and uniform weights for exact
+records, less the ideal instrument's ``ideal_coefficients``.
 Recovery stacks the fitted coefficients (scaled by 1/eta) against the design
 system and solves by SVD, reporting the minimum-norm solution, rank,
 nullspace and residual.
@@ -17,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import RankDeficientFit
-from .linearize import LinearSystem, ObservableSpec, ideal_probability
+from .linearize import LinearSystem, ObservableSpec, ideal_coefficients
 
 WEIGHT_CLAMP = 1e-6
 RANK_RTOL = 1e-10
@@ -96,8 +95,8 @@ def fit_affine(records) -> FitResult:
             all exact or all sampled, at least 5 of them spanning a rank-4
             direction design.
 
-    The ideal baseline of every record is one ``ideal_probability`` call on
-    the (n, 3) stack of their directions.
+    WLS is linear in the data, so the frequencies are fitted as they are and
+    the ideal instrument's ``ideal_coefficients`` subtracted from the result.
 
     Raises ValueError when the records mix observables or exact and sampled
     data, and RankDeficientFit when the design cannot determine 4 coefficients.
@@ -119,7 +118,6 @@ def fit_affine(records) -> FitResult:
     directions = np.array([rec.setting.direction.unit_vector() for rec in records])
     design = np.column_stack([np.ones(len(records)), directions])
     frequencies = np.array([rec.frequency() for rec in records])
-    values = frequencies - ideal_probability(observable, directions)
 
     if sampled:
         p_hat = np.clip(frequencies, WEIGHT_CLAMP, 1.0 - WEIGHT_CLAMP)
@@ -129,15 +127,15 @@ def fit_affine(records) -> FitResult:
 
     sqrt_w = np.sqrt(weights)
     design_w = design * sqrt_w[:, None]
-    coeffs, _, _, singular = np.linalg.lstsq(design_w, values * sqrt_w, rcond=None)
+    coeffs, _, _, singular = np.linalg.lstsq(design_w, frequencies * sqrt_w, rcond=None)
     if singular[-1] <= RANK_RTOL * singular[0]:
         raise RankDeficientFit(f"{observable.label()}: direction design has rank < 4")
-    residual = values - design @ coeffs
+    residual = frequencies - design @ coeffs
     chi_square = float(np.sum(weights * residual ** 2))
     covariance = np.linalg.inv(design.T @ (weights[:, None] * design)) if sampled else np.zeros((4, 4))
     return FitResult(
         observable=observable,
-        coefficients=coeffs,
+        coefficients=coeffs - ideal_coefficients(observable),
         covariance=covariance,
         chi_square=chi_square,
         degrees_of_freedom=len(records) - 4,

@@ -19,13 +19,14 @@ reads both sides of each equation from that text.
 instrument array on an (n, 3) stack of Bloch vectors, rotates and checks the
 instrument once per observable and builds no ``Instrument`` or
 ``RotationSpec``; ``model_probability`` is its per-record form at one Direction
-or 3-vector.  The ideal instrument's rotations are made at import, so
-``ideal_probability`` (a fit's baseline, one array call per observable on an
-(n, 3) stack) rotates nothing.
+or 3-vector.  Every probability is affine in the Bloch vector, so the ideal
+instrument's share of an observable is four numbers, ``ideal_coefficients``,
+which a fit subtracts.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -166,7 +167,6 @@ _IDEAL = ideal_instrument().as_array()
 # instrument that the state passes before the rotated device's branch B.
 FIRST_STAGE = MappingProxyType({Protocol.SINGLE: (0,), Protocol.SUCCESSIVE: (1, 2)})
 _ROTATIONS = tuple(cyclic_rotation(m) for m in range(3))
-_IDEAL_ROTATED = tuple(rotate_array(_IDEAL, rot.axis, rot.angle) for rot in _ROTATIONS)
 
 
 def build_perturbed(params: PerturbationParams) -> Instrument:
@@ -225,11 +225,15 @@ def model_probability(inst: Instrument, obs: ObservableSpec, k) -> float:
     return float(model_probability_array(inst.as_array(), obs, bloch_array(_direction_vector(k))))
 
 
-def ideal_probability(obs: ObservableSpec, r: np.ndarray) -> np.ndarray:
-    """``model_probability`` of the ideal instrument at each row of an (n, 3) stack, bit for bit,
-    as an (n,) array from one array call on the rotations made at import; ValueError unless
-    ``bloch_array`` passes."""
-    return _probability_array(_IDEAL, _IDEAL_ROTATED[obs.m], obs, bloch_array(r))
+@functools.cache
+def ideal_coefficients(obs: ObservableSpec) -> np.ndarray:
+    """The ideal instrument's probability of ``obs`` as the read-only (4,) array (c0, c1, c2, c3)
+    of c0 + c1*kx + c2*ky + c3*kz, read off its model probability at the Bloch vectors 0, e_x,
+    e_y and e_z; computed once per observable and process."""
+    p = model_probability_array(_IDEAL, obs, np.eye(4, 3, -1))
+    coefficients = np.concatenate([p[:1], p[1:] - p[0]])
+    coefficients.setflags(write=False)
+    return coefficients
 
 
 def perturbed_probabilities(params: PerturbationParams, obs: ObservableSpec, k, etas) -> np.ndarray:
@@ -297,7 +301,7 @@ def _response_block(obs: ObservableSpec) -> np.ndarray:
     """
     branch = 0 if obs.outcome is Outcome.UP else 1
     rot = _ROTATIONS[obs.m]
-    b0 = _IDEAL_ROTATED[obs.m][branch]
+    b0 = rotate_array(_IDEAL, rot.axis, rot.angle)[branch]
     f0, db = pauli_mul_array(b0, b0.conj()), rotate_array(_UNITS[:, branch], rot.axis, rot.angle)
     d_effect = pauli_mul_array(db, b0.conj()) + pauli_mul_array(b0, db.conj())
     a0, da = _first_stage(_IDEAL, obs.protocol), _first_stage(_UNITS, obs.protocol, 0.0)

@@ -32,7 +32,7 @@ from sgkit.linearize import (
     default_observables,
     design_matrix,
     gauge_directions,
-    ideal_probability,
+    model_probability,
 )
 
 from conftest import project_to_constraints
@@ -40,16 +40,14 @@ from conftest import project_to_constraints
 SINGLE_UP0 = ObservableSpec(Protocol.SINGLE, Outcome.UP, 0)
 
 
-def unit_vectors(directions) -> np.ndarray:
-    return np.array([d.unit_vector() for d in directions])
+IDEAL = ideal_instrument()
 
 
 def exact_records(observable, directions, coefficients):
     """Records whose deviation from the ideal model is exactly affine."""
     records = []
-    k = unit_vectors(directions)
-    for d, row, ideal in zip(directions, k, ideal_probability(observable, k)):
-        p = ideal + coefficients @ np.array([1.0, *row])
+    for d in directions:
+        p = model_probability(IDEAL, observable, d) + coefficients @ np.array([1.0, *d.unit_vector()])
         records.append(
             MeasurementRecord(MeasurementSetting(observable, d), 0, 0, float(p))
         )
@@ -102,7 +100,8 @@ def test_fit_weight_invariance():
     directions = make_grid(3, 4)
     base, scaled = [], []
     rng = np.random.default_rng(5)
-    for d, p in zip(directions, ideal_probability(SINGLE_UP0, unit_vectors(directions))):
+    for d in directions:
+        p = model_probability(IDEAL, SINGLE_UP0, d)
         shots = 1000
         success = int(rng.binomial(shots, p))
         base.append(
@@ -170,10 +169,9 @@ def test_goodness_sampled_compatible():
 def test_goodness_flags_non_affine_deviation():
     """Exact data with a deliberately non-affine deviation must be rejected."""
     records = []
-    grid = make_grid(4, 8)
-    k = unit_vectors(grid)
-    for d, row, ideal in zip(grid, k, ideal_probability(SINGLE_UP0, k)):
-        p = ideal + 0.2 * row[0] * row[1]
+    for d in make_grid(4, 8):
+        kx, ky, _ = d.unit_vector()
+        p = model_probability(IDEAL, SINGLE_UP0, d) + 0.2 * kx * ky
         records.append(
             MeasurementRecord(MeasurementSetting(SINGLE_UP0, d), 0, 0, float(p))
         )
