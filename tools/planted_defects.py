@@ -63,7 +63,8 @@ def first_failure(row: dict) -> str:
     if proc.returncode == 0:
         return "survived"
     match = FIRST_FAILURE.search(proc.stdout)
-    return match[1] if match else f"pytest exit {proc.returncode}: {proc.stdout.strip().splitlines()[-1:]}"
+    last_line = (proc.stdout.strip().splitlines() or [""])[-1]
+    return match[1] if match else f"pytest exit {proc.returncode}: {last_line}"
 
 
 def main(argv: list[str]) -> int:
@@ -79,11 +80,13 @@ def main(argv: list[str]) -> int:
         start = time.perf_counter()
         try:
             killer = first_failure(row)
-        except ValueError as exc:
-            killer = str(exc)
+        except ValueError as exc:  # the old text is missing or not unique
+            print(exc, flush=True)
+            bad.append(row["id"])
+            continue
         note = "" if killer == row["killer"] else f"  (register names {row['killer']})"
         print(f"{row['id']}: {killer}  [{time.perf_counter() - start:.1f} s]{note}", flush=True)
-        if killer == "survived" or killer.startswith(row["id"] + ":"):
+        if killer == "survived":
             bad.append(row["id"])
     if bad:
         print(f"survived or not planted: {', '.join(bad)}", file=sys.stderr)
