@@ -1077,20 +1077,20 @@ def test_cli_import_sets_one_blas_thread(preset, expected):
 # change that moves digits says so in CHANGES.md and records the new digests here.
 ARTIFACT_DIGESTS = {
     "exact.csv": "d6877b82d902de7836a9b07cdf721fa47ef6e061800a2f007395490c4f07a8cb",
-    "exact-fits.json": "e00ae3c0df8542bd09e28a38007d688c3babd6055051b2e00fba7de30a66a5c0",
-    "exact-rec-derived.json": "dce6d42f8eb64e523cab9dd3d741eceb7fa01ce0491544a69f6170a88bf68c36",
-    "exact-rec-derived.txt": "9c0e985c17c0e51227b8a21798dea4941deb541369b34f9acc6bbd1a468342e7",
-    "exact-rec-paper.json": "a0adaf1898d71c443c86f110c06fbfb24f61bdc80d0655d7c552dc881b133d95",
-    "exact-rec-paper.txt": "7c30630fdcc5f09275a327900cabb4da0692c72bb25b1ea6486cc180d6bbd81c",
-    "exact-rt.json": "dce6d42f8eb64e523cab9dd3d741eceb7fa01ce0491544a69f6170a88bf68c36",
-    "exact-rt.txt": "9c0e985c17c0e51227b8a21798dea4941deb541369b34f9acc6bbd1a468342e7",
+    "exact-fits.json": "65f8e825388e127902b03cce5e0c37de14bb5a2396c0c80cb735a14d2a5ce6c8",
+    "exact-rec-derived.json": "e66ac4535195d32ed3f5211dc22c2f3eea0d1b0526505f4049336a2206465668",
+    "exact-rec-derived.txt": "8961693f6f8e307e270e755f1bc244792f4aa8ccf75f5cf267eb08d582d8ec44",
+    "exact-rec-paper.json": "8efa7826541c6fb77d2359e318e690eb81b186c4092e27a614bea9fb4c5140f6",
+    "exact-rec-paper.txt": "421dc6af96782d0ea1dca507e55af2f9f24075b8e36317541071aae204f14659",
+    "exact-rt.json": "e66ac4535195d32ed3f5211dc22c2f3eea0d1b0526505f4049336a2206465668",
+    "exact-rt.txt": "8961693f6f8e307e270e755f1bc244792f4aa8ccf75f5cf267eb08d582d8ec44",
     "sampled.csv": "1b2fffce9c451f2c9758a63aae8fde56a2fd97817d7ada1f537d636b96b261fc",
-    "sampled-fits.json": "bb62c1291277c2a9e90a8a57653c8aca0ca06810be0bd1b8021233576c8af6c3",
-    "sampled-rec-derived.json": "c42ee4cfc93551805e34e68060a425431234c975b0af071cd3c907321eaf5ee8",
+    "sampled-fits.json": "c2c5c09e6831890d961c969937b6adee650fdf2362f6b1e697e5fc0871220101",
+    "sampled-rec-derived.json": "d77068098ed312b80d4f31aba5e0d388b2859a5b04f96b3035dd1a56bc7ec412",
     "sampled-rec-derived.txt": "1ef9d97e045ae75e86153d199a037e5aaa12e2415372de4b7f211245e35a9142",
-    "sampled-rec-paper.json": "5eefadfb70a5e130a363c562d7d79d8f7da141a855f5065215f99e57dbc3e686",
+    "sampled-rec-paper.json": "8ca700157da292498c620aeabb26bb369dec07cc3aefe2bd4af83867703d5bbe",
     "sampled-rec-paper.txt": "82cdf1c829354f3eda99f47d1299c41ff7627b2ab6b1e2a9e935c93327c5b45f",
-    "sampled-rt.json": "c42ee4cfc93551805e34e68060a425431234c975b0af071cd3c907321eaf5ee8",
+    "sampled-rt.json": "d77068098ed312b80d4f31aba5e0d388b2859a5b04f96b3035dd1a56bc7ec412",
     "sampled-rt.txt": "1ef9d97e045ae75e86153d199a037e5aaa12e2415372de4b7f211245e35a9142",
 }
 
