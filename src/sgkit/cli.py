@@ -36,7 +36,6 @@ from .linearize import (
     PerturbationParams,
     Protocol,
     compare_with_paper,
-    default_observables,
     design_matrix,
     render_combination,
     transcribed_system,
@@ -358,10 +357,8 @@ def cmd_roundtrip(config_path, out_path) -> int:
 
     _check_out(config_path, out_path, report=True)
     config, modes = load_config(config_path)
-    # The observables of the fits this run makes, in the order it makes them.
-    observables = [obs for obs in default_observables() if obs.protocol in config.protocols]
-    system = CONSTRAINTS[modes["constraints"]](observables)
-    require_fits(system, observables)
+    system = CONSTRAINTS[modes["constraints"]](config.observables)
+    require_fits(system, config.observables)
     dataset = generate_dataset(config)
     fits = _fit_dataset(dataset)
     return _write_report(out_path, fits, dataset.meta.eta, dataset.meta.strict_normalization, system=system, **modes)

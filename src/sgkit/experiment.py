@@ -84,12 +84,12 @@ class MeasurementRecord:
 @dataclass(frozen=True)
 class ExperimentConfig:
     perturbation: PerturbationParams
-    n_theta: int = 4
-    n_phi: int = 8
-    protocols: tuple[Protocol, ...] = (Protocol.SINGLE, Protocol.SUCCESSIVE)
-    shots: int = 0
-    seed: int = 0
-    strict_normalization: bool = False
+    n_theta: int
+    n_phi: int
+    protocols: tuple[Protocol, ...]
+    shots: int
+    seed: int
+    strict_normalization: bool
 
     def __post_init__(self):
         N_THETA.require("n_theta", self.n_theta, InvalidGrid)
@@ -103,6 +103,11 @@ class ExperimentConfig:
         if not all(isinstance(p, Protocol) for p in protocols):
             raise ValueError(f"protocols must be Protocol members, not {self.protocols!r}")
         object.__setattr__(self, "protocols", protocols)
+
+    @property
+    def observables(self) -> tuple[ObservableSpec, ...]:
+        """What this run measures: the observables of ``default_observables()`` in its protocols, in that order."""
+        return tuple(obs for obs in default_observables() if obs.protocol in self.protocols)
 
 
 class DatasetMeta(NamedTuple):
@@ -150,8 +155,8 @@ def _on_grid(direction: Direction, n_theta: int, n_phi: int) -> bool:
 
 
 def generate_dataset(config: ExperimentConfig) -> Dataset:
-    """One record per observable of ``default_observables()`` in the config's protocols and
-    grid node, in that order, at the model probability clamped to [0, 1].
+    """One record per observable of ``config.observables`` and grid node, in that
+    order, at the model probability clamped to [0, 1].
 
     With shots = 0 a record carries that probability (the exact sentinel);
     otherwise it carries binomial counts drawn from the setting's own stream
@@ -169,9 +174,7 @@ def generate_dataset(config: ExperimentConfig) -> Dataset:
         if config.strict_normalization:
             inst = exact_normalize_array(inst)
         r = bloch_array([direction.unit_vector() for direction in grid])
-        for obs in default_observables():
-            if obs.protocol not in config.protocols:
-                continue
+        for obs in config.observables:
             for direction, p in zip(grid, model_probabilities(inst, obs, r)):
                 if not math.isfinite(p):
                     raise ValueError(f"model probability of {obs.label()} is not finite")
@@ -247,7 +250,7 @@ def read_dataset(path) -> Dataset:
     texts: dict[str, str] = {}
     lines_of: dict[str, int] = {}
     tag_line = None
-    body_start = None
+    body_start = len(lines)  # the first line after the metadata block
     for i, line in enumerate(lines):
         if not line.startswith("#"):
             body_start = i
@@ -266,8 +269,8 @@ def read_dataset(path) -> Dataset:
             texts[key], lines_of[key] = value, i + 1
     if tag_line is None:
         raise FormatError(f"missing format tag '{FORMAT_TAG}'")
-    if body_start is None or lines[body_start] != CSV_HEADER:
-        raise FormatError("header mismatch", line=(body_start or 0) + 1)
+    if body_start == len(lines) or lines[body_start] != CSV_HEADER:
+        raise FormatError("header mismatch", line=body_start + 1)
     values = read_fields(
         _META_FIELDS, texts, lambda message, key: FormatError(message, lines_of.get(key)), noun="metadata key"
     )

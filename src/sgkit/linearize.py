@@ -398,16 +398,18 @@ def _combination(text: str, branch: str = "") -> np.ndarray:
     return vec
 
 
+_BY_LABEL = {obs.label(): obs for obs in OBSERVABLES}
+
+
 def _rhs_key(text: str) -> tuple[ObservableSpec, int, float] | None:
     """``LinearSystem.rhs_keys`` entry of a right-hand side."""
     if text == "0":
         return None
     match = _RHS.fullmatch(text)
-    by_label = {obs.label(): obs for obs in OBSERVABLES}
-    if match is None or match[3] not in by_label:
+    if match is None or match[3] not in _BY_LABEL:
         raise ValueError(f"cannot read right-hand side {text!r}")
     scale, j, label = match.groups()
-    return by_label[label], int(j), float(scale or 1)
+    return _BY_LABEL[label], int(j), float(scale or 1)
 
 
 def transcribed_system() -> LinearSystem:
@@ -421,12 +423,16 @@ def transcribed_system() -> LinearSystem:
     )
 
 
+# A coefficient at or below this is zero when equations are compared or rendered.
+_ZERO_TOL = 1e-9
+
+
 def _round_clean(value: float) -> float:
     snapped = round(value * 4.0) / 4.0
     return snapped if abs(value - snapped) < 1e-9 else value
 
 
-def render_combination(vec, zero_tol: float = 1e-9) -> str:
+def render_combination(vec, zero_tol: float = _ZERO_TOL) -> str:
     """Human-readable rendering of a parameter combination row."""
     terms = []
     for value, label in zip(np.asarray(vec, dtype=float), PARAM_LABELS):
@@ -444,10 +450,6 @@ def render_combination(vec, zero_tol: float = 1e-9) -> str:
     for sign, body in terms[1:]:
         text += f" {sign} {body}"
     return text
-
-
-# A coefficient at or below this is zero when equations are compared.
-_ZERO_TOL = 1e-9
 
 
 def _verdict(lhs: np.ndarray, generated: np.ndarray) -> str:
@@ -486,10 +488,7 @@ def compare_with_paper() -> dict:
             obs, j, scale = key
             claim = scale * _RESPONSE_BLOCKS[obs][j]
             group = "identification" if obs.protocol is Protocol.SINGLE else "successive"
-            rhs_text = f"{COEFF_LABELS[j]}[{obs.label()}]"
-            if scale != 1.0:
-                rhs_text = f"{scale:g}*{rhs_text}"
-            generated_text = f"{render_combination(claim)} = {rhs_text}"
+            generated_text = f"{render_combination(claim)} = {text.split(' = ')[1]}"
             verdict = _verdict(lhs, claim)
         entries.append(
             dict(group=group, paper_equation=text, generated_row=generated_text, verdict=verdict)

@@ -16,7 +16,7 @@ from sgkit import verify
 from sgkit.cli import _fit_dataset, main
 from sgkit.estimate import goodness_of_fit, recover_parameters
 from sgkit.experiment import ExperimentConfig, generate_dataset
-from sgkit.linearize import PerturbationParams, compare_with_paper, design_matrix
+from sgkit.linearize import PerturbationParams, Protocol, compare_with_paper, design_matrix
 
 from conftest import project_to_constraints
 
@@ -77,7 +77,8 @@ def test_criterion_7_round_trip_exact():
     truth = project_to_constraints(rng.uniform(-0.08, 0.08, size=16))
     eta = 1e-3
     config = ExperimentConfig(
-        PerturbationParams.from_vector(truth, eta), 4, 8, shots=0, seed=107
+        PerturbationParams.from_vector(truth, eta), 4, 8, tuple(Protocol), shots=0, seed=107,
+        strict_normalization=False,
     )
     fits = _fit_dataset(generate_dataset(config))
     system = design_matrix([fit.observable for fit in fits])
@@ -96,7 +97,8 @@ def test_criterion_8_round_trip_sampled():
     truth = project_to_constraints(rng.uniform(-0.08, 0.08, size=16))
     eta = 1e-3
     config = ExperimentConfig(
-        PerturbationParams.from_vector(truth, eta), 4, 8, shots=10**6, seed=20260810
+        PerturbationParams.from_vector(truth, eta), 4, 8, tuple(Protocol), shots=10**6, seed=20260810,
+        strict_normalization=False,
     )
     fits = _fit_dataset(generate_dataset(config))
     quality = goodness_of_fit(fits)

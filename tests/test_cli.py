@@ -117,7 +117,7 @@ def test_property_experiment_config_refuses_what_load_config_refuses(tmp_path_fa
     """At each bound, just past it and at drawn integers, ``ExperimentConfig`` raises
     exactly when ``load_config`` raises ConfigError (exit 2) for the key."""
     from sgkit.experiment import ExperimentConfig, InvalidGrid
-    from sgkit.linearize import PerturbationParams
+    from sgkit.linearize import PerturbationParams, Protocol
 
     grid = key in ("n_theta", "n_phi")
     path = tmp_path_factory.getbasetemp() / f"bounds_{key}.json"
@@ -132,8 +132,9 @@ def test_property_experiment_config_refuses_what_load_config_refuses(tmp_path_fa
         except ConfigError as exc:
             refused = True
             assert f"'{'grid.' if grid else ''}{key}'" in str(exc), exc
+        fields = dict(n_theta=4, n_phi=8, protocols=tuple(Protocol), shots=0, seed=0, strict_normalization=False)
         try:
-            ExperimentConfig(PerturbationParams.from_vector(np.zeros(16), 0.0), **{key: value})
+            ExperimentConfig(PerturbationParams.from_vector(np.zeros(16), 0.0), **{**fields, key: value})
         except (InvalidGrid if grid else ValueError) as exc:
             assert refused and str(exc).startswith(f"{key} must be "), (value, exc)
         else:
@@ -623,6 +624,8 @@ TABLE = {
     "test_fit_observables_of_mixed_kind_exit_2": [
         Row("fit", exact_single_m0_up, 2, "dataset mixes exact (single/m0/up) and sampled", base="sampled")
     ],
+    # The header that a metadata block alone lacks belongs on the line after the block.
+    "test_fit_dataset_of_metadata_alone_exit_2": [Row("fit", lambda lines: lines[:5], 2, "line 6: header mismatch")],
     # A header-only dataset parses, but there is nothing to fit.
     "test_fit_dataset_without_records_exit_2": [Row("fit", lambda lines: lines[:6], 2, "dataset has no records")],
     # fits documents
@@ -1152,6 +1155,21 @@ def test_roundtrip_refuses_unrecoverable_config_before_simulating(tmp_path, monk
     config = write_config(tmp_path / "c.json", constraints="paper", protocols=["single"])
     assert main(["roundtrip", "--config", str(config), "--out", str(tmp_path / "r.json")]) == 2
     assert one_error_line(capsys) == "error: no fit supplied for successive/m0/up"
+
+
+@pytest.mark.parametrize("protocols", [["successive", "single"], ["single", "single", "successive"]], ids="-".join)
+def test_roundtrip_reports_follow_the_observables_not_the_protocol_list(tmp_path, protocols):
+    """The fits, and so the reports' system rows, come in ``ExperimentConfig.observables``
+    order: a reordered or repeated protocol list writes each bundled config's reports byte for byte."""
+    for config in (EXACT_CONFIG, SAMPLED_CONFIG):
+        edited = tmp_path / f"edited-{config.name}"
+        edited.write_text(json.dumps({**json.loads(config.read_text()), "protocols": protocols}))
+        reports = []
+        for source in (config, edited):
+            out = tmp_path / f"{source.stem}-rt.json"
+            assert main(["roundtrip", "--config", str(source), "--out", str(out)]) == 0
+            reports.append(report_bytes(out))
+        assert reports[0] == reports[1]
 
 
 @st.composite

@@ -86,7 +86,8 @@ def test_fit_grid_choice_does_not_matter(rng):
 
 def test_fit_sampled_chi_square_near_one():
     config = ExperimentConfig(
-        PerturbationParams.from_vector(np.zeros(16), 1e-3), 4, 8, shots=10**6, seed=99
+        PerturbationParams.from_vector(np.zeros(16), 1e-3), 4, 8, tuple(Protocol), shots=10**6, seed=99,
+        strict_normalization=False,
     )
     fits = _fit_dataset(generate_dataset(config))
     for fit in fits:
@@ -161,7 +162,10 @@ def test_goodness_exact_data_compatible():
 
 
 def test_goodness_sampled_compatible():
-    config = ExperimentConfig(PerturbationParams.from_vector(np.zeros(16), 1e-3), 4, 8, shots=10**6, seed=3)
+    config = ExperimentConfig(
+        PerturbationParams.from_vector(np.zeros(16), 1e-3), 4, 8, tuple(Protocol), shots=10**6, seed=3,
+        strict_normalization=False,
+    )
     report = goodness_of_fit(_fit_dataset(generate_dataset(config)))
     assert report.compatible
 
@@ -213,7 +217,8 @@ def test_recover_without_degrees_of_freedom_reports_no_chi_square(rng):
 
 def _roundtrip(truth_vec, eta, shots, seed):
     config = ExperimentConfig(
-        PerturbationParams.from_vector(truth_vec, eta), 4, 8, shots=shots, seed=seed
+        PerturbationParams.from_vector(truth_vec, eta), 4, 8, tuple(Protocol), shots=shots, seed=seed,
+        strict_normalization=False,
     )
     dataset = generate_dataset(config)
     fits = _fit_dataset(dataset)
@@ -347,7 +352,7 @@ def _recovery_result():
         lambda: design_matrix(default_observables()),
         lambda: FitResult(SINGLE_UP0, np.zeros(4), np.zeros((4, 4)), 0.0, 1),
         _recovery_result,
-        lambda: ExperimentConfig(PerturbationParams.from_vector(np.ones(16), 1e-3)),
+        lambda: ExperimentConfig(PerturbationParams.from_vector(np.ones(16), 1e-3), 4, 8, tuple(Protocol), 0, 0, False),
     ],
     ids=[
         "Instrument", "KrausOperator", "BlochState", "RotationSpec", "PerturbationParams", "LinearSystem",

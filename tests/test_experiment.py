@@ -33,7 +33,7 @@ from sgkit.verify import _dagger, _density, _matrices, _trace, _unitary
 
 
 def config_of(vec16, eta, **kw):
-    defaults = dict(n_theta=4, n_phi=8, shots=0, seed=7)
+    defaults = dict(n_theta=4, n_phi=8, protocols=tuple(Protocol), shots=0, seed=7, strict_normalization=False)
     defaults.update(kw)
     return ExperimentConfig(PerturbationParams.from_vector(vec16, eta), **defaults)
 
@@ -129,14 +129,13 @@ SINGLE, SUCCESSIVE = Protocol.SINGLE, Protocol.SUCCESSIVE
 
 @pytest.mark.parametrize("protocols", [(SINGLE,), (SUCCESSIVE,), (SINGLE, SUCCESSIVE), (SUCCESSIVE, SINGLE)])
 def test_plan_is_default_observables_times_the_grid(protocols):
+    """``observables`` keeps ``default_observables()`` order, and the records follow it."""
     grid = make_grid(2, 3)
-    expected = [
-        MeasurementSetting(obs, direction)
-        for obs in default_observables()
-        if obs.protocol in protocols
-        for direction in grid
-    ]
-    assert settings_of(config_of(ZERO, 0.0, n_theta=2, n_phi=3, protocols=protocols)) == expected
+    observables = tuple(obs for obs in default_observables() if obs.protocol in protocols)
+    expected = [MeasurementSetting(obs, direction) for obs in observables for direction in grid]
+    config = config_of(ZERO, 0.0, n_theta=2, n_phi=3, protocols=protocols)
+    assert config.observables == observables
+    assert settings_of(config) == expected
 
 
 @pytest.mark.parametrize("shots", [0, 1000])
