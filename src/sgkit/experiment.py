@@ -40,13 +40,12 @@ class InvalidGrid(ValueError):
 
 
 class FormatError(ValueError):
-    """Malformed dataset file; carries the offending line number."""
+    """Malformed dataset file; the message starts with "line N:" when one line is at fault."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-        self.line = line
 
 
 class MeasurementSetting(NamedTuple):
@@ -279,8 +278,6 @@ def read_dataset(path) -> Dataset:
     records = []
     first_line: dict[MeasurementSetting, int] = {}
     for lineno, line in enumerate(lines[body_start + 1 :], start=body_start + 2):
-        if not line.strip():
-            continue
         parts = line.split(",")
         if len(parts) != 8:
             raise FormatError("expected 8 fields", line=lineno)

@@ -587,6 +587,10 @@ TABLE = {
     "test_read_rejects_duplicate_setting": [
         Row("fit", lambda lines: [*lines, lines[6]], 2, "line 295: duplicate setting, first on line 7")
     ],
+    # A blank line is a malformed record, not a line to skip.
+    "test_fit_blank_line_between_records_exit_2": [
+        Row("fit", lambda lines: [*lines[:7], "", *lines[7:]], 2, "line 8: expected 8 fields")
+    ],
     "test_read_rejects_excess_successes": [
         Row("fit", first_record(successes="1000001"), 2, "line 7: successes must lie in [0, shots]", base="sampled")
     ],

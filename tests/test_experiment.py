@@ -282,23 +282,6 @@ def test_sampled_concentration(rng):
 # --- file format -------------------------------------------------------------------
 
 
-def test_write_read_round_trip_exact(tmp_path, rng):
-    vec = rng.uniform(-1.0, 1.0, size=16)
-    dataset = generate_dataset(config_of(vec, 1e-3, n_theta=2, n_phi=3))
-    path = tmp_path / "data.csv"
-    write_dataset(dataset, path)
-    back = read_dataset(path)
-    assert back.meta == dataset.meta
-    assert back.records == dataset.records
-
-
-def test_write_read_round_trip_sampled(tmp_path):
-    dataset = generate_dataset(config_of(ZERO, 0.0, shots=1234, seed=5, n_theta=2, n_phi=3))
-    path = tmp_path / "data.csv"
-    write_dataset(dataset, path)
-    assert read_dataset(path).records == dataset.records
-
-
 def test_every_observable_round_trips(tmp_path):
     """One record of each of the 12 observables, the successive/.../down ones no plan
     writes included, reads back equal, its first three fields as the label says."""

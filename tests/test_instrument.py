@@ -142,10 +142,6 @@ def test_effect_positivity_for_normalized_instruments(rng):
     assert np.all(np.linalg.norm(nonselective_array(inst, r), axis=-1) <= 1.0 + 1e-12)
 
 
-def test_normalization_residual_ideal():
-    assert residual_array(ideal_instrument().as_array()) <= 1e-15
-
-
 def test_normalization_residual_scaled():
     assert residual_array(1.1 * ideal_instrument().as_array()) == pytest.approx(0.21, abs=1e-12)
 

@@ -1,26 +1,27 @@
-"""Run the register of planted defects against the Tier-1 suite.
+"""Run each row of the register of planted defects against its named killer.
 
 Each row of ``planted_defects.json`` names a file, an exact text that occurs once
-in it, the defective text that replaces it, why the defect matters and the test
-expected to fail first. For each row the repository is copied to a temporary
-directory, the defect is planted in the copy and ``pytest -x -q`` runs there,
-with the two byte-digest tests deselected: they fail on any moved digit, so
-they would hide whether a semantic test sees the defect. A copy is needed
-because pyproject.toml puts the ``src`` of the directory pytest runs in first
-on the path. The working tree is never edited.
+in it, the defective text that replaces it, why the defect matters and
+``killer``, the test that must fail with the defect planted. For each row the
+repository is copied to a temporary directory, the defect is planted in the copy
+and only the killer runs there, alone: ``pytest -q -p no:cacheprovider KILLER``.
+A copy is needed because pyproject.toml puts the ``src`` of the directory pytest
+runs in first on the path. The working tree is never edited.
 
     python3 tools/planted_defects.py            # every row
     python3 tools/planted_defects.py dof-plus-one clamp-lower
 
-Prints one line per row, the first failing test or "survived", and exits 1 if
-any row survives or names an old text that is missing or not unique.
+A row is killed only when pytest exits 1: its killer ran and failed. Prints one
+line per row and exits 1 if any killer passes, is not collected or fails at
+collection, if a killer is one of the two byte-digest tests (they fail on any
+moved digit, so they cannot show whether a semantic test sees the defect), or
+if a row's old text is missing or not unique.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import re
 import shutil
 import subprocess
 import sys
@@ -35,7 +36,9 @@ DIGEST_TESTS = (
     "tests/test_cli.py::test_roundtrip_takes_no_file_detour",
 )
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench")
-FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
+OUTCOMES = {  # pytest's exit codes
+    0: "survived", 1: "killed", 2: "collection error", 4: "killer not found or not importable", 5: "no test collected",
+}
 
 
 def plant(copy: Path, row: dict) -> None:
@@ -44,27 +47,27 @@ def plant(copy: Path, row: dict) -> None:
     text = path.read_text(encoding="utf-8")
     count = text.count(row["old"])
     if count != 1:
-        raise ValueError(f"{row['id']}: old text occurs {count} times in {row['file']}")
+        raise ValueError(f"old text occurs {count} times in {row['file']}")
     path.write_text(text.replace(row["old"], row["new"]), encoding="utf-8")
 
 
-def first_failure(row: dict) -> str:
-    """The first test that fails with the row planted, or "survived"."""
+def run_killer(row: dict) -> str:
+    """Plant the row in a copy of the tree and run its killer there: "killed" or why not."""
+    if row["killer"].split("[")[0] in DIGEST_TESTS:
+        return "killer is a byte-digest test"
     with tempfile.TemporaryDirectory(prefix="planted-") as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(REPO, copy, ignore=IGNORED)
-        plant(copy, row)
+        try:
+            plant(copy, row)
+        except ValueError as exc:
+            return str(exc)
         env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
-        deselect = [arg for test in DIGEST_TESTS for arg in ("--deselect", test)]
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *deselect],
-            cwd=copy, env=env, capture_output=True, text=True, stdin=subprocess.DEVNULL,
-        )
-    if proc.returncode == 0:
-        return "survived"
-    match = FIRST_FAILURE.search(proc.stdout)
-    last_line = (proc.stdout.strip().splitlines() or [""])[-1]
-    return match[1] if match else f"pytest exit {proc.returncode}: {last_line}"
+        code = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", row["killer"]],
+            cwd=copy, env=env, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        ).returncode
+    return OUTCOMES.get(code, f"pytest exit {code}")
 
 
 def main(argv: list[str]) -> int:
@@ -78,18 +81,12 @@ def main(argv: list[str]) -> int:
         if argv and row["id"] not in argv:
             continue
         start = time.perf_counter()
-        try:
-            killer = first_failure(row)
-        except ValueError as exc:  # the old text is missing or not unique
-            print(exc, flush=True)
-            bad.append(row["id"])
-            continue
-        note = "" if killer == row["killer"] else f"  (register names {row['killer']})"
-        print(f"{row['id']}: {killer}  [{time.perf_counter() - start:.1f} s]{note}", flush=True)
-        if killer == "survived":
+        outcome = run_killer(row)
+        print(f"{row['id']}: {outcome}  {row['killer']}  [{time.perf_counter() - start:.1f} s]", flush=True)
+        if outcome != "killed":
             bad.append(row["id"])
     if bad:
-        print(f"survived or not planted: {', '.join(bad)}", file=sys.stderr)
+        print(f"not killed by their killers: {', '.join(bad)}", file=sys.stderr)
         return 1
     return 0
 
